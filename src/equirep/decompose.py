@@ -1,5 +1,16 @@
 """Commutants, isotypic decomposition, intertwiners, and the Schur-Weyl check.
 
+Commutants and intertwiners come from one kernel solver.  Any phi with
+phi R(g) = S(g) phi also satisfies phi A_R = A_S phi for a Hermitian element
+A of the representation's algebra taken with the same coefficients on both
+sides, so in the eigenbases of A_R and A_S phi only connects eigenspaces
+with equal eigenvalues.  The unknowns shrink from d_s d_r to the entries on matched
+eigenvalue clusters (sum_k d_k m_k^2 for a commutant), and the generator
+constraints are solved in that reduced space (the route of RepLAB and of
+Maehara & Murota's block-diagonalization of matrix *-algebras).  The
+argument needs the algebra to be closed under the adjoint, so the solver
+rejects non-unitary representations.
+
 The decomposition algorithm follows the classic two-element strategy: a
 generic Hermitian element A of the representation's algebra has, inside each
 isotypic block, the form 1_m x A_k with simple A_k spectrum, while a generic
@@ -30,6 +41,7 @@ from .representations import (
     Representation,
     perm_matrix_on_tensor,
     perm_rep_tensor,
+    require_unitary,
     sources_match,
     tensor_power,
     unitary_algebra_rep,
@@ -43,6 +55,12 @@ __all__ = [
 ]
 
 MAX_REDRAWS = 8
+# Eigenvalues of the splitting element closer than this, relative to its
+# spectral scale, share a cluster.  Merging clusters only enlarges the search
+# space, while splitting a true eigenspace would lose solutions, so the cut
+# sits far above eigh's rounding and far below the gaps of a generic element.
+_CLUSTER_GAP = 1e-6
+_KERNEL_SEED = 2210
 
 
 @dataclass
@@ -63,40 +81,23 @@ class CommutantBasis:
         return len(self.basis)
 
 
-def _constraint_operators(rep: Representation):
-    return rep.generator_representatives()
-
-
-def _iterative_kernel(mats, tol: Tolerance) -> np.ndarray:
-    """Intersection of kernels, one constraint at a time.
-
-    Restricting each successive constraint to the running kernel keeps every
-    SVD small; the product of orthonormal-column factors stays orthonormal.
-    """
-    basis: np.ndarray | None = None
-    for m in mats:
-        restricted = m if basis is None else m @ basis
-        k = linalg.null_space(restricted, tol)
-        basis = k if basis is None else basis @ k
-        if basis.shape[1] == 0:
-            break
-    return basis if basis is not None else np.zeros((0, 0))
-
-
 def commutant_basis(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> CommutantBasis:
     """Solve [B, R(g)] = 0 over generators (finite) or images (lie).
 
     Commuting with the generators implies commuting with the whole group by
-    the homomorphism property.  The returned elements are Hermitian and
-    orthonormal; their real span is the full commutant's Hermitian part.
+    the homomorphism property.  The kernel is solved only over the blocks
+    that a generic algebra element's eigenspaces allow (see the module
+    docstring), which costs O(sum_k d_k m_k^2) unknowns instead of d^2.  The
+    returned elements are Hermitian and orthonormal; their real span is the
+    full commutant's Hermitian part.
+
+    Raises:
+        ValidationError: if the representation is not unitary.
     """
-    ops = _constraint_operators(rep)
-    kernel = _iterative_kernel(
-        [linalg.commutator_superoperator(k) for k in ops], tol)
-    complex_dim = kernel.shape[1]
-    mats = [linalg.devectorize(kernel[:, i], rep.dim) for i in range(complex_dim)]
+    kernel = _eigenspace_kernel(rep, rep, tol)
+    complex_dim = len(kernel)
     herm = []
-    for b in mats:
+    for b in kernel:
         herm.append((b + linalg.dagger(b)) / 2)
         herm.append((b - linalg.dagger(b)) / 2j)
     basis = linalg.orthonormalize_hermitian(herm, tol)
@@ -192,6 +193,60 @@ def _cluster(values: np.ndarray, gap_tol: float):
     return groups
 
 
+def _eigenspace_kernel(r: Representation, s: Representation,
+                       tol: Tolerance) -> np.ndarray:
+    """Every phi with phi R(g) = S(g) phi, as an orthonormal (k, d_s, d_r) stack.
+
+    Diagonalize A_R = v_r diag(a) v_r^dag and A_S = v_s diag(b) v_s^dag, two
+    algebra elements with the same coefficients; X = v_s^dag phi v_r then
+    obeys X diag(a) = diag(b) X and is found by _matched_kernel.
+    Orthonormality under Tr[A^dag B] holds because the rotation back to phi
+    is unitary on both sides.
+    """
+    require_unitary(r)
+    if s is not r:
+        require_unitary(s)
+    w_r, v_r = np.linalg.eigh(_algebra_element(r, np.random.default_rng(_KERNEL_SEED)))
+    w_s, v_s = (w_r, v_r) if s is r else np.linalg.eigh(
+        _algebra_element(s, np.random.default_rng(_KERNEL_SEED)))
+    k_r = linalg.dagger(v_r) @ np.array(r.generator_representatives()) @ v_r
+    k_s = linalg.dagger(v_s) @ np.array(s.generator_representatives()) @ v_s
+    x = _matched_kernel(k_r, w_r, k_s, w_s, tol)
+    return v_s @ x @ linalg.dagger(v_r)
+
+
+def _matched_kernel(k_r: np.ndarray, w_r: np.ndarray, k_s: np.ndarray,
+                    w_s: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal (k, d_s, d_r) basis of X with X K_r = K_s X for stacked K.
+
+    The caller guarantees X diag(w_r) = diag(w_s) X for every solution, so
+    only entries X[p, q] with w_s[p] and w_r[q] in one eigenvalue cluster
+    are unknowns, and the constraints are solved for those entries alone.
+    """
+    d_s, d_r = len(w_s), len(w_r)
+    # Cluster both spectra together; equal labels mark allowed entries.
+    w = np.concatenate([w_s, w_r])
+    order = np.argsort(w, kind="stable")
+    scale = max(float(np.ptp(w)), float(np.abs(w).max())) if w.size else 0.0
+    labels = np.empty(w.size, dtype=np.int64)
+    labels[order] = np.concatenate(
+        [[0], np.cumsum(np.diff(w[order]) > _CLUSTER_GAP * scale)])
+    p, q = np.nonzero(labels[:d_s, None] == labels[None, d_s:])
+    n = p.size
+    if n == 0:
+        return np.zeros((0, d_s, d_r), dtype=complex)
+    # Column t of the constraint matrix is E_pq K_r - K_s E_pq for every
+    # generator, with (p, q) the t-th unknown entry.
+    e_p = np.eye(d_s)[p]
+    e_q = np.eye(d_r)[q]
+    rows = np.einsum("ti,gtj->gijt", e_p, k_r[:, q, :])
+    rows -= np.einsum("git,tj->gijt", k_s[:, :, p], e_q)
+    ker = linalg.null_space(rows.reshape(-1, n), tol)
+    x = np.zeros((ker.shape[1], d_s, d_r), dtype=complex)
+    x[:, p, q] = ker.T
+    return x
+
+
 class _Genericity(Exception):
     """Internal: the random draw was degenerate, redraw."""
 
@@ -276,7 +331,7 @@ def _attempt_decomposition(rep, comm_basis, rng, tol):
         components.append((sorted(comp_a, key=lambda i: np.mean(wa[a_groups[i]])),
                            sorted(comp_c, key=lambda i: c_values[i])))
 
-    constraints = rep.generator_representatives()
+    constraints = np.array(rep.generator_representatives())
     blocks = []
     for alphas, gammas in components:
         d_k, m_k = len(alphas), len(gammas)
@@ -287,18 +342,17 @@ def _attempt_decomposition(rep, comm_basis, rng, tol):
             cols = np.column_stack([joint[(ai, gi)] for ai in alphas])
             copies.append(cols)
         # Align copies 1.. with copy 0 through explicit unitary intertwiners.
+        # Every copy's columns are eigenvectors of a for the same clusters,
+        # so the intertwiners are diagonal in them up to merged clusters.
+        w_k = np.array([np.mean(wa[a_groups[ai]]) for ai in alphas])
         ref = copies[0]
-        u_ref = [linalg.dagger(ref) @ k @ ref for k in constraints]
+        u_ref = linalg.dagger(ref) @ constraints @ ref
         for j in range(1, m_k):
-            u_j = [linalg.dagger(copies[j]) @ k @ copies[j] for k in constraints]
-            rows = np.vstack([
-                np.kron(np.eye(d_k), u0.T) - np.kron(uj, np.eye(d_k))
-                for u0, uj in zip(u_ref, u_j)
-            ])
-            ker = linalg.null_space(rows, tol)
-            if ker.shape[1] == 0:
+            u_j = linalg.dagger(copies[j]) @ constraints @ copies[j]
+            ker = _matched_kernel(u_ref, w_k, u_j, w_k, tol)
+            if len(ker) == 0:
                 raise _Genericity("copies in one block are not equivalent")
-            s = ker[:, 0].reshape(d_k, d_k)
+            s = ker[0]
             gram = linalg.dagger(s) @ s
             scale = float(np.real(np.trace(gram))) / d_k
             if scale < 1e-12 or linalg.frob(gram - scale * np.eye(d_k)) > 1e-6 * scale * d_k:
@@ -355,7 +409,8 @@ def decomposition_residuals(rep: Representation, dec: IsotypicDecomposition,
 
 
 def isotypic_decompose(rep: Representation, rng_seed: int = 0,
-                       tol: Tolerance = DEFAULT_TOL) -> IsotypicDecomposition:
+                       tol: Tolerance = DEFAULT_TOL,
+                       commutant: CommutantBasis | None = None) -> IsotypicDecomposition:
     """Decompose a unitary representation into aligned isotypic blocks.
 
     Deterministic given ``rng_seed``; degenerate random draws trigger a
@@ -363,15 +418,31 @@ def isotypic_decompose(rep: Representation, rng_seed: int = 0,
     DecompositionFailedError signals tolerance or non-unitarity problems.
     Blocks are sorted by descending irrep dimension, then descending
     multiplicity, ties by first occurrence at ascending splitting eigenvalue.
+
+    ``commutant`` reuses a basis already solved for this same ``rep``.  The
+    certified block census must reproduce its dimension as sum_k m_k^2; a
+    mismatch raises NumericalError, since one of the two rank decisions is
+    wrong.
     """
-    comm = commutant_basis(rep, tol)
+    if commutant is None:
+        commutant = commutant_basis(rep, tol)
+    elif commutant.rep is not rep:
+        raise SourceMismatchError(
+            f"commutant was solved for {commutant.rep.name}, not for {rep.name}")
     last = "no attempt run"
     for attempt in range(MAX_REDRAWS):
         rng = np.random.default_rng([int(rng_seed), attempt])
         try:
-            return _attempt_decomposition(rep, comm.basis, rng, tol)
+            dec = _attempt_decomposition(rep, commutant.basis, rng, tol)
         except _Genericity as exc:
             last = str(exc)
+            continue
+        census = sum(m * m for _, m in dec.blocks)
+        if census != commutant.dim:
+            raise NumericalError(
+                f"block census {dec.blocks} gives a commutant of dimension "
+                f"{census}, the kernel solver found {commutant.dim}")
+        return dec
     raise DecompositionFailedError(
         f"no certified decomposition after {MAX_REDRAWS} redraws: {last}")
 
@@ -417,28 +488,23 @@ def find_intertwiner(r: Representation, s: Representation,
                      tol: Tolerance = DEFAULT_TOL) -> Intertwiner:
     """Solve phi R(g) = S(g) phi over generators; classify per Schur.
 
-    "equivalent" requires an invertible kernel element (smallest singular
-    value above tolerance); between irreducibles the verdict is never
-    "partial".
+    Uses the same eigenspace-reduced kernel solver as commutant_basis, so
+    both representations must be unitary.  "equivalent" requires an
+    invertible kernel element (smallest singular value above tolerance);
+    between irreducibles the verdict is never "partial".
     """
     if not sources_match(r, s):
         raise SourceMismatchError("intertwiner needs a common group or algebra")
-    ops_r = r.generator_representatives()
-    ops_s = s.generator_representatives()
-    ker = _iterative_kernel([
-        np.kron(np.eye(s.dim), kr.T) - np.kron(ks, np.eye(r.dim))
-        for kr, ks in zip(ops_r, ops_s)
-    ], tol)
-    kdim = ker.shape[1]
+    mats = _eigenspace_kernel(r, s, tol)
+    kdim = len(mats)
     if kdim == 0:
         return Intertwiner(None, "zero-only", 0)
-    mats = [ker[:, i].reshape(s.dim, r.dim) for i in range(kdim)]
     if r.dim == s.dim:
         rng = np.random.default_rng(7)
         candidates = list(mats)
         for _ in range(4):
             w = rng.standard_normal(kdim) + 1j * rng.standard_normal(kdim)
-            candidates.append(sum(wi * m for wi, m in zip(w, mats)))
+            candidates.append(np.tensordot(w, mats, 1))
         best, best_smin = None, -1.0
         for m in candidates:
             svals = np.linalg.svd(m, compute_uv=False)
@@ -526,8 +592,8 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
     p_tensor_comm = _span_projector([linalg.vectorize(b) for b in tensor_comm.basis], tol)
     dist_tensor = linalg.frob(p_perm_span - p_tensor_comm)
 
-    dec_perm = isotypic_decompose(perm_rep, rng_seed, tol)
-    dec_tensor = isotypic_decompose(tensor_rep, rng_seed, tol)
+    dec_perm = isotypic_decompose(perm_rep, rng_seed, tol, perm_comm)
+    dec_tensor = isotypic_decompose(tensor_rep, rng_seed, tol, tensor_comm)
     pairing_ok = sorted((dk, mk) for dk, mk in dec_perm.blocks) == \
         sorted((mk, dk) for dk, mk in dec_tensor.blocks)
 

@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameterError,
     NotHermitianError,
     SourceMismatchError,
+    ValidationError,
 )
 from .groups import FiniteGroup, LieAlgebraBasis, make_cyclic, make_symmetric
 from .linalg import DEFAULT_TOL, Tolerance
@@ -30,11 +31,12 @@ __all__ = [
     "bitflip_rep", "swap_rep", "dihedral_rep_s3", "su2_fundamental",
     "unitary_algebra_rep", "tensor_power", "direct_sum", "dual",
     "adjoint_action", "left_regular_rep", "translation_rep",
-    "verify_homomorphism", "sources_match",
+    "verify_homomorphism", "require_unitary", "sources_match",
     "perm_matrix_on_tensor", "swap_matrix",
 ]
 
 EAGER_ORDER = 64
+_UNITARITY_TOL = Tolerance(1e-8, 1e-8)
 
 
 class Representation:
@@ -408,11 +410,28 @@ def verify_homomorphism(r: Representation, tol: Tolerance = DEFAULT_TOL) -> floa
     alg = r.algebra
     f = alg.structure_constants(tol)
     imgs = r.generator_images
-    for h in imgs:
-        if not linalg.is_hermitian(h, Tolerance(1e-8, 1e-8)):
-            raise NotHermitianError("lie generator images must be Hermitian")
+    require_unitary(r)
     for i in range(alg.dim):
         for j in range(alg.dim):
             lhs = 1j * sum(f[i, j, k] * imgs[k] for k in range(alg.dim))
             res = max(res, linalg.frob(lhs - linalg.comm(imgs[i], imgs[j])))
     return res
+
+
+def require_unitary(r: Representation) -> None:
+    """Raise unless the representation is unitary.
+
+    Finite flavor: every generator image is a square unitary.  Lie flavor:
+    every image is Hermitian, so its exponentials are unitary.  Either way
+    the algebra the images generate is closed under the adjoint, which the
+    commutant and intertwiner solvers rely on.
+    """
+    for i, m in enumerate(r.generator_representatives()):
+        if m.shape != (r.dim, r.dim):
+            raise DimensionMismatchError(
+                f"image {i} has shape {m.shape}, carrier dim is {r.dim}")
+        if r.flavor == "lie":
+            if not linalg.is_hermitian(m, _UNITARITY_TOL):
+                raise NotHermitianError("lie generator images must be Hermitian")
+        elif not linalg.is_unitary(m, _UNITARITY_TOL):
+            raise ValidationError(f"finite generator image {i} is not unitary")

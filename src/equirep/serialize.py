@@ -13,7 +13,8 @@ from .errors import InvalidParameterError, ValidationError
 from .groups import FiniteGroup, LieAlgebraBasis, group_from_table, make_cyclic, \
     make_dihedral, make_symmetric
 from .linalg import DEFAULT_TOL, Tolerance
-from .representations import Representation, finite_rep_from_images, verify_homomorphism
+from .representations import Representation, finite_rep_from_images, require_unitary, \
+    verify_homomorphism
 
 __all__ = [
     "mat_to_json", "mat_from_json", "dumps_report",
@@ -29,9 +30,19 @@ def mat_to_json(a: np.ndarray):
 
 def mat_from_json(data) -> np.ndarray:
     try:
-        return np.array([[complex(c[0], c[1]) for c in row] for row in data])
-    except (TypeError, IndexError) as exc:
+        a = np.array([[complex(c[0], c[1]) for c in row] for row in data])
+    except (TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed matrix payload: {exc}") from exc
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("non-finite entry in matrix payload")
+    return a
+
+
+def _field(spec, key: str):
+    """A required entry of a spec; a missing one is a validation error."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ValidationError(f"spec lacks the required field {key!r}")
+    return spec[key]
 
 
 def _fmt(x) -> str:
@@ -117,13 +128,13 @@ def group_to_spec(g: FiniteGroup) -> dict:
 def group_from_spec(spec: dict) -> FiniteGroup:
     kind = spec.get("kind")
     if kind == "cyclic":
-        return make_cyclic(int(spec["n"]))
+        return make_cyclic(int(_field(spec, "n")))
     if kind == "symmetric":
-        return make_symmetric(int(spec["n"]))
+        return make_symmetric(int(_field(spec, "n")))
     if kind == "dihedral":
-        return make_dihedral(int(spec["n"]))
+        return make_dihedral(int(_field(spec, "n")))
     if kind == "table":
-        g = group_from_table(np.array(spec["mul"], dtype=np.int64),
+        g = group_from_table(np.array(_field(spec, "mul"), dtype=np.int64),
                              spec.get("generators"),
                              spec.get("labels"),
                              spec.get("name", "group"))
@@ -149,7 +160,7 @@ def lie_to_spec(alg: LieAlgebraBasis) -> dict:
 
 
 def lie_from_spec(spec: dict) -> LieAlgebraBasis:
-    gens = [mat_from_json(m) for m in spec["generators"]]
+    gens = [mat_from_json(m) for m in _field(spec, "generators")]
     return LieAlgebraBasis(gens, name=spec.get("name", "lie-algebra"))
 
 
@@ -184,19 +195,20 @@ def rep_to_spec(rep: Representation) -> dict:
 
 def rep_from_spec(spec: dict, tol: Tolerance = DEFAULT_TOL,
                   max_residual: float = 1e-8) -> Representation:
-    """Load a representation and re-verify the homomorphism property."""
+    """Load a unitary representation and re-verify the homomorphism property."""
     flavor = spec.get("flavor")
     if flavor == "finite":
-        group = group_from_spec(spec["group"])
-        images = [mat_from_json(m) for m in spec["matrices"]]
+        group = group_from_spec(_field(spec, "group"))
+        images = [mat_from_json(m) for m in _field(spec, "matrices")]
         rep = finite_rep_from_images(group, images, spec.get("name", "rep"))
     elif flavor == "lie":
-        alg = lie_from_spec(spec["algebra"])
-        images = [mat_from_json(m) for m in spec["generator_images"]]
+        alg = lie_from_spec(_field(spec, "algebra"))
+        images = [mat_from_json(m) for m in _field(spec, "generator_images")]
         rep = Representation(alg, "lie", images[0].shape[0],
                              spec.get("name", "rep"), generator_images=images)
     else:
         raise InvalidParameterError(f"unknown representation flavor {flavor!r}")
+    require_unitary(rep)
     residual = verify_homomorphism(rep, tol)
     if residual > max_residual:
         raise ValidationError(
@@ -209,7 +221,7 @@ def operator_to_spec(a: np.ndarray, name: str = "operator") -> dict:
 
 
 def operator_from_spec(spec: dict) -> np.ndarray:
-    return mat_from_json(spec["matrix"])
+    return mat_from_json(_field(spec, "matrix"))
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +242,10 @@ def dataset_to_spec(ds) -> dict:
 
 def dataset_from_spec(spec: dict):
     from .tasks import Dataset, LabeledState
-    rep = rep_from_spec(spec["rep"])
-    states = [LabeledState(mat_from_json(s["rho"]), float(s["label"]),
+    rep = rep_from_spec(_field(spec, "rep"))
+    states = [LabeledState(mat_from_json(_field(s, "rho")), float(_field(s, "label")),
                            dict(s.get("meta", {})))
-              for s in spec["states"]]
+              for s in _field(spec, "states")]
     params = {k: tuple(v) if isinstance(v, list) else v
               for k, v in spec.get("params", {}).items()}
-    return Dataset(spec["task"], states, rep, params)
+    return Dataset(_field(spec, "task"), states, rep, params)

@@ -209,3 +209,34 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
     code = cli.run(["decompose", "--rep", str(PRESETS / "su2-tensor2.json")])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _malformed_files(tmp_path):
+    """ROADMAP item 4 cases (a)-(c): missing key, ragged matrix, non-unitary image."""
+    from equirep.representations import perm_rep_qubits
+    from equirep.serialize import rep_to_spec
+    spec = rep_to_spec(perm_rep_qubits(3))
+    del spec["matrices"]
+    (tmp_path / "a.json").write_text(json.dumps(spec))
+    (tmp_path / "b.json").write_text(json.dumps(
+        {"name": "ragged", "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}))
+    (tmp_path / "c.json").write_text(json.dumps({
+        "flavor": "finite", "group": {"kind": "cyclic", "n": 2}, "dim": 2,
+        "name": "non-unitary", "matrices": [[[[1, 0], [1, 0]], [[0, 0], [-1, 0]]]]}))
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (("rep", "verify", "--in", "a.json"), "matrices"),
+    (("twirl", "--rep", str(PRESETS / "swap-adjoint.json"), "--op", "b.json"),
+     "malformed matrix"),
+    (("commutant", "--rep", "c.json"), "not unitary"),
+])
+def test_malformed_input_exits_one(tmp_path, capsys, argv, reason):
+    work = _malformed_files(tmp_path)
+    argv = [str(work / a) if a.endswith(".json") and "/" not in a else a for a in argv]
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and reason in captured.err

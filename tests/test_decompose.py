@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from equirep.decompose import (
+    CommutantBasis,
+    _eigenspace_kernel,
     block_diagonal_part,
     block_projectors,
     commutant_basis,
@@ -12,14 +17,38 @@ from equirep.decompose import (
     isotypic_decompose,
     schur_weyl_check,
 )
-from equirep.errors import DimensionTooLargeError, SourceMismatchError
+from equirep.errors import (
+    DimensionTooLargeError,
+    NotHermitianError,
+    NumericalError,
+    SourceMismatchError,
+    ValidationError,
+)
 from equirep.groups import make_cyclic, make_symmetric
-from equirep.linalg import I2, X, Y, Z, comm, dagger, frob, hs_inner, kron, vectorize
+from equirep.linalg import (
+    DEFAULT_TOL,
+    I2,
+    X,
+    Y,
+    Z,
+    comm,
+    commutator_superoperator,
+    dagger,
+    frob,
+    haar_unitary,
+    hs_inner,
+    kron,
+    null_space,
+    vectorize,
+)
 from equirep.groups import make_dihedral
 from equirep.representations import (
+    Representation,
     adjoint_action,
     bitflip_rep,
     dihedral_rep_s3,
+    direct_sum,
+    finite_rep_from_images,
     left_regular_rep,
     perm_rep_qubits,
     su2_fundamental,
@@ -122,6 +151,113 @@ def test_adjoint_action_of_swap_has_136_dim_superoperator_commutant():
     assert commutant_basis(rep).dim == 10 * 10 + 6 * 6
 
 
+def conjugated(rep, u):
+    """The same representation in the basis given by the unitary u."""
+    mats = [u @ k @ dagger(u) for k in rep.generator_representatives()]
+    if rep.flavor == "finite":
+        return finite_rep_from_images(rep.group, mats, rep.name + "~u")
+    return Representation(rep.source, "lie", rep.dim, rep.name + "~u",
+                          generator_images=mats)
+
+
+def superoperator_kernel(r, s):
+    """The stacked d^2 x d^2 kernel the eigenspace solver replaced (d <= 16)."""
+    if r is s:
+        blocks = [commutator_superoperator(k) for k in r.generator_representatives()]
+    else:
+        blocks = [np.kron(np.eye(s.dim), kr.T) - np.kron(ks, np.eye(r.dim))
+                  for kr, ks in zip(r.generator_representatives(),
+                                    s.generator_representatives())]
+    return null_space(np.vstack(blocks))
+
+
+def span_distance(stack, columns):
+    """Frobenius distance between the projectors onto two operator spans."""
+    vecs = stack.reshape(len(stack), -1).T
+    return frob(vecs @ dagger(vecs) - columns @ dagger(columns))
+
+
+def test_eigenspace_kernel_matches_superoperator_oracle():
+    rng = np.random.default_rng(12)
+    su2 = su2_fundamental()
+    reps = [tensor_power(su2, k) for k in (2, 3, 4)]
+    reps += [perm_rep_qubits(n) for n in (2, 3, 4)]
+    reps.append(left_regular_rep(make_dihedral(6)))
+    reps += [conjugated(r, haar_unitary(r.dim, rng)) for r in list(reps)]
+    for rep in reps:
+        got = _eigenspace_kernel(rep, rep, DEFAULT_TOL)
+        oracle = superoperator_kernel(rep, rep)
+        assert got.shape == (oracle.shape[1], rep.dim, rep.dim), rep.name
+        assert span_distance(got, oracle) <= 1e-10, rep.name
+
+    su2x3 = tensor_power(su2, 3)
+    pairs = [(su2x3, conjugated(su2x3, haar_unitary(8, rng)), "equivalent", 5),
+             (su2x3, su2, "partial", 2),
+             (tensor_power(su2, 2), su2, "zero-only", 0)]
+    for r, s, verdict, kdim in pairs:
+        oracle = superoperator_kernel(r, s)
+        it = find_intertwiner(r, s)
+        assert (it.verdict, it.kernel_dim, oracle.shape[1]) == (verdict, kdim, kdim)
+        got = _eigenspace_kernel(r, s, DEFAULT_TOL)
+        assert got.shape == (kdim, s.dim, r.dim)
+        if kdim:
+            assert span_distance(got, oracle) <= 1e-10
+
+
+def spin_rep(source, twice_j):
+    """Spin-j irrep of su(2) on the basis X/2, Y/2, Z/2 of ``source``."""
+    j = twice_j / 2
+    m = j - np.arange(twice_j + 1)
+    raise_ = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    jx = (raise_ + dagger(raise_)) / 2
+    jy = (raise_ - dagger(raise_)) / 2j
+    return Representation(source, "lie", twice_j + 1, f"spin{twice_j}/2",
+                          generator_images=[jx, jy, np.diag(m).astype(complex)])
+
+
+def s3_irreps():
+    """Trivial, sign and standard irreps of S_3."""
+    g = make_symmetric(3)
+    return [trivial_rep(g, 1),
+            finite_rep_from_images(g, [-np.eye(1, dtype=complex)] * 2, "sign"),
+            dihedral_rep_s3()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(flavor=st.sampled_from(["finite", "lie"]),
+       mults=st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_commutant_dim_of_conjugated_direct_sums_is_the_census(flavor, mults, seed):
+    if flavor == "finite":
+        irreps = s3_irreps()
+    else:
+        source = su2_fundamental().source
+        irreps = [spin_rep(source, twice_j) for twice_j in (0, 1, 2)]
+    summands = [irrep for irrep, m in zip(irreps, mults) for _ in range(m)]
+    rep = summands[0]
+    for extra in summands[1:]:
+        rep = direct_sum(rep, extra)
+    rep = conjugated(rep, haar_unitary(rep.dim, np.random.default_rng(seed)))
+    assert commutant_basis(rep).dim == sum(m * m for m in mults)
+
+
+def test_commutant_rejects_non_unitary_finite_images():
+    g = make_cyclic(2)
+    rep = finite_rep_from_images(g, [np.array([[1, 1], [0, -1]], dtype=complex)], "shear")
+    with pytest.raises(ValidationError, match="not unitary"):
+        commutant_basis(rep)
+    with pytest.raises(ValidationError):
+        find_intertwiner(rep, finite_rep_from_images(g, [-np.eye(2)], "sign2"))
+
+
+def test_commutant_rejects_non_hermitian_lie_images():
+    su2 = su2_fundamental()
+    rep = Representation(su2.source, "lie", 2, "skew",
+                         generator_images=[X / 2, 1j * Y / 2, Z / 2])
+    with pytest.raises(NotHermitianError):
+        commutant_basis(rep)
+
+
 # -- irreducibility ----------------------------------------------------------
 
 def test_is_irreducible():
@@ -200,6 +336,24 @@ def test_commutant_dim_equals_sum_of_multiplicity_squares():
         dim = commutant_basis(rep).dim
         blocks = isotypic_decompose(rep, 1).blocks
         assert dim == sum(m * m for _, m in blocks), rep.name
+
+
+def test_isotypic_decompose_reuses_a_given_commutant():
+    rep = perm_rep_qubits(3)
+    comm_basis = commutant_basis(rep)
+    given_dec = isotypic_decompose(rep, 2, commutant=comm_basis)
+    fresh = isotypic_decompose(rep, 2)
+    assert given_dec.blocks == fresh.blocks
+    assert frob(given_dec.q - fresh.q) < 1e-12
+    with pytest.raises(SourceMismatchError):
+        isotypic_decompose(perm_rep_qubits(3), 2, commutant=comm_basis)
+
+
+def test_isotypic_decompose_checks_the_block_census_against_the_commutant():
+    rep = perm_rep_qubits(3)
+    short = CommutantBasis(rep, commutant_basis(rep).basis[:-1])
+    with pytest.raises(NumericalError, match="20.*19|19.*20"):
+        isotypic_decompose(rep, 0, commutant=short)
 
 
 def test_block_projectors_resolve_identity():

@@ -145,6 +145,18 @@ def test_null_space_gram_and_kernel_residuals_random():
         assert frob(a @ k) < 1e-9 * frob(a)
 
 
+@pytest.mark.parametrize("rows,cols,rank", [(40, 7, 4), (9, 9, 5), (5, 12, 3)])
+def test_null_space_tall_square_and_wide_match_the_kernel(rows, cols, rank):
+    rng = np.random.default_rng(rows * cols)
+    a = (rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))) \
+        @ (rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols)))
+    k = null_space(a)
+    # the kernel is every x with a x = 0: cols - rank orthonormal columns
+    assert k.shape == (cols, cols - rank)
+    assert frob(dagger(k) @ k - np.eye(cols - rank)) < 1e-10
+    assert frob(a @ k) < 1e-9 * frob(a)
+
+
 def test_partial_trace_product_state():
     rng = np.random.default_rng(5)
     a = random_hermitian(2, rng)

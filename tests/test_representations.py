@@ -359,3 +359,25 @@ def test_rep_spec_rejects_corrupted_matrices():
     spec["matrices"][0][0][1][0] = 0.35  # break unitarity/homomorphism
     with pytest.raises(ValidationError):
         serialize.rep_from_spec(spec)
+
+
+def test_rep_spec_rejects_non_unitary_image_that_is_a_homomorphism():
+    # [[1, 1], [0, -1]] squares to the identity, so it passes the homomorphism
+    # check for Z_2, but it is not unitary
+    spec = {"flavor": "finite", "group": {"kind": "cyclic", "n": 2}, "dim": 2,
+            "name": "shear", "matrices": [serialize.mat_to_json([[1, 1], [0, -1]])]}
+    with pytest.raises(ValidationError, match="not unitary"):
+        serialize.rep_from_spec(spec)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda spec: spec.pop("matrices"),
+    lambda spec: spec["matrices"][0].append([[0.0, 0.0]]),
+    lambda spec: spec["matrices"][0][0].pop(),
+    lambda spec: spec["matrices"][0][0][0].__setitem__(0, float("nan")),
+])
+def test_rep_spec_malformed_payloads_raise_validation_error(corrupt):
+    spec = serialize.rep_to_spec(swap_rep())
+    corrupt(spec)
+    with pytest.raises(ValidationError):
+        serialize.rep_from_spec(spec)

@@ -283,3 +283,46 @@ def test_haar_left_invariance_ks():
     for part in (np.real, np.imag):
         _, pvalue = stats.ks_2samp(part(t_plain), part(t_left))
         assert pvalue > 0.01
+
+
+def _reference_haar(d, rng):
+    """Per-sample Haar draw: QR of a complex Gaussian with phase fixing."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _reference_monte_carlo_twirl(d, k, o, n_samples, rng_seed, batch=512):
+    """Per-sample sampling loop, accumulated in the same batches."""
+    rng = np.random.default_rng(rng_seed)
+    acc = np.zeros((d ** k, d ** k), dtype=complex)
+    done = 0
+    while done < n_samples:
+        nb = min(batch, n_samples - done)
+        us = np.stack([_reference_haar(d, rng) for _ in range(nb)])
+        uk = us
+        for _ in range(k - 1):
+            uk = np.einsum("nij,nkl->nikjl", uk, us).reshape(nb, uk.shape[1] * d, -1)
+        acc += np.einsum("nij,jk,nlk->il", uk, o, uk.conj())
+        done += nb
+    return acc / n_samples
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (4, 1), (2, 3)])
+def test_monte_carlo_twirl_is_bit_identical_to_per_sample_sampling(d, k):
+    rng = np.random.default_rng(31)
+    o = random_hermitian(d ** k, rng)
+    got = monte_carlo_k_design_twirl(d, k, o, 1100, rng_seed=5)
+    np.testing.assert_array_equal(got, _reference_monte_carlo_twirl(d, k, o, 1100, 5))
+
+
+def test_haar_samplers_are_bit_identical_to_per_sample_sampling():
+    from equirep.linalg import haar_unitaries
+    for d in (1, 2, 4):
+        rng = np.random.default_rng(8)
+        reference = np.stack([_reference_haar(d, rng) for _ in range(50)])
+        np.testing.assert_array_equal(
+            haar_unitaries(d, 50, np.random.default_rng(8)), reference)
+        rng = np.random.default_rng(8)
+        np.testing.assert_array_equal(
+            np.stack([haar_unitary(d, rng) for _ in range(50)]), reference)

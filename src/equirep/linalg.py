@@ -27,7 +27,7 @@ __all__ = [
     "is_hermitian", "is_unitary", "is_psd", "is_trace_one",
     "herm_eig", "exp_unitary", "null_space", "partial_trace", "hs_inner",
     "vectorize", "devectorize", "conjugation_superoperator",
-    "commutator_superoperator", "random_hermitian", "haar_unitary", "haar_unitaries",
+    "commutator_superoperator", "random_hermitian", "haar_unitary",
     "hvec", "hunvec", "orthonormalize_hermitian",
 ]
 
@@ -224,19 +224,10 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     The diagonal-phase correction makes the QR output distribution exactly
     left- and right-invariant rather than merely column-orthonormal.
     """
-    return haar_unitaries(d, 1, rng)[0]
-
-
-def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` Haar unitaries stacked as ``(n, d, d)`` from one batched QR.
-
-    Each sample takes its real then its imaginary Gaussian block from the
-    stream, so the output equals ``n`` successive ``haar_unitary`` calls.
-    """
-    g = rng.standard_normal((n, 2, d, d))
-    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    return q * (diag / np.abs(diag))[:, None, :]
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
 
 
 def hvec(m: np.ndarray) -> np.ndarray:

@@ -182,7 +182,7 @@ def monte_carlo_k_design_twirl(d: int, k: int, o: np.ndarray, n_samples: int,
     done = 0
     while done < n_samples:
         nb = min(batch, n_samples - done)
-        us = linalg.haar_unitaries(d, nb, rng)
+        us = np.stack([linalg.haar_unitary(d, rng) for _ in range(nb)])
         uk = us
         for _ in range(k - 1):
             uk = np.einsum("nij,nkl->nikjl", uk, us).reshape(nb, uk.shape[1] * d, -1)

@@ -315,14 +315,3 @@ def test_monte_carlo_twirl_is_bit_identical_to_per_sample_sampling(d, k):
     got = monte_carlo_k_design_twirl(d, k, o, 1100, rng_seed=5)
     np.testing.assert_array_equal(got, _reference_monte_carlo_twirl(d, k, o, 1100, 5))
 
-
-def test_haar_samplers_are_bit_identical_to_per_sample_sampling():
-    from equirep.linalg import haar_unitaries
-    for d in (1, 2, 4):
-        rng = np.random.default_rng(8)
-        reference = np.stack([_reference_haar(d, rng) for _ in range(50)])
-        np.testing.assert_array_equal(
-            haar_unitaries(d, 50, np.random.default_rng(8)), reference)
-        rng = np.random.default_rng(8)
-        np.testing.assert_array_equal(
-            np.stack([haar_unitary(d, rng) for _ in range(50)]), reference)

@@ -67,14 +67,14 @@ _KERNEL_SEED = 2210
 class CommutantBasis:
     """Hermitian basis of everything commuting with a representation.
 
-    The basis is orthonormal under Tr[A^dag B]; because the commutant is
-    closed under the adjoint, its Hermitian part has the same (real)
-    dimension as the commutant itself has over the complex numbers, so
-    ``dim`` doubles as both counts.
+    ``basis`` is an ``(n, d, d)`` complex128 stack, orthonormal under
+    Tr[A^dag B]; because the commutant is closed under the adjoint, its
+    Hermitian part has the same (real) dimension as the commutant itself has
+    over the complex numbers, so ``dim`` doubles as both counts.
     """
 
     rep: Representation
-    basis: list[np.ndarray]
+    basis: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -96,10 +96,10 @@ def commutant_basis(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> Commut
     """
     kernel = _eigenspace_kernel(rep, rep, tol)
     complex_dim = len(kernel)
-    herm = []
-    for b in kernel:
-        herm.append((b + linalg.dagger(b)) / 2)
-        herm.append((b - linalg.dagger(b)) / 2j)
+    adj = kernel.conj().transpose(0, 2, 1)
+    # Rows interleave h_0, a_0, h_1, a_1, ...; the basis the SVD returns
+    # depends on that order.
+    herm = np.stack([(kernel + adj) / 2, (kernel - adj) / 2j], axis=1).reshape(-1, *kernel.shape[1:])
     basis = linalg.orthonormalize_hermitian(herm, tol)
     if len(basis) != complex_dim:
         # Hermitian closure must preserve the dimension; a mismatch signals
@@ -173,12 +173,8 @@ def _algebra_element(rep: Representation, rng: np.random.Generator) -> np.ndarra
     return a
 
 
-def _commutant_element(basis: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    w = rng.standard_normal(len(basis))
-    c = np.zeros_like(basis[0])
-    for wi, b in zip(w, basis):
-        c += wi * b
-    return c
+def _commutant_element(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return np.tensordot(rng.standard_normal(len(basis)), basis, 1)
 
 
 def _cluster(values: np.ndarray, gap_tol: float):
@@ -540,9 +536,9 @@ class SchurWeylReport:
                 and self.projector_distance_tensor_side < 1e-8)
 
 
-def _span_projector(vectors: list[np.ndarray], tol: Tolerance) -> np.ndarray:
-    m = np.column_stack(vectors)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+def _span_projector(stack: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthogonal projector onto the span of the flattened stack elements."""
+    u, s, _ = np.linalg.svd(stack.reshape(len(stack), -1).T, full_matrices=False)
     rank = int(np.sum(s >= tol.threshold(s[0] if s.size else 0.0)))
     u = u[:, :rank]
     return u @ linalg.dagger(u)
@@ -581,15 +577,15 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
         new_rank = int(np.sum(s >= tol.threshold(s[0])))
         stall = stall + 1 if new_rank == rank else 0
         rank = new_rank
-    p_samples = _span_projector(vecs, tol)
-    p_perm_comm = _span_projector([linalg.vectorize(b) for b in perm_comm.basis], tol)
+    p_samples = _span_projector(np.array(vecs), tol)
+    p_perm_comm = _span_projector(perm_comm.basis, tol)
     dist_perm = linalg.frob(p_samples - p_perm_comm)
 
     # (b) commutant of the tensor action against the permutation span.
-    perm_ops = [perm_matrix_on_tensor(p, d) for p in
-                itertools.permutations(range(n))]
-    p_perm_span = _span_projector([linalg.vectorize(p) for p in perm_ops], tol)
-    p_tensor_comm = _span_projector([linalg.vectorize(b) for b in tensor_comm.basis], tol)
+    perm_ops = np.array([perm_matrix_on_tensor(p, d) for p in
+                         itertools.permutations(range(n))])
+    p_perm_span = _span_projector(perm_ops, tol)
+    p_tensor_comm = _span_projector(tensor_comm.basis, tol)
     dist_tensor = linalg.frob(p_perm_span - p_tensor_comm)
 
     dec_perm = isotypic_decompose(perm_rep, rng_seed, tol, perm_comm)

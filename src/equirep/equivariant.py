@@ -29,27 +29,29 @@ __all__ = [
 
 @dataclass
 class EquivariantGeneratorSet:
-    """Hermitian orthonormal basis of the commutant, identity direction first."""
+    """Hermitian orthonormal basis of the commutant, identity direction first.
+
+    ``generators`` is an ``(n, d, d)`` complex128 stack whose element 0 is
+    the normalized identity, so ``includes_identity`` is always true.
+    """
 
     rep: Representation
-    generators: list[np.ndarray]
-    includes_identity: bool
+    generators: np.ndarray
+    includes_identity = True
 
     @property
     def dim(self) -> int:
         return len(self.generators)
 
     @property
-    def traceless(self) -> list[np.ndarray]:
+    def traceless(self) -> np.ndarray:
         """Sub-basis orthogonal to the identity (hence traceless)."""
-        return self.generators[1:] if self.includes_identity else list(self.generators)
+        return self.generators[1:]
 
     def project(self, h: np.ndarray) -> np.ndarray:
         """Orthogonal projection of an operator onto the generator span."""
-        out = np.zeros_like(np.asarray(h, dtype=complex))
-        for b in self.generators:
-            out += b * linalg.hs_inner(b, h)
-        return out
+        b = self.generators
+        return np.tensordot(np.tensordot(b.conj(), np.asarray(h, dtype=complex), 2), b, 1)
 
 
 def equivariant_generators(rep: Representation,
@@ -62,16 +64,14 @@ def equivariant_generators(rep: Representation,
     comm = commutant_basis(rep, tol)
     d = rep.dim
     ident = np.eye(d, dtype=complex) / np.sqrt(d)
-    rest = []
-    for b in comm.basis:
-        c = linalg.hs_inner(ident, b)
-        rest.append(b - c.real * ident)
-    basis = [ident] + linalg.orthonormalize_hermitian(rest, tol)
+    c = np.einsum("nii->n", comm.basis).real / np.sqrt(d)  # Tr[ident^dag b], real
+    rest = linalg.orthonormalize_hermitian(comm.basis - c[:, None, None] * ident, tol)
+    basis = np.concatenate([ident[None], rest])
     if len(basis) != comm.dim:
         raise NumericalError(
             "isolating the identity direction changed the commutant rank; "
             "the tolerance sits on a rank threshold")
-    return EquivariantGeneratorSet(rep, basis, includes_identity=True)
+    return EquivariantGeneratorSet(rep, basis)
 
 
 @dataclass
@@ -116,11 +116,14 @@ def build_qnn(gens: EquivariantGeneratorSet, layout) -> np.ndarray:
 
 @dataclass
 class EquivariantMeasurement:
-    """Hermitian measurement commuting with every representative."""
+    """Hermitian measurement m = sum_i c_i B_i commuting with every representative.
+
+    ``basis`` is the ``(n, d, d)`` stack of the B_i.
+    """
 
     m: np.ndarray
     coefficients: np.ndarray
-    basis: list[np.ndarray]
+    basis: np.ndarray
 
 
 def equivariant_measurement(rep: Representation, coefficients, basis=None,
@@ -133,14 +136,12 @@ def equivariant_measurement(rep: Representation, coefficients, basis=None,
     """
     if basis is None:
         basis = equivariant_generators(rep, tol).generators
+    basis = np.asarray(basis, dtype=complex).reshape(len(basis), rep.dim, rep.dim)
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (len(basis),):
         raise DimensionMismatchError(
             f"{len(basis)} coefficients required, got {coefficients.shape}")
-    m = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for c, b in zip(coefficients, basis):
-        m += c * b
-    return EquivariantMeasurement(m, coefficients, list(basis))
+    return EquivariantMeasurement(np.tensordot(coefficients, basis, 1), coefficients, basis)
 
 
 def check_equivariance(w: np.ndarray, rep: Representation, n_samples: int = 20,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import InvalidParameterError, NotHermitianError
+from .errors import DimensionMismatchError, InvalidParameterError, NotHermitianError
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -369,13 +369,26 @@ def _direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 @dataclass
 class LieAlgebraBasis:
-    """Real basis of Hermitian generators with group elements exp(-i theta H)."""
+    """Real basis of Hermitian generators with group elements exp(-i theta H).
 
-    generators: list[np.ndarray]
+    ``generators`` is an ``(n, d, d)`` complex128 stack; a sequence of equal
+    square matrices is stacked on construction.
+    """
+
+    generators: np.ndarray
     name: str = "lie-algebra"
     _structure: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            self.generators = np.asarray(self.generators, dtype=complex)
+        except ValueError as exc:
+            raise DimensionMismatchError(f"Lie algebra generators differ in shape: {exc}") from exc
+        shape = self.generators.shape
+        if len(shape) != 3 or shape[0] == 0 or shape[1] != shape[2]:
+            raise DimensionMismatchError(
+                f"Lie algebra generators must be a non-empty stack of square "
+                f"matrices, got shape {shape}")
         for h in self.generators:
             if not linalg.is_hermitian(h):
                 raise NotHermitianError("Lie algebra generators must be Hermitian")
@@ -397,26 +410,25 @@ class LieAlgebraBasis:
         if self._structure is not None:
             return self._structure
         n = self.dim
-        cols = np.array([linalg.hvec(h) for h in self.generators]).T
-        f = np.zeros((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                target = linalg.hvec(-1j * linalg.comm(self.generators[i], self.generators[j]))
-                sol, *_ = np.linalg.lstsq(cols, target, rcond=None)
-                f[i, j] = sol
-        self._structure = f
-        return f
+        targets = linalg.hvec(_brackets(self.generators)).reshape(n * n, -1)
+        sol, *_ = np.linalg.lstsq(linalg.hvec(self.generators).T, targets.T, rcond=None)
+        self._structure = sol.T.reshape(n, n, n)
+        return self._structure
 
     def closure_residual(self, tol: Tolerance = DEFAULT_TOL) -> float:
         """Max Frobenius distance of i[X_i, X_j] from the real span of the basis."""
-        f = self.structure_constants(tol)
-        res = 0.0
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = -1j * linalg.comm(self.generators[i], self.generators[j])
-                rhs = sum(f[i, j, k] * self.generators[k] for k in range(self.dim))
-                res = max(res, linalg.frob(lhs - rhs))
-        return res
+        return _bracket_residual(self.structure_constants(tol), self.generators)
+
+
+def _brackets(x: np.ndarray) -> np.ndarray:
+    """The (n, n, d, d) stack of -i [X_i, X_j] for an (n, d, d) stack X."""
+    xx = x[:, None] @ x
+    return -1j * (xx - xx.transpose(1, 0, 2, 3))
+
+
+def _bracket_residual(f: np.ndarray, x: np.ndarray) -> float:
+    """max_ij ||-i [X_i, X_j] - sum_k f[i,j,k] X_k||_F over an (n, d, d) stack X."""
+    return float(np.linalg.norm(_brackets(x) - np.tensordot(f, x, 1), axis=(2, 3)).max())
 
 
 def lie_closure(seed, tol: Tolerance = DEFAULT_TOL, max_dim: int | None = None) -> LieAlgebraBasis:
@@ -440,9 +452,9 @@ def lie_closure(seed, tol: Tolerance = DEFAULT_TOL, max_dim: int | None = None) 
     cap = max_dim if max_dim is not None else d * d
     basis = linalg.orthonormalize_hermitian(seed, tol)
     while True:
-        candidates = list(basis)
-        for a, b in itertools.combinations(basis, 2):
-            candidates.append(1j * linalg.comm(a, b))
+        # i [A, B] for every pair, in itertools.combinations order.
+        i, j = np.triu_indices(len(basis), 1)
+        candidates = np.concatenate([basis, 1j * (basis[i] @ basis[j] - basis[j] @ basis[i])])
         new_basis = linalg.orthonormalize_hermitian(candidates, tol)
         if len(new_basis) == len(basis) or len(new_basis) >= cap:
             basis = new_basis

@@ -28,7 +28,7 @@ __all__ = [
     "herm_eig", "exp_unitary", "null_space", "partial_trace", "hs_inner",
     "vectorize", "devectorize", "conjugation_superoperator",
     "commutator_superoperator", "random_hermitian", "haar_unitary",
-    "hvec", "hunvec", "orthonormalize_hermitian",
+    "hvec", "orthonormalize_hermitian",
 ]
 
 I2 = np.eye(2, dtype=complex)
@@ -234,29 +234,25 @@ def hvec(m: np.ndarray) -> np.ndarray:
     """Real vectorization; the real dot product equals Re Tr[A^dag B].
 
     On Hermitian matrices that is exactly the Hilbert-Schmidt inner product,
-    so Hermitian spans can be orthonormalized with real linear algebra.
+    so Hermitian spans can be orthonormalized with real linear algebra.  A
+    stack of matrices maps to one row per matrix.
     """
-    v = m.reshape(-1)
-    return np.concatenate([v.real, v.imag])
+    v = m.reshape(m.shape[:-2] + (-1,))
+    return np.concatenate([v.real, v.imag], axis=-1)
 
 
-def hunvec(v: np.ndarray, dim: int) -> np.ndarray:
-    half = v.size // 2
-    return (v[:half] + 1j * v[half:]).reshape(dim, dim)
+def orthonormalize_hermitian(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (under Tr[A^dag B]) of the real span of Hermitian mats.
 
-
-def orthonormalize_hermitian(mats, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis (under Tr[A^dag B]) of the real span of Hermitian mats."""
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    if not mats:
-        return []
-    dim = mats[0].shape[0]
-    rows = np.array([hvec(m) for m in mats])
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    keep = s >= tol.threshold(smax)
-    out = []
-    for row in vh[keep]:
-        m = hunvec(row, dim)
-        out.append((m + dagger(m)) / 2)  # strip rounding noise
-    return out
+    ``mats`` is an ``(n, d, d)`` stack or anything ``np.asarray`` turns into
+    one; the result is an ``(r, d, d)`` complex128 stack with ``r <= n``.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    n, dim = mats.shape[0], mats.shape[-1]
+    if n == 0:
+        return np.zeros((0, dim, dim), dtype=complex)
+    _, s, vh = np.linalg.svd(hvec(mats), full_matrices=False)
+    rows = vh[s >= tol.threshold(s[0])]
+    half = dim * dim
+    out = (rows[:, :half] + 1j * rows[:, half:]).reshape(-1, dim, dim)
+    return (out + out.conj().transpose(0, 2, 1)) / 2  # strip rounding noise

@@ -22,7 +22,7 @@ from .errors import (
     SourceMismatchError,
     ValidationError,
 )
-from .groups import FiniteGroup, LieAlgebraBasis, make_cyclic, make_symmetric
+from .groups import FiniteGroup, LieAlgebraBasis, _bracket_residual, make_cyclic, make_symmetric
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -173,10 +173,8 @@ def sources_match(r: Representation, s: Representation) -> bool:
         return True
     if r.flavor == "finite":
         return np.array_equal(r.group.mul, s.group.mul)
-    a, b = r.algebra, s.algebra
-    return a.dim == b.dim and all(
-        x.shape == y.shape and linalg.frob(x - y) < 1e-12
-        for x, y in zip(a.generators, b.generators))
+    a, b = r.algebra.generators, s.algebra.generators
+    return a.shape == b.shape and bool(np.all(np.linalg.norm(a - b, axis=(1, 2)) < 1e-12))
 
 
 def finite_rep_from_images(group: FiniteGroup, images, name: str) -> Representation:
@@ -275,7 +273,7 @@ def dihedral_rep_s3() -> Representation:
 def su2_fundamental() -> Representation:
     """Spin-1/2: algebra basis and images are both {X/2, Y/2, Z/2}."""
     gens = [linalg.X / 2, linalg.Y / 2, linalg.Z / 2]
-    alg = LieAlgebraBasis([g.copy() for g in gens], name="su2")
+    alg = LieAlgebraBasis(gens, name="su2")
     return Representation(alg, "lie", 2, "su2-fundamental", generator_images=gens)
 
 
@@ -397,8 +395,8 @@ def verify_homomorphism(r: Representation, tol: Tolerance = DEFAULT_TOL) -> floa
     Lie flavor: max over basis pairs of ||r([X,Y]) - [r(X), r(Y)]||_F with the
     left side expanded through the source's structure constants.
     """
-    res = 0.0
     if r.flavor == "finite":
+        res = 0.0
         g = r.group
         mats = r.representatives()
         firsts = range(g.order) if g.order <= EAGER_ORDER else g.generators
@@ -407,15 +405,9 @@ def verify_homomorphism(r: Representation, tol: Tolerance = DEFAULT_TOL) -> floa
             for b in range(g.order):
                 res = max(res, linalg.frob(mats[g.multiply(a, b)] - ma @ mats[b]))
         return res
-    alg = r.algebra
-    f = alg.structure_constants(tol)
-    imgs = r.generator_images
+    f = r.algebra.structure_constants(tol)
     require_unitary(r)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            lhs = 1j * sum(f[i, j, k] * imgs[k] for k in range(alg.dim))
-            res = max(res, linalg.frob(lhs - linalg.comm(imgs[i], imgs[j])))
-    return res
+    return _bracket_residual(f, np.array(r.generator_images))
 
 
 def require_unitary(r: Representation) -> None:

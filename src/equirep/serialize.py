@@ -38,9 +38,16 @@ def mat_from_json(data) -> np.ndarray:
     return a
 
 
+def _object(spec) -> dict:
+    """A spec, which must be a JSON object."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"spec must be a JSON object, got {type(spec).__name__}")
+    return spec
+
+
 def _field(spec, key: str):
     """A required entry of a spec; a missing one is a validation error."""
-    if not isinstance(spec, dict) or key not in spec:
+    if key not in _object(spec):
         raise ValidationError(f"spec lacks the required field {key!r}")
     return spec[key]
 
@@ -125,14 +132,19 @@ def group_to_spec(g: FiniteGroup) -> dict:
     return kind
 
 
+_GROUP_MAKERS = {"cyclic": make_cyclic, "symmetric": make_symmetric,
+                 "dihedral": make_dihedral}
+
+
 def group_from_spec(spec: dict) -> FiniteGroup:
-    kind = spec.get("kind")
-    if kind == "cyclic":
-        return make_cyclic(int(_field(spec, "n")))
-    if kind == "symmetric":
-        return make_symmetric(int(_field(spec, "n")))
-    if kind == "dihedral":
-        return make_dihedral(int(_field(spec, "n")))
+    kind = _object(spec).get("kind")
+    if kind in _GROUP_MAKERS:
+        n = _field(spec, "n")
+        try:
+            n = int(n)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"group order n must be an integer, got {n!r}") from exc
+        return _GROUP_MAKERS[kind](n)
     if kind == "table":
         g = group_from_table(np.array(_field(spec, "mul"), dtype=np.int64),
                              spec.get("generators"),
@@ -166,7 +178,7 @@ def lie_from_spec(spec: dict) -> LieAlgebraBasis:
 
 def source_from_spec(spec: dict):
     """Load either symmetry source: a finite group or a Lie algebra basis."""
-    if spec.get("kind") == "lie":
+    if _object(spec).get("kind") == "lie":
         return lie_from_spec(spec)
     return group_from_spec(spec)
 
@@ -196,7 +208,7 @@ def rep_to_spec(rep: Representation) -> dict:
 def rep_from_spec(spec: dict, tol: Tolerance = DEFAULT_TOL,
                   max_residual: float = 1e-8) -> Representation:
     """Load a unitary representation and re-verify the homomorphism property."""
-    flavor = spec.get("flavor")
+    flavor = _object(spec).get("flavor")
     if flavor == "finite":
         group = group_from_spec(_field(spec, "group"))
         images = [mat_from_json(m) for m in _field(spec, "matrices")]
@@ -204,6 +216,8 @@ def rep_from_spec(spec: dict, tol: Tolerance = DEFAULT_TOL,
     elif flavor == "lie":
         alg = lie_from_spec(_field(spec, "algebra"))
         images = [mat_from_json(m) for m in _field(spec, "generator_images")]
+        if not images:
+            raise ValidationError("lie spec has no generator images")
         rep = Representation(alg, "lie", images[0].shape[0],
                              spec.get("name", "rep"), generator_images=images)
     else:

@@ -372,7 +372,6 @@ def default_task_model(dataset: Dataset, copies: int = 1, n_layer_passes: int = 
 class TrainConfig:
     learning_rate: float = 0.2
     epochs: int = 200
-    batch: int = 0            # retained for interface; training is full-batch
     seed: int = 0
     gradient_step: float = 1e-4
     loss: str = "mse"

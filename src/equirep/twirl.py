@@ -33,6 +33,8 @@ __all__ = [
     "choi_matrix", "is_cptp",
 ]
 
+_MC_BATCH = 512  # Monte Carlo samples accumulated per einsum
+
 
 @dataclass
 class TwirlContext:
@@ -74,11 +76,8 @@ def twirl_operator(ctx: TwirlContext, o: np.ndarray) -> np.ndarray:
             r = ctx.rep.representative(i)
             acc += r @ o @ linalg.dagger(r)
         return acc / g.order
-    basis = ctx.commutant.basis
-    out = np.zeros_like(o)
-    for b in basis:
-        out += b * linalg.hs_inner(b, o)
-    return out
+    basis = ctx.commutant.basis  # sum_b b Tr[b^dag o]
+    return np.tensordot(np.tensordot(basis.conj(), o, 2), basis, 1)
 
 
 def choi_matrix(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
@@ -127,10 +126,6 @@ def twirl_channel(rep_in: Representation, rep_out: Representation,
     return acc / g.order
 
 
-def _sk_permutation_ops(d: int, k: int) -> list[np.ndarray]:
-    return [perm_matrix_on_tensor(p, d) for p in itertools.permutations(range(k))]
-
-
 def k_design_twirl(d: int, k: int, o: np.ndarray,
                    tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Exact Haar twirl of an operator on (C^d)^(x k) over U(d).
@@ -146,18 +141,11 @@ def k_design_twirl(d: int, k: int, o: np.ndarray,
     dim = d ** k
     if o.shape != (dim, dim):
         raise DimensionMismatchError(f"operator shape {o.shape}, expected {(dim, dim)}")
-    perms = _sk_permutation_ops(d, k)
-    m = len(perms)
-    gram = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = np.trace(linalg.dagger(perms[i]) @ perms[j])
-    b = np.array([np.trace(linalg.dagger(p) @ o) for p in perms])
-    coeff = np.linalg.pinv(gram, rcond=1e-10) @ b
-    out = np.zeros_like(o)
-    for c, p in zip(coeff, perms):
-        out += c * p
-    return out
+    perms = np.array([perm_matrix_on_tensor(p, d).reshape(-1)
+                      for p in itertools.permutations(range(k))])
+    gram = perms.conj() @ perms.T
+    coeff = np.linalg.pinv(gram, rcond=1e-10) @ (perms.conj() @ o.reshape(-1))
+    return (coeff @ perms).reshape(dim, dim)
 
 
 def haar_sample_unitary(d: int, rng_seed: int) -> np.ndarray:
@@ -168,12 +156,12 @@ def haar_sample_unitary(d: int, rng_seed: int) -> np.ndarray:
 
 
 def monte_carlo_k_design_twirl(d: int, k: int, o: np.ndarray, n_samples: int,
-                               rng_seed: int = 0, batch: int = 512) -> np.ndarray:
+                               rng_seed: int = 0) -> np.ndarray:
     """Monte Carlo oracle for the Haar twirl: empirical mean of U^k o U^k dag.
 
     Used to cross-check the exact permutation-projection route; the error
     scale is O(1/sqrt(n_samples)).  Deterministic per seed; samples are
-    consumed in a fixed batch order.
+    consumed in batches of a fixed size.
     """
     o = np.asarray(o, dtype=complex)
     rng = np.random.default_rng(rng_seed)
@@ -181,7 +169,7 @@ def monte_carlo_k_design_twirl(d: int, k: int, o: np.ndarray, n_samples: int,
     acc = np.zeros((dim, dim), dtype=complex)
     done = 0
     while done < n_samples:
-        nb = min(batch, n_samples - done)
+        nb = min(_MC_BATCH, n_samples - done)
         us = np.stack([linalg.haar_unitary(d, rng) for _ in range(nb)])
         uk = us
         for _ in range(k - 1):

@@ -212,17 +212,25 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
 
 
 def _malformed_files(tmp_path):
-    """ROADMAP item 4 cases (a)-(c): missing key, ragged matrix, non-unitary image."""
-    from equirep.representations import perm_rep_qubits
+    """ROADMAP item 4 cases (a)-(c): missing key, ragged matrix, non-unitary
+    image; then (e) a Lie spec without generator images, (f) a non-integer
+    group order, and (g) a spec, group or algebra that is a JSON list."""
+    from equirep.representations import perm_rep_qubits, su2_fundamental
     from equirep.serialize import rep_to_spec
     spec = rep_to_spec(perm_rep_qubits(3))
     del spec["matrices"]
     (tmp_path / "a.json").write_text(json.dumps(spec))
     (tmp_path / "b.json").write_text(json.dumps(
         {"name": "ragged", "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}))
-    (tmp_path / "c.json").write_text(json.dumps({
-        "flavor": "finite", "group": {"kind": "cyclic", "n": 2}, "dim": 2,
-        "name": "non-unitary", "matrices": [[[[1, 0], [1, 0]], [[0, 0], [-1, 0]]]]}))
+    z2 = {"flavor": "finite", "group": {"kind": "cyclic", "n": 2}, "dim": 2,
+          "name": "non-unitary", "matrices": [[[[1, 0], [1, 0]], [[0, 0], [-1, 0]]]]}
+    (tmp_path / "c.json").write_text(json.dumps(z2))
+    lie = rep_to_spec(su2_fundamental())
+    (tmp_path / "e.json").write_text(json.dumps(dict(lie, generator_images=[])))
+    (tmp_path / "f.json").write_text(json.dumps(dict(z2, group={"kind": "cyclic", "n": "abc"})))
+    (tmp_path / "g1.json").write_text(json.dumps([z2]))
+    (tmp_path / "g2.json").write_text(json.dumps(dict(z2, group=[2])))
+    (tmp_path / "g3.json").write_text(json.dumps(dict(lie, algebra=["lie"])))
     return tmp_path
 
 
@@ -231,6 +239,11 @@ def _malformed_files(tmp_path):
     (("twirl", "--rep", str(PRESETS / "swap-adjoint.json"), "--op", "b.json"),
      "malformed matrix"),
     (("commutant", "--rep", "c.json"), "not unitary"),
+    (("commutant", "--rep", "e.json"), "no generator images"),
+    (("commutant", "--rep", "f.json"), "must be an integer"),
+    (("commutant", "--rep", "g1.json"), "JSON object"),
+    (("commutant", "--rep", "g2.json"), "JSON object"),
+    (("commutant", "--rep", "g3.json"), "JSON object"),
 ])
 def test_malformed_input_exits_one(tmp_path, capsys, argv, reason):
     work = _malformed_files(tmp_path)
@@ -240,3 +253,4 @@ def test_malformed_input_exits_one(tmp_path, capsys, argv, reason):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error:") and reason in captured.err
+    assert "Traceback" not in captured.err

@@ -47,7 +47,7 @@ def test_generators_su2_fundamental_only_identity():
     gens = equivariant_generators(su2_fundamental())
     assert gens.dim == 1
     assert frob(gens.generators[0] - np.eye(2) / np.sqrt(2)) < 1e-12
-    assert gens.traceless == []
+    assert gens.traceless.shape == (0, 2, 2)
 
 
 def test_generators_su2_tensor2_span_identity_and_swap():

@@ -11,6 +11,7 @@ its span.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -52,6 +53,27 @@ class EquivariantGeneratorSet:
         """Orthogonal projection of an operator onto the generator span."""
         b = self.generators
         return np.tensordot(np.tensordot(b.conj(), np.asarray(h, dtype=complex), 2), b, 1)
+
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs ``(w, v)`` of every generator, ``(n, d)`` and ``(n, d, d)``.
+
+        Computed once, by one batched ``eigh``, so that circuits built on this
+        set never diagonalise a generator again.
+        """
+        return linalg.herm_eig(self.generators)
+
+    def layer_unitaries(self, layout) -> np.ndarray:
+        """``(P, d, d)`` stack of exp(-i theta_l H_l), one per ``(index, theta)`` layer."""
+        layout = list(layout)
+        idx = np.array([i for i, _ in layout], dtype=int)
+        thetas = np.array([t for _, t in layout], dtype=float)
+        bad = [int(i) for i in idx if not 0 <= i < self.dim]
+        if bad:
+            raise IndexError(f"generator index {bad[0]} out of range 0..{self.dim - 1}")
+        w, v = self.eig
+        v = v[idx]
+        return (v * np.exp(-1j * thetas[:, None] * w[idx])[:, None, :]) @ v.conj().swapaxes(1, 2)
 
 
 def equivariant_generators(rep: Representation,
@@ -104,14 +126,15 @@ def build_qnn(gens: EquivariantGeneratorSet, layout) -> np.ndarray:
     """Ordered product of exp(-i theta_l H_l); empty layout gives the identity.
 
     Layer order matters: commutant generators need not commute with each
-    other, only with the representation.
+    other, only with the representation.  Each layer is built from the
+    generator set's cached eigenpairs.
     """
-    w = np.eye(gens.rep.dim, dtype=complex)
-    for idx, theta in layout:
-        if not 0 <= idx < len(gens.generators):
-            raise IndexError(f"generator index {idx} out of range 0..{len(gens.generators)-1}")
-        w = w @ linalg.exp_unitary(gens.generators[idx], float(theta))
-    return w
+    return compose_layers(gens.layer_unitaries(layout), gens.rep.dim)
+
+
+def compose_layers(us: np.ndarray, dim: int) -> np.ndarray:
+    """Ordered product U_1 ... U_P of a ``(P, d, d)`` layer stack; identity if empty."""
+    return reduce(np.matmul, us, np.eye(dim, dtype=complex))
 
 
 @dataclass

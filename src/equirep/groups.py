@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,17 +154,29 @@ def group_from_table(mul, generators=None, element_labels=None, name="group") ->
     The table is trusted to be associative here; run
     :func:`verify_group_axioms` for the exhaustive check (order <= 512).
     """
-    mul = np.asarray(mul, dtype=np.int64)
-    n = mul.shape[0]
+    try:
+        mul = np.asarray(mul)
+    except ValueError as exc:      # ragged nested lists
+        raise InvalidParameterError("table must be a square array") from exc
+    n = len(mul) if mul.ndim else 0
     if mul.shape != (n, n) or n == 0:
         raise InvalidParameterError("table must be square and non-empty")
+    if mul.dtype.kind not in "iu":
+        raise InvalidParameterError(f"table entries must be integers, got dtype {mul.dtype}")
+    mul = mul.astype(np.int64)
     if mul.min() < 0 or mul.max() >= n:
         raise InvalidParameterError("table entries must be element indices")
     identity = _find_identity(mul)
     inverses = _find_inverses(mul, identity)
     if generators is None:
         generators = list(range(n))
-    generators = [int(g) for g in generators]
+    try:
+        generators = [operator.index(g) for g in generators]
+    except TypeError as exc:
+        raise InvalidParameterError(
+            f"generators must be a list of integer element indices, got {generators!r}") from exc
+    if any(not 0 <= g < n for g in generators):
+        raise InvalidParameterError(f"generators must lie in 0..{n - 1}, got {generators}")
     if len(_closure(mul, generators, identity)) != n:
         raise InvalidParameterError("generators do not generate the group")
     if element_labels is None:

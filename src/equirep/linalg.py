@@ -107,18 +107,20 @@ def is_trace_one(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def herm_eig(h: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or an ``(n, d, d)`` stack of them.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary
-    eigenvector matrix ``v`` so that ``h = v diag(w) v^dag``.  Ties are broken
+    eigenvector matrix ``v`` so that ``h = v diag(w) v^dag``; a stack gives
+    ``(n, d)`` and ``(n, d, d)`` from one batched ``eigh``.  Ties are broken
     by the LAPACK column ordering, which is deterministic but not canonical.
 
     Raises:
-        NotHermitianError: if ``||h - h^dag||_F > tol * ||h||_F``.
+        NotHermitianError: if ``||h - h^dag||_F > tol * ||h||_F`` for any matrix.
     """
     h = np.asarray(h, dtype=complex)
-    if frob(h - dagger(h)) > tol.threshold(max(frob(h), 1.0)):
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
+    for a in h.reshape(-1, *h.shape[-2:]):
+        if frob(a - dagger(a)) > tol.threshold(max(frob(a), 1.0)):
+            raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return w, v
 

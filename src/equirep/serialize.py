@@ -146,7 +146,7 @@ def group_from_spec(spec: dict) -> FiniteGroup:
             raise ValidationError(f"group order n must be an integer, got {n!r}") from exc
         return _GROUP_MAKERS[kind](n)
     if kind == "table":
-        g = group_from_table(np.array(_field(spec, "mul"), dtype=np.int64),
+        g = group_from_table(_field(spec, "mul"),
                              spec.get("generators"),
                              spec.get("labels"),
                              spec.get("name", "group"))

@@ -7,9 +7,11 @@ labels exactly.  Models evaluate h(rho) = Tr[W rho^(x k) W^dag M] with an
 equivariant circuit W and equivariant measurement M, followed by a trainable
 affine readout thresholded at 0.5.
 
-Training is deliberately minimal: full-batch gradient descent with central
-finite-difference gradients (commutant generators have arbitrary spectra, so
-the two-eigenvalue parameter-shift rule does not apply).
+Every evaluation builds W once and scores all states against the effective
+measurement W^dag M W.  Training is deliberately minimal: full-batch gradient
+descent with exact adjoint-mode gradients, one forward and one backward sweep
+over the layers per epoch (commutant generators have arbitrary spectra, so the
+two-eigenvalue parameter-shift rule does not apply).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from . import linalg
 from .equivariant import (
     EquivariantMeasurement,
     QnnCircuit,
+    compose_layers,
     equivariant_generators,
 )
 from .errors import (
@@ -305,29 +308,44 @@ class QmlModel:
     threshold: float = 0.5
 
     def lifted_input(self, rho: np.ndarray) -> np.ndarray:
-        out = rho
-        for _ in range(self.copies - 1):
-            out = np.kron(out, rho)
-        return out
+        """rho^(x k) for one single-copy operator."""
+        return _lifted_states(self, [rho])[0]
 
-    def score(self, rho: np.ndarray) -> float:
-        a, b = self.readout
-        return a * model_eval(self, rho) + b
 
-    def predict(self, rho: np.ndarray) -> float:
-        return 1.0 if self.score(rho) > self.threshold else 0.0
+def _lifted_states(model: QmlModel, rhos) -> np.ndarray:
+    """``(N, D, D)`` stack of the k-copy inputs rho^(x k), lifted all at once."""
+    dim, k = model.circuit.dim, model.copies
+    side = round(dim ** (1 / k))
+    if side ** k != dim or any(np.shape(rho) != (side, side) for rho in rhos):
+        raise DimensionMismatchError(
+            f"states do not lift to the circuit dim {dim} in {k} copies")
+    single = np.array(rhos, dtype=complex).reshape(-1, side, side)
+    out = single
+    for _ in range(k - 1):
+        n, a = out.shape[:2]
+        out = np.einsum("nij,nkl->nikjl", out, single).reshape(n, a * side, a * side)
+    return out
+
+
+def _effective_measurement(model: QmlModel) -> np.ndarray:
+    """M_eff = W^dag M W, so that h(rho) = Tr[M_eff rho^(x k)]."""
+    w = model.circuit.unitary()
+    return linalg.dagger(w) @ model.measurement.m @ w
+
+
+def _outputs(meff: np.ndarray, lifted: np.ndarray) -> np.ndarray:
+    """Raw outputs Tr[meff x_n] of every lifted state, in one contraction."""
+    return np.einsum("ij,nji->n", meff, lifted).real
+
+
+def _hit_rate(scores: np.ndarray, labels: np.ndarray, threshold: float) -> float:
+    """Share of states whose score, thresholded, gives their label."""
+    return float(np.mean((scores > threshold).astype(float) == labels))
 
 
 def model_eval(model: QmlModel, rho: np.ndarray) -> float:
     """Raw model output Tr[W rho^(x k) W^dag M]; real for Hermitian M."""
-    rho = np.asarray(rho, dtype=complex)
-    lifted = model.lifted_input(rho)
-    w = model.circuit.unitary()
-    if lifted.shape != w.shape:
-        raise DimensionMismatchError(
-            f"lifted state {lifted.shape} vs circuit dim {w.shape}")
-    val = np.trace(w @ lifted @ linalg.dagger(w) @ model.measurement.m)
-    return float(val.real)
+    return float(_outputs(_effective_measurement(model), _lifted_states(model, [rho]))[0])
 
 
 def default_task_model(dataset: Dataset, copies: int = 1, n_layer_passes: int = 1,
@@ -373,7 +391,6 @@ class TrainConfig:
     learning_rate: float = 0.2
     epochs: int = 200
     seed: int = 0
-    gradient_step: float = 1e-4
     loss: str = "mse"
 
     def __post_init__(self):
@@ -381,8 +398,6 @@ class TrainConfig:
             raise InvalidParameterError("learning_rate must be positive and finite")
         if self.epochs < 0:
             raise InvalidParameterError("epochs must be >= 0")
-        if not (self.gradient_step > 0 and np.isfinite(self.gradient_step)):
-            raise InvalidParameterError("gradient_step must be positive and finite")
         if self.loss not in ("mse", "bce"):
             raise InvalidParameterError("loss must be 'mse' or 'bce'")
 
@@ -395,52 +410,83 @@ def initialize_parameters(model: QmlModel, seed: int) -> QmlModel:
                     model.measurement, (1.0, 0.0), model.threshold)
 
 
-def _scores(circuit: QnnCircuit, thetas, lifted, m, a, b):
-    w = circuit.with_parameters(thetas).unitary()
-    meff = linalg.dagger(w) @ m @ w
-    raws = np.einsum("ij,nji->n", meff, lifted).real
-    return a * raws + b
+# bce clips scores to [_BCE_CLIP, 1 - _BCE_CLIP] before taking logs
+_BCE_CLIP = 1e-9
 
 
 def _loss_value(scores, labels, kind):
     if kind == "mse":
         return float(np.mean((scores - labels) ** 2))
-    p = np.clip(scores, 1e-9, 1 - 1e-9)
+    p = np.clip(scores, _BCE_CLIP, 1 - _BCE_CLIP)
     return float(-np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p)))
 
 
+def _loss_slopes(scores, labels, kind) -> np.ndarray:
+    """d loss / d score_n; zero where the bce clip holds a score fixed."""
+    n = len(scores)
+    if kind == "mse":
+        return 2 * (scores - labels) / n
+    inside = (scores > _BCE_CLIP) & (scores < 1 - _BCE_CLIP)
+    p = np.clip(scores, _BCE_CLIP, 1 - _BCE_CLIP)
+    return np.where(inside, ((1 - labels) / (1 - p) - labels / p) / n, 0.0)
+
+
+def _adjoint_gradient(hs, us, meff, g) -> np.ndarray:
+    """d Tr[W G W^dag M] / d theta_l for every layer l, in one backward sweep.
+
+    ``hs`` and ``us`` stack the layer generators H_l and unitaries U_l of
+    W = U_1 ... U_P, and ``meff`` is W^dag M W.  With sigma_l =
+    (U_l..U_P) G (U_l..U_P)^dag and M_l = (U_1..U_l)^dag M (U_1..U_l), the
+    derivative is Tr[sigma_l i[H_l, M_(l-1)]], which equals
+    Tr[sigma_(l+1) i[H_l, M_l]] because U_l commutes with H_l.  The sweep
+    starts from sigma_(P+1) = G and M_P = M_eff and peels one layer at a time.
+    """
+    grad = np.zeros(len(us))
+    sigma, m = g, meff
+    for l in range(len(us) - 1, -1, -1):
+        h, u, ud = hs[l], us[l], linalg.dagger(us[l])
+        grad[l] = np.einsum("ij,ji->", sigma, 1j * (h @ m - m @ h)).real
+        sigma, m = u @ sigma @ ud, u @ m @ ud
+    return grad
+
+
 def train(model: QmlModel, dataset: Dataset, cfg: TrainConfig):
-    """Full-batch gradient descent with central finite-difference gradients.
+    """Full-batch gradient descent with exact adjoint-mode gradients.
 
     Returns (trained model, trace) where trace rows are
-    (epoch, loss, train_accuracy); epoch 0 is the pre-update state.  The loss
-    trace is not guaranteed monotone.  Zero epochs return the model unchanged.
+    (epoch, loss, train_accuracy); epoch 0 is the pre-update state.  Each
+    row comes from the same forward pass that the next update differentiates,
+    so the last row scores the returned model.  The loss trace is not
+    guaranteed monotone.  Zero epochs return the model unchanged.
     """
-    lifted = np.stack([model.lifted_input(s.rho) for s in dataset.states])
+    lifted = _lifted_states(model, dataset.rhos())
     labels = dataset.labels()
+    gens = model.circuit.gens
+    idx = [i for i, _ in model.circuit.layers]
     m = model.measurement.m
-    n_theta = len(model.circuit.layers)
+    n_theta = len(idx)
     params = np.concatenate([model.circuit.parameters, np.array(model.readout)])
 
-    def loss_at(p):
-        scores = _scores(model.circuit, p[:n_theta], lifted, m, p[-2], p[-1])
-        return _loss_value(scores, labels, cfg.loss)
-
-    def acc_at(p):
-        scores = _scores(model.circuit, p[:n_theta], lifted, m, p[-2], p[-1])
-        preds = (scores > model.threshold).astype(float)
-        return float(np.mean(preds == labels))
-
-    trace = [(0, loss_at(params), acc_at(params))]
-    h = cfg.gradient_step
-    for epoch in range(1, cfg.epochs + 1):
-        grad = np.zeros_like(params)
-        for i in range(params.size):
-            bump = np.zeros_like(params)
-            bump[i] = h
-            grad[i] = (loss_at(params + bump) - loss_at(params - bump)) / (2 * h)
-        params = params - cfg.learning_rate * grad
-        trace.append((epoch, loss_at(params), acc_at(params)))
+    trace = []
+    for epoch in range(cfg.epochs + 1):
+        us = gens.layer_unitaries(zip(idx, params[:n_theta]))
+        w = compose_layers(us, gens.rep.dim)
+        meff = linalg.dagger(w) @ m @ w
+        raws = _outputs(meff, lifted)
+        a, b = params[-2], params[-1]
+        scores = a * raws + b
+        trace.append((epoch, _loss_value(scores, labels, cfg.loss),
+                      _hit_rate(scores, labels, model.threshold)))
+        if epoch == cfg.epochs:
+            break
+        # The circuit sees the slopes through G = sum_n a dloss/dscore_n
+        # rho_n^(x k); the readout has dL/da = sum_n slope_n raw_n and
+        # dL/db = sum_n slope_n in closed form.
+        slopes = _loss_slopes(scores, labels, cfg.loss)
+        grad = _adjoint_gradient(gens.generators[idx], us, meff,
+                                 np.tensordot(a * slopes, lifted, 1))
+        params = params - cfg.learning_rate * np.concatenate(
+            [grad, [slopes @ raws, slopes.sum()]])
 
     trained = QmlModel(model.copies,
                        model.circuit.with_parameters(params[:n_theta]),
@@ -453,8 +499,8 @@ def train(model: QmlModel, dataset: Dataset, cfg: TrainConfig):
 def output_gradient_fd(model: QmlModel, rho: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Central finite differences of the raw output in the circuit angles.
 
-    This is the same differentiation route the trainer uses, exposed so it
-    can be validated against closed-form directional derivatives.
+    The trainer does not use this route: it is the reference against which
+    closed-form and adjoint gradients are validated.
     """
     thetas = model.circuit.parameters
     grad = np.zeros_like(thetas)
@@ -470,8 +516,10 @@ def output_gradient_fd(model: QmlModel, rho: np.ndarray, h: float = 1e-4) -> np.
 
 
 def accuracy(model: QmlModel, dataset: Dataset) -> float:
-    preds = np.array([model.predict(s.rho) for s in dataset.states])
-    return float(np.mean(preds == dataset.labels()))
+    a, b = model.readout
+    scores = a * _outputs(_effective_measurement(model),
+                          _lifted_states(model, dataset.rhos())) + b
+    return _hit_rate(scores, dataset.labels(), model.threshold)
 
 
 def label_invariance_check(model_or_fn, rep: Representation, dataset: Dataset,
@@ -482,17 +530,25 @@ def label_invariance_check(model_or_fn, rep: Representation, dataset: Dataset,
     ``rep`` acts on the single-copy carrier; models lift it to their copy
     count internally through the tensor structure of the input.
     """
-    if isinstance(model_or_fn, QmlModel):
-        fn = lambda rho: model_eval(model_or_fn, rho)  # noqa: E731
-    else:
-        fn = model_or_fn
     samples = rep.sample_elements(rng_seed, n_samples)
     if rep.flavor == "finite" and rep.group.order <= 16:
         samples = rep.representatives()
+    if any(s.rho.shape != (rep.dim, rep.dim) for s in dataset.states):
+        raise DimensionMismatchError("representation does not act on the states")
     dev = 0.0
+    if isinstance(model_or_fn, QmlModel):
+        # Tr[M_eff (u rho u^dag)^(x k)] = Tr[U^dag M_eff U rho^(x k)] with U = u^(x k),
+        # so each sampled u conjugates M_eff once instead of moving every state.
+        lifted = _lifted_states(model_or_fn, dataset.rhos())
+        meff = _effective_measurement(model_or_fn)
+        base = _outputs(meff, lifted)
+        for u in samples:
+            uk = model_or_fn.lifted_input(u)
+            moved = _outputs(linalg.dagger(uk) @ meff @ uk, lifted)
+            dev = max(dev, float(np.max(np.abs(moved - base), initial=0.0)))
+        return dev
+    fn = model_or_fn
     for s in dataset.states:
-        if s.rho.shape != (rep.dim, rep.dim):
-            raise DimensionMismatchError("representation does not act on the states")
         base = fn(s.rho)
         for u in samples:
             dev = max(dev, abs(fn(u @ s.rho @ linalg.dagger(u)) - base))

@@ -214,7 +214,9 @@ def test_numerical_failure_exits_two(monkeypatch, capsys):
 def _malformed_files(tmp_path):
     """ROADMAP item 4 cases (a)-(c): missing key, ragged matrix, non-unitary
     image; then (e) a Lie spec without generator images, (f) a non-integer
-    group order, and (g) a spec, group or algebra that is a JSON list."""
+    group order, (g) a spec, group or algebra that is a JSON list, and (h)
+    table group specs with a ragged, string or fractional table, or with a
+    non-integer or out-of-range generator."""
     from equirep.representations import perm_rep_qubits, su2_fundamental
     from equirep.serialize import rep_to_spec
     spec = rep_to_spec(perm_rep_qubits(3))
@@ -231,6 +233,11 @@ def _malformed_files(tmp_path):
     (tmp_path / "g1.json").write_text(json.dumps([z2]))
     (tmp_path / "g2.json").write_text(json.dumps(dict(z2, group=[2])))
     (tmp_path / "g3.json").write_text(json.dumps(dict(lie, algebra=["lie"])))
+    z2_table = {"kind": "table", "mul": [[0, 1], [1, 0]], "generators": [1]}
+    for name, change in (("h1", {"mul": [[0, 1], [1]]}), ("h2", {"mul": "abc"}),
+                         ("h3", {"mul": [[0, 1.5], [1, 0]]}),
+                         ("h4", {"generators": ["x"]}), ("h5", {"generators": [99]})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(z2_table, **change)))
     return tmp_path
 
 
@@ -244,6 +251,11 @@ def _malformed_files(tmp_path):
     (("commutant", "--rep", "g1.json"), "JSON object"),
     (("commutant", "--rep", "g2.json"), "JSON object"),
     (("commutant", "--rep", "g3.json"), "JSON object"),
+    (("group", "verify", "--in", "h1.json"), "square array"),
+    (("group", "verify", "--in", "h2.json"), "square and non-empty"),
+    (("group", "verify", "--in", "h3.json"), "entries must be integers"),
+    (("group", "verify", "--in", "h4.json"), "integer element indices"),
+    (("group", "verify", "--in", "h5.json"), "must lie in 0..1"),
 ])
 def test_malformed_input_exits_one(tmp_path, capsys, argv, reason):
     work = _malformed_files(tmp_path)

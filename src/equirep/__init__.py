@@ -85,7 +85,6 @@ from .tasks import (
     Dataset,
     LabeledState,
     QmlModel,
-    TaskSpec,
     TrainConfig,
     accuracy,
     default_task_model,

@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 
-from . import __version__, decompose, serialize, tasks
-from .equivariant import GENERATOR_PRESETS, equivariant_generators
+from . import __version__, decompose, linalg, serialize, tasks
+from .equivariant import GENERATOR_PRESETS, check_equivariance, equivariant_generators
 from .errors import InvalidParameterError, NumericalError, ToolkitError, ValidationError
 from .groups import identify_small_group, make_cyclic, make_dihedral, make_symmetric, \
     verify_group_axioms
@@ -86,7 +86,7 @@ def _make_group(args):
     raise ValidationError(f"unknown group kind {args.kind!r}")
 
 
-def _make_rep(args, tol):
+def _make_rep(args):
     kind = args.kind
     if kind == "trivial":
         return trivial_rep(make_cyclic(max(args.n, 1)), args.dim)
@@ -146,7 +146,7 @@ def _cmd_group(args, tol):
 
 def _cmd_rep(args, tol):
     if args.action == "make":
-        rep = _make_rep(args, tol)
+        rep = _make_rep(args)
         spec = serialize.rep_to_spec(rep)
         if args.out:
             with open(args.out, "w") as fh:
@@ -157,17 +157,17 @@ def _cmd_rep(args, tol):
         _emit(report, None)
         return 0
     if args.action == "verify":
-        rep = serialize.rep_from_spec(_load_json(args.infile), tol)
+        rep = serialize.rep_from_spec(_load_json(args.infile))
         report = _header(args, "rep verify")
         report.update({"name": rep.name, "dim": rep.dim, "flavor": rep.flavor,
-                       "residual": verify_homomorphism(rep, tol), "ok": True})
+                       "residual": verify_homomorphism(rep), "ok": True})
         _emit(report, args.out)
         return 0
     raise ValidationError(f"unknown rep action {args.action!r}")
 
 
 def _cmd_commutant(args, tol):
-    rep = serialize.rep_from_spec(_load_json(args.rep), tol)
+    rep = serialize.rep_from_spec(_load_json(args.rep))
     comm = decompose.commutant_basis(rep, tol)
     report = _header(args, "commutant")
     report.update({
@@ -180,7 +180,7 @@ def _cmd_commutant(args, tol):
 
 
 def _cmd_decompose(args, tol):
-    rep = serialize.rep_from_spec(_load_json(args.rep), tol)
+    rep = serialize.rep_from_spec(_load_json(args.rep))
     _vlog(args, f"loaded {rep.name} (dim {rep.dim}, {rep.flavor})")
     dec = decompose.isotypic_decompose(rep, args.seed, tol)
     _vlog(args, f"blocks {dec.blocks}")
@@ -197,14 +197,11 @@ def _cmd_decompose(args, tol):
 
 
 def _cmd_twirl(args, tol):
-    rep = serialize.rep_from_spec(_load_json(args.rep), tol)
+    rep = serialize.rep_from_spec(_load_json(args.rep))
     op = serialize.operator_from_spec(_load_json(args.op))
     ctx = twirl_context(rep, args.mode, tol)
     twirled = twirl_operator(ctx, op)
-    from . import linalg
-    residual = max(
-        (linalg.frob(linalg.comm(twirled, k)) for k in rep.generator_representatives()),
-        default=0.0)
+    residual = check_equivariance(twirled, rep, 0)
     report = _header(args, "twirl")
     report.update({
         "rep": rep.name,
@@ -217,12 +214,9 @@ def _cmd_twirl(args, tol):
 
 
 def _cmd_equivariant(args, tol):
-    from . import linalg
-    rep = serialize.rep_from_spec(_load_json(args.rep), tol)
+    rep = serialize.rep_from_spec(_load_json(args.rep))
     gens = equivariant_generators(rep, tol)
-    residual = max(
-        linalg.frob(linalg.comm(h, k))
-        for h in gens.generators for k in rep.generator_representatives())
+    residual = max(check_equivariance(h, rep, 0) for h in gens.generators)
     report = _header(args, "equivariant")
     report.update({
         "rep": rep.name,
@@ -236,7 +230,6 @@ def _cmd_equivariant(args, tol):
         if maker is None:
             raise ValidationError(
                 f"unknown preset {args.preset!r}; available: {sorted(GENERATOR_PRESETS)}")
-        from . import linalg
         named = maker()
         resid = max(linalg.frob(gens.project(h) - h) for h in named)
         report["preset"] = {
@@ -269,12 +262,7 @@ def _cmd_task(args, tol):
                 fh.write(f"{epoch},{format(loss, '.17g')},{format(acc, '.17g')}\n")
     deviation = tasks.label_invariance_check(trained, ds.rep, ds, n_samples=20,
                                              rng_seed=args.seed)
-    from . import linalg
-    w = trained.circuit.unitary()
-    rep_k = trained.circuit.gens.rep
-    residual = max(
-        (linalg.frob(linalg.comm(w, k)) for k in rep_k.generator_representatives()),
-        default=0.0)
+    residual = check_equivariance(trained.circuit.unitary(), trained.circuit.gens.rep, 0)
     report = _header(args, "task run")
     report.update({
         "task": args.name,
@@ -293,7 +281,7 @@ def _cmd_task(args, tol):
 
 def _cmd_symtest(args, tol):
     h = serialize.operator_from_spec(_load_json(args.h))
-    rep = serialize.rep_from_spec(_load_json(args.rep), tol)
+    rep = serialize.rep_from_spec(_load_json(args.rep))
     result = symmetry_test(h, rep, tol)
     report = _header(args, "symtest")
     report.update({

@@ -205,8 +205,8 @@ def _eigenspace_kernel(r: Representation, s: Representation,
     w_r, v_r = np.linalg.eigh(_algebra_element(r, np.random.default_rng(_KERNEL_SEED)))
     w_s, v_s = (w_r, v_r) if s is r else np.linalg.eigh(
         _algebra_element(s, np.random.default_rng(_KERNEL_SEED)))
-    k_r = linalg.dagger(v_r) @ np.array(r.generator_representatives()) @ v_r
-    k_s = linalg.dagger(v_s) @ np.array(s.generator_representatives()) @ v_s
+    k_r = linalg.dagger(v_r) @ r.generator_images @ v_r
+    k_s = linalg.dagger(v_s) @ s.generator_images @ v_s
     x = _matched_kernel(k_r, w_r, k_s, w_s, tol)
     return v_s @ x @ linalg.dagger(v_r)
 
@@ -249,13 +249,12 @@ class _Genericity(Exception):
 
 def _verification_set(rep: Representation, rng: np.random.Generator):
     """Operators whose block alignment certifies the decomposition."""
-    ops = []
     if rep.flavor == "finite":
         g = rep.group
         if g.order <= 64:
             ops = rep.representatives()
         else:
-            ops = rep.generator_representatives()
+            ops = list(rep.generator_images)
             ops += [rep.representative(int(rng.integers(g.order))) for _ in range(20)]
     else:
         ops = list(rep.generator_images)
@@ -327,7 +326,7 @@ def _attempt_decomposition(rep, comm_basis, rng, tol):
         components.append((sorted(comp_a, key=lambda i: np.mean(wa[a_groups[i]])),
                            sorted(comp_c, key=lambda i: c_values[i])))
 
-    constraints = np.array(rep.generator_representatives())
+    constraints = rep.generator_images
     blocks = []
     for alphas, gammas in components:
         d_k, m_k = len(alphas), len(gammas)
@@ -465,18 +464,11 @@ def irrep_blocks(rep: Representation, dec: IsotypicDecomposition) -> list[Repres
     out = []
     for (d_k, m_k), (a, b) in zip(dec.blocks, dec.block_offsets):
         cols = dec.q[:, a:a + d_k]
-        if rep.flavor == "finite":
-            imgs = [linalg.dagger(cols) @ rep.representative(g) @ cols
-                    for g in rep.group.generators]
-            out.append(Representation(rep.source, "finite", d_k,
-                                      f"{rep.name}[block{len(out)}]", gen_images=imgs))
-        else:
-            imgs = [linalg.dagger(cols) @ h @ cols for h in rep.generator_images]
-            for i, h in enumerate(imgs):
-                imgs[i] = (h + linalg.dagger(h)) / 2
-            out.append(Representation(rep.source, "lie", d_k,
-                                      f"{rep.name}[block{len(out)}]",
-                                      generator_images=imgs))
+        imgs = linalg.dagger(cols) @ rep.generator_images @ cols
+        if rep.flavor == "lie":
+            imgs = (imgs + imgs.conj().transpose(0, 2, 1)) / 2
+        out.append(Representation(rep.source, rep.flavor, d_k,
+                                  f"{rep.name}[block{len(out)}]", imgs))
     return out
 
 

@@ -168,19 +168,21 @@ def equivariant_measurement(rep: Representation, coefficients, basis=None,
 
 
 def check_equivariance(w: np.ndarray, rep: Representation, n_samples: int = 20,
-                       tol: Tolerance = DEFAULT_TOL, rng_seed: int = 0) -> float:
-    """Max commutator residual of an operator against the representation.
+                       rng_seed: int = 0) -> float:
+    """Max commutator residual ||[w, K]||_F of an operator against the representation.
 
     Finite flavor: exact over the group generators.  Lie flavor: over the
-    algebra images (sufficient for the connected component) plus sampled
-    group elements as a smoke test.
+    algebra images (sufficient for the connected component) plus
+    ``n_samples`` sampled group elements as a smoke test.  With
+    ``n_samples=0`` this is the commutation check against the generator
+    images alone, for either flavor.
     """
     w = np.asarray(w, dtype=complex)
     if w.shape != (rep.dim, rep.dim):
         raise DimensionMismatchError(
             f"operator shape {w.shape} does not match carrier dim {rep.dim}")
     res = 0.0
-    for k in rep.generator_representatives():
+    for k in rep.generator_images:
         res = max(res, linalg.frob(linalg.comm(w, k)))
     if rep.flavor == "lie" and n_samples > 0:
         for u in rep.sample_elements(rng_seed, n_samples):

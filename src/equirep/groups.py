@@ -414,7 +414,7 @@ class LieAlgebraBasis:
     def carrier_dim(self) -> int:
         return self.generators[0].shape[0]
 
-    def structure_constants(self, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    def structure_constants(self) -> np.ndarray:
         """Real f with [X_i, X_j] = i sum_k f[i,j,k] X_k (least squares).
 
         A large residual means the basis is not closed; run
@@ -428,9 +428,9 @@ class LieAlgebraBasis:
         self._structure = sol.T.reshape(n, n, n)
         return self._structure
 
-    def closure_residual(self, tol: Tolerance = DEFAULT_TOL) -> float:
+    def closure_residual(self) -> float:
         """Max Frobenius distance of i[X_i, X_j] from the real span of the basis."""
-        return _bracket_residual(self.structure_constants(tol), self.generators)
+        return _bracket_residual(self.structure_constants(), self.generators)
 
 
 def _brackets(x: np.ndarray) -> np.ndarray:

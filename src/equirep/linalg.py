@@ -125,11 +125,15 @@ def herm_eig(h: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     return w, v
 
 
-def exp_unitary(h: np.ndarray, theta: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Unitary ``exp(-i theta h)`` for Hermitian ``h`` via eigendecomposition."""
+def exp_unitary(h: np.ndarray, theta, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Unitary ``exp(-i theta h)`` for Hermitian ``h`` via eigendecomposition.
+
+    An ``(n, d, d)`` stack with ``n`` angles gives the ``(n, d, d)`` stack of
+    exponentials from one batched ``eigh``, equal to the one-at-a-time ones.
+    """
     w, v = herm_eig(h, tol)
-    phases = np.exp(-1j * theta * w)
-    return (v * phases) @ dagger(v)
+    phases = np.exp(-1j * np.asarray(theta)[..., None] * w)
+    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def null_space(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Concrete representations of finite groups and Lie algebras.
 
-A finite-flavor representation stores one unitary per group element (eagerly
-for order <= 64, otherwise generated on demand from generator words).  A
-lie-flavor representation stores only the Hermitian images of the algebra
-basis; group-level elements are produced by exponentiating algebra samples.
+Either flavor is fixed by one ``(g, d, d)`` stack of generator images: the
+unitaries of the group generators, or the Hermitian images of the algebra
+basis.  Finite-flavor elements are word products of those images (all of
+them eagerly for order <= 64, otherwise on demand); lie-flavor group-level
+elements are produced by exponentiating algebra samples.
 
 Basis ordering on qubit registers is big-endian: qubit 1 is the leftmost
 tensor factor, so the transposition (1,2) is represented by SWAP of the two
@@ -23,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import FiniteGroup, LieAlgebraBasis, _bracket_residual, make_cyclic, make_symmetric
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import Tolerance
 
 __all__ = [
     "Representation", "RepOnOperators",
@@ -42,36 +43,40 @@ _UNITARITY_TOL = Tolerance(1e-8, 1e-8)
 class Representation:
     """A group or Lie algebra together with matrices realizing it.
 
-    flavor "finite": unitaries indexed by group element; flavor "lie":
-    Hermitian generator images aligned with the source basis.
+    ``generator_images`` is a complex128 ``(g, d, d)`` stack: the unitary
+    images of the group generators (flavor "finite") or the Hermitian images
+    of the algebra basis (flavor "lie"), in the source's order.  Everything
+    else is derived from it: finite-flavor elements are word products of the
+    images (all of them eagerly for order <= 64, otherwise on demand), and
+    lie-flavor group elements are exponentials of algebra combinations.
     """
 
-    def __init__(self, source, flavor: str, dim: int, name: str,
-                 gen_images=None, matrices=None, generator_images=None):
+    def __init__(self, source, flavor: str, dim: int, name: str, generator_images):
+        if flavor == "finite":
+            if not isinstance(source, FiniteGroup):
+                raise SourceMismatchError("finite flavor needs a FiniteGroup source")
+            count = len(source.generators)
+        elif flavor == "lie":
+            if not isinstance(source, LieAlgebraBasis):
+                raise SourceMismatchError("lie flavor needs a LieAlgebraBasis source")
+            count = source.dim
+        else:
+            raise InvalidParameterError(f"unknown flavor {flavor!r}")
         self.source = source
         self.flavor = flavor
         self.dim = int(dim)
         self.name = name
-        if flavor == "finite":
-            if not isinstance(source, FiniteGroup):
-                raise SourceMismatchError("finite flavor needs a FiniteGroup source")
-            self._gen_images = [np.asarray(m, dtype=complex) for m in gen_images]
-            self._cache: dict[int, np.ndarray] = {}
-            if matrices is not None:
-                self._cache = {i: np.asarray(m, dtype=complex) for i, m in enumerate(matrices)}
-            self._words = None
-            if source.order <= EAGER_ORDER:
-                self._materialize_all()
-        elif flavor == "lie":
-            if not isinstance(source, LieAlgebraBasis):
-                raise SourceMismatchError("lie flavor needs a LieAlgebraBasis source")
-            self.generator_images = [np.asarray(m, dtype=complex) for m in generator_images]
-            if len(self.generator_images) != source.dim:
-                raise DimensionMismatchError("one image per algebra basis element required")
-        else:
-            raise InvalidParameterError(f"unknown flavor {flavor!r}")
-
-    # -- finite flavor ---------------------------------------------------
+        images = _image_stack(generator_images)
+        if images.shape != (count, self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"{flavor} images must form a ({count}, {self.dim}, {self.dim}) "
+                f"stack, got shape {images.shape}")
+        self.generator_images = images
+        self._cache: dict[int, np.ndarray] = {}
+        self._words = None
+        self._all = None
+        if flavor == "finite" and source.order <= EAGER_ORDER:
+            self.representatives()
 
     @property
     def group(self) -> FiniteGroup:
@@ -85,70 +90,82 @@ class Representation:
             raise SourceMismatchError("not a lie-flavor representation")
         return self.source
 
-    def _materialize_all(self):
-        words = self.group.element_words()
-        for i, w in enumerate(words):
-            if i in self._cache:
-                continue
-            m = np.eye(self.dim, dtype=complex)
-            for gi in w:
-                m = m @ self._gen_images[gi]
-            self._cache[i] = m
+    # -- finite flavor ---------------------------------------------------
 
     def representative(self, element: int) -> np.ndarray:
-        """Unitary for a group element (finite flavor)."""
-        g = self.group
-        if element in self._cache:
-            return self._cache[element]
-        if self._words is None:
-            self._words = g.element_words()
-        m = np.eye(self.dim, dtype=complex)
-        for gi in self._words[element]:
-            m = m @ self._gen_images[gi]
-        self._cache[element] = m
-        return m
+        """Unitary for a group element (finite flavor): its shortest word's product."""
+        if self._all is not None:
+            return self._all[element]
+        if element not in self._cache:
+            if self._words is None:
+                self._words = self.group.element_words()
+            m = np.eye(self.dim, dtype=complex)
+            for gi in self._words[element]:
+                m = m @ self.generator_images[gi]
+            self._cache[element] = m
+        return self._cache[element]
 
-    def representatives(self):
-        """All unitaries, in element order (finite flavor)."""
-        return [self.representative(i) for i in range(self.group.order)]
+    def representatives(self) -> np.ndarray:
+        """``(order, d, d)`` stack of every unitary, in element order (finite flavor).
 
-    def generator_representatives(self):
-        """Images of the group generators / the algebra basis.
+        Built once and kept; single elements of a larger group are built on
+        demand by :meth:`representative` until this is called.
+        """
+        if self._all is None:
+            out = np.empty((self.group.order, self.dim, self.dim), dtype=complex)
+            for i in range(len(out)):
+                out[i] = self.representative(i)
+                self._cache.pop(i)  # the stack becomes the only full copy
+            self._all = out
+        return self._all
+
+    def generator_representatives(self) -> np.ndarray:
+        """The ``generator_images`` stack.
 
         These are the matrices against which commutants and equivariance are
         checked; correctness for the whole group follows from the
         homomorphism property.
         """
-        if self.flavor == "finite":
-            return [self.representative(g) for g in self.group.generators]
-        return list(self.generator_images)
+        return self.generator_images
 
     # -- shared ----------------------------------------------------------
 
-    def sample_elements(self, rng_seed: int, n: int, depth: int = 3):
-        """Deterministic sample of group-level unitaries.
+    def sample_elements(self, rng_seed: int, n: int, depth: int = 3) -> np.ndarray:
+        """Deterministic ``(n, d, d)`` sample of group-level unitaries.
 
         Finite flavor: uniform over elements.  Lie flavor: products of
-        ``depth`` exponentials of random algebra combinations.
+        ``depth`` exponentials exp(-i theta sum_j w_j X_j) with Gaussian w and
+        uniform theta, drawn per factor in sample order and diagonalised as
+        one stack.
         """
         rng = np.random.default_rng(rng_seed)
-        out = []
         if self.flavor == "finite":
-            for _ in range(n):
-                out.append(self.representative(int(rng.integers(self.group.order))))
-            return out
-        for _ in range(n):
-            u = np.eye(self.dim, dtype=complex)
-            for _ in range(depth):
-                w = rng.standard_normal(len(self.generator_images))
-                h = sum(wi * hi for wi, hi in zip(w, self.generator_images))
-                theta = float(rng.uniform(0.0, 2.0 * np.pi))
-                u = u @ linalg.exp_unitary(h, theta)
-            out.append(u)
-        return out
+            picks = [self.representative(int(rng.integers(self.group.order))) for _ in range(n)]
+            return np.array(picks, dtype=complex).reshape(n, self.dim, self.dim)
+        imgs = self.generator_images
+        ws, thetas = [], []
+        for _ in range(n * depth):
+            ws.append(rng.standard_normal(len(imgs)))
+            thetas.append(float(rng.uniform(0.0, 2.0 * np.pi)))
+        w = np.array(ws).reshape(n * depth, len(imgs))
+        # the same left-to-right sum as one factor at a time, so samples stay bit-identical
+        hs = sum(w[:, j, None, None] * imgs[j] for j in range(len(imgs)))
+        factors = linalg.exp_unitary(hs, np.array(thetas)).reshape(n, depth, self.dim, self.dim)
+        u = np.tile(np.eye(self.dim, dtype=complex), (n, 1, 1))
+        for j in range(depth):
+            u = u @ factors[:, j]
+        return u
 
     def __repr__(self):
         return f"Representation({self.name!r}, flavor={self.flavor}, dim={self.dim})"
+
+
+def _image_stack(images) -> np.ndarray:
+    """Matrices as one complex128 stack; ragged input raises DimensionMismatchError."""
+    try:
+        return np.array(images, dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"images do not form one stack: {exc}") from exc
 
 
 class RepOnOperators(Representation):
@@ -156,14 +173,10 @@ class RepOnOperators(Representation):
 
     def __init__(self, base: Representation):
         self.base = base
-        d2 = base.dim ** 2
-        if base.flavor == "finite":
-            imgs = [linalg.conjugation_superoperator(m) for m in base._gen_images]
-            super().__init__(base.source, "finite", d2, f"ad[{base.name}]", gen_images=imgs)
-        else:
-            imgs = [linalg.commutator_superoperator(h) for h in base.generator_images]
-            super().__init__(base.source, "lie", d2, f"ad[{base.name}]",
-                             generator_images=imgs)
+        lift = (linalg.conjugation_superoperator if base.flavor == "finite"
+                else linalg.commutator_superoperator)
+        super().__init__(base.source, base.flavor, base.dim ** 2, f"ad[{base.name}]",
+                         [lift(m) for m in base.generator_images])
 
 
 def sources_match(r: Representation, s: Representation) -> bool:
@@ -179,22 +192,18 @@ def sources_match(r: Representation, s: Representation) -> bool:
 
 def finite_rep_from_images(group: FiniteGroup, images, name: str) -> Representation:
     """Extend generator images to the whole group via shortest words."""
-    images = [np.asarray(m, dtype=complex) for m in images]
-    if len(images) != len(group.generators):
-        raise DimensionMismatchError("one image per group generator required")
-    dim = images[0].shape[0]
-    return Representation(group, "finite", dim, name, gen_images=images)
+    images = _image_stack(images)
+    return Representation(group, "finite", images.shape[-1], name, images)
 
 
 def trivial_rep(source, dim: int) -> Representation:
     """Identity on everything (finite) or zero images (lie)."""
     if isinstance(source, FiniteGroup):
-        eye = np.eye(dim, dtype=complex)
-        return Representation(source, "finite", dim, f"trivial({dim})",
-                              gen_images=[eye] * len(source.generators))
-    zero = np.zeros((dim, dim), dtype=complex)
-    return Representation(source, "lie", dim, f"trivial({dim})",
-                          generator_images=[zero] * source.dim)
+        flavor, image, count = "finite", np.eye(dim), len(source.generators)
+    else:
+        flavor, image, count = "lie", np.zeros((dim, dim)), source.dim
+    return Representation(source, flavor, dim, f"trivial({dim})",
+                          np.broadcast_to(image, (count, dim, dim)))
 
 
 def perm_matrix_on_tensor(perm, d: int) -> np.ndarray:
@@ -274,7 +283,7 @@ def su2_fundamental() -> Representation:
     """Spin-1/2: algebra basis and images are both {X/2, Y/2, Z/2}."""
     gens = [linalg.X / 2, linalg.Y / 2, linalg.Z / 2]
     alg = LieAlgebraBasis(gens, name="su2")
-    return Representation(alg, "lie", 2, "su2-fundamental", generator_images=gens)
+    return Representation(alg, "lie", 2, "su2-fundamental", alg.generators)
 
 
 def unitary_algebra_rep(d: int) -> Representation:
@@ -296,8 +305,7 @@ def unitary_algebra_rep(d: int) -> Representation:
             a[k, j] = 1j / np.sqrt(2)
             basis.append(a)
     alg = LieAlgebraBasis(basis, name=f"u({d})")
-    return Representation(alg, "lie", d, f"u{d}-fundamental",
-                          generator_images=[b.copy() for b in basis])
+    return Representation(alg, "lie", d, f"u{d}-fundamental", alg.generators)
 
 
 def tensor_power(r: Representation, k: int) -> Representation:
@@ -311,40 +319,27 @@ def tensor_power(r: Representation, k: int) -> Representation:
     if k == 1:
         return r
     if r.flavor == "finite":
-        images = [linalg.kron_all(*([m] * k)) for m in r._gen_images]
-        return Representation(r.source, "finite", r.dim ** k, f"{r.name}^x{k}",
-                              gen_images=images)
-    eye = np.eye(r.dim, dtype=complex)
-    images = []
-    for h in r.generator_images:
-        total = np.zeros((r.dim ** k, r.dim ** k), dtype=complex)
-        for slot in range(k):
-            factors = [eye] * k
-            factors[slot] = h
-            total += linalg.kron_all(*factors)
-        images.append(total)
-    return Representation(r.source, "lie", r.dim ** k, f"{r.name}^x{k}",
-                          generator_images=images)
+        images = [linalg.kron_all(*([m] * k)) for m in r.generator_images]
+    else:
+        eye = np.eye(r.dim, dtype=complex)
+        images = np.zeros((len(r.generator_images), r.dim ** k, r.dim ** k), dtype=complex)
+        for total, h in zip(images, r.generator_images):
+            for slot in range(k):
+                factors = [eye] * k
+                factors[slot] = h
+                total += linalg.kron_all(*factors)
+    return Representation(r.source, r.flavor, r.dim ** k, f"{r.name}^x{k}", images)
 
 
 def direct_sum(r1: Representation, r2: Representation) -> Representation:
     """Block-diagonal sum; both summands must share the same source."""
     if not sources_match(r1, r2):
         raise SourceMismatchError("direct sum requires the same group or algebra")
-
-    def blk(a, b):
-        out = np.zeros((a.shape[0] + b.shape[0],) * 2, dtype=complex)
-        out[:a.shape[0], :a.shape[0]] = a
-        out[a.shape[0]:, a.shape[0]:] = b
-        return out
-
-    dim = r1.dim + r2.dim
-    name = f"{r1.name}(+){r2.name}"
-    if r1.flavor == "finite":
-        images = [blk(a, b) for a, b in zip(r1._gen_images, r2._gen_images)]
-        return Representation(r1.source, "finite", dim, name, gen_images=images)
-    images = [blk(a, b) for a, b in zip(r1.generator_images, r2.generator_images)]
-    return Representation(r1.source, "lie", dim, name, generator_images=images)
+    d1 = r1.dim
+    images = np.zeros((len(r1.generator_images), d1 + r2.dim, d1 + r2.dim), dtype=complex)
+    images[:, :d1, :d1] = r1.generator_images
+    images[:, d1:, d1:] = r2.generator_images
+    return Representation(r1.source, r1.flavor, d1 + r2.dim, f"{r1.name}(+){r2.name}", images)
 
 
 def dual(r: Representation) -> Representation:
@@ -352,11 +347,9 @@ def dual(r: Representation) -> Representation:
     if r.flavor == "finite":
         g = r.group
         images = [r.representative(g.inverse(gi)).T for gi in g.generators]
-        return Representation(r.source, "finite", r.dim, f"dual[{r.name}]",
-                              gen_images=images)
-    images = [-h.T for h in r.generator_images]
-    return Representation(r.source, "lie", r.dim, f"dual[{r.name}]",
-                          generator_images=images)
+    else:
+        images = -r.generator_images.transpose(0, 2, 1)
+    return Representation(r.source, r.flavor, r.dim, f"dual[{r.name}]", images)
 
 
 def adjoint_action(r: Representation) -> RepOnOperators:
@@ -387,11 +380,13 @@ def translation_rep(n_sites: int) -> Representation:
                                   f"translation({n_sites})")
 
 
-def verify_homomorphism(r: Representation, tol: Tolerance = DEFAULT_TOL) -> float:
+def verify_homomorphism(r: Representation) -> float:
     """Max homomorphism residual.
 
     Finite flavor: max over pairs of ||R(gh) - R(g)R(h)||_F (all pairs up to
-    order 64, generator x element beyond, which is equivalent by induction).
+    order 64, generator x element beyond, which is equivalent by induction),
+    and over generators of the distance between each generator image and the
+    word product that represents its element.
     Lie flavor: max over basis pairs of ||r([X,Y]) - [r(X), r(Y)]||_F with the
     left side expanded through the source's structure constants.
     """
@@ -404,10 +399,14 @@ def verify_homomorphism(r: Representation, tol: Tolerance = DEFAULT_TOL) -> floa
             ma = mats[a]
             for b in range(g.order):
                 res = max(res, linalg.frob(mats[g.multiply(a, b)] - ma @ mats[b]))
+        # A generator that is the identity, or repeats an earlier one, is
+        # never walked in a word, so its image is compared directly.
+        for gi, img in zip(g.generators, r.generator_images):
+            res = max(res, linalg.frob(mats[gi] - img))
         return res
-    f = r.algebra.structure_constants(tol)
+    f = r.algebra.structure_constants()
     require_unitary(r)
-    return _bracket_residual(f, np.array(r.generator_images))
+    return _bracket_residual(f, r.generator_images)
 
 
 def require_unitary(r: Representation) -> None:
@@ -418,10 +417,7 @@ def require_unitary(r: Representation) -> None:
     the algebra the images generate is closed under the adjoint, which the
     commutant and intertwiner solvers rely on.
     """
-    for i, m in enumerate(r.generator_representatives()):
-        if m.shape != (r.dim, r.dim):
-            raise DimensionMismatchError(
-                f"image {i} has shape {m.shape}, carrier dim is {r.dim}")
+    for i, m in enumerate(r.generator_images):
         if r.flavor == "lie":
             if not linalg.is_hermitian(m, _UNITARITY_TOL):
                 raise NotHermitianError("lie generator images must be Hermitian")

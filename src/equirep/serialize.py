@@ -11,8 +11,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, ValidationError
 from .groups import FiniteGroup, LieAlgebraBasis, group_from_table, make_cyclic, \
-    make_dihedral, make_symmetric
-from .linalg import DEFAULT_TOL, Tolerance
+    make_dihedral, make_symmetric, verify_group_axioms
 from .representations import Representation, finite_rep_from_images, require_unitary, \
     verify_homomorphism
 
@@ -153,7 +152,6 @@ def group_from_spec(spec: dict) -> FiniteGroup:
         # explicit tables are verified on load; larger ones (where the cubic
         # associativity scan is off the table) must be declared trusted
         if g.order <= 512:
-            from .groups import verify_group_axioms
             if not verify_group_axioms(g).ok:
                 raise ValidationError("explicit table fails the group axioms")
         elif not spec.get("trusted", False):
@@ -186,6 +184,10 @@ def source_from_spec(spec: dict):
 # ---------------------------------------------------------------------------
 # representation specs
 
+# largest homomorphism residual a loaded representation may have
+_MAX_RESIDUAL = 1e-8
+
+
 def rep_to_spec(rep: Representation) -> dict:
     if rep.flavor == "finite":
         return {
@@ -193,8 +195,7 @@ def rep_to_spec(rep: Representation) -> dict:
             "group": group_to_spec(rep.group),
             "dim": rep.dim,
             "name": rep.name,
-            "matrices": [mat_to_json(rep.representative(g))
-                         for g in rep.group.generators],
+            "matrices": [mat_to_json(m) for m in rep.generator_images],
         }
     return {
         "flavor": "lie",
@@ -205,9 +206,14 @@ def rep_to_spec(rep: Representation) -> dict:
     }
 
 
-def rep_from_spec(spec: dict, tol: Tolerance = DEFAULT_TOL,
-                  max_residual: float = 1e-8) -> Representation:
-    """Load a unitary representation and re-verify the homomorphism property."""
+def rep_from_spec(spec: dict) -> Representation:
+    """Load a unitary representation and re-verify the homomorphism property.
+
+    Raises:
+        ValidationError: on a malformed spec, images that do not form one
+            ``(count, dim, dim)`` stack, non-unitary images, or a homomorphism
+            residual above 1e-8.
+    """
     flavor = _object(spec).get("flavor")
     if flavor == "finite":
         group = group_from_spec(_field(spec, "group"))
@@ -223,8 +229,8 @@ def rep_from_spec(spec: dict, tol: Tolerance = DEFAULT_TOL,
     else:
         raise InvalidParameterError(f"unknown representation flavor {flavor!r}")
     require_unitary(rep)
-    residual = verify_homomorphism(rep, tol)
-    if residual > max_residual:
+    residual = verify_homomorphism(rep)
+    if residual > _MAX_RESIDUAL:
         raise ValidationError(
             f"loaded representation fails verification (residual {residual:.3e})")
     return rep

@@ -24,6 +24,7 @@ from . import linalg
 from .equivariant import (
     EquivariantMeasurement,
     QnnCircuit,
+    check_equivariance,
     compose_layers,
     equivariant_generators,
 )
@@ -44,7 +45,7 @@ from .representations import (
 )
 
 __all__ = [
-    "LabeledState", "Dataset", "TaskSpec", "QmlModel", "TrainConfig",
+    "LabeledState", "Dataset", "QmlModel", "TrainConfig",
     "gen_bitflip1d", "gen_purity", "gen_swap2d", "gen_ferro", "make_dataset",
     "model_eval", "default_task_model", "initialize_parameters", "train",
     "accuracy", "label_invariance_check",
@@ -268,18 +269,6 @@ def gen_ferro(n_samples: int, seed: int = 0, r_range=(0.2, 1.0)) -> Dataset:
             states.append(LabeledState(rho, 1.0, {"r": r.tolist()}))
     return Dataset("ferro", states, tensor_power(su2_fundamental(), 2),
                    params={"r_range": (lo, hi)})
-
-
-@dataclass
-class TaskSpec:
-    """Serializable description of one generated task."""
-
-    name: str
-    n_samples: int = 200
-    params: dict = field(default_factory=dict)
-
-    def build(self, seed: int = 0) -> Dataset:
-        return make_dataset(self.name, self.n_samples, seed, **self.params)
 
 
 def make_dataset(name: str, n_samples: int, seed: int = 0, **params) -> Dataset:
@@ -523,16 +512,18 @@ def accuracy(model: QmlModel, dataset: Dataset) -> float:
 
 
 def label_invariance_check(model_or_fn, rep: Representation, dataset: Dataset,
-                           n_samples: int = 10, tol: Tolerance = DEFAULT_TOL,
-                           rng_seed: int = 0) -> float:
+                           n_samples: int = 10, rng_seed: int = 0) -> float:
     """Max |h(rho) - h(g rho g^dag)| over the dataset and sampled symmetries.
 
-    ``rep`` acts on the single-copy carrier; models lift it to their copy
-    count internally through the tensor structure of the input.
+    Finite groups of order <= 16 are checked on every element, anything
+    else on ``n_samples`` sampled elements.  ``rep`` acts on the single-copy
+    carrier; models lift it to their copy count internally through the
+    tensor structure of the input.
     """
-    samples = rep.sample_elements(rng_seed, n_samples)
     if rep.flavor == "finite" and rep.group.order <= 16:
         samples = rep.representatives()
+    else:
+        samples = rep.sample_elements(rng_seed, n_samples)
     if any(s.rho.shape != (rep.dim, rep.dim) for s in dataset.states):
         raise DimensionMismatchError("representation does not act on the states")
     dev = 0.0
@@ -571,13 +562,7 @@ def symmetry_test(h: np.ndarray, rep: Representation,
     Checked on generators (finite) or algebra images (lie), which suffices by
     the homomorphism property / connectedness.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.shape != (rep.dim, rep.dim):
-        raise DimensionMismatchError(
-            f"operator shape {h.shape} does not match carrier dim {rep.dim}")
-    res = 0.0
-    for k in rep.generator_representatives():
-        res = max(res, linalg.frob(linalg.comm(h, k)))
+    res = check_equivariance(h, rep, 0)
     scale = max(linalg.frob(h), 1.0)
     return SymmetryReport(res, res <= max(tol.threshold(scale), 1e-10 * scale))
 
@@ -618,11 +603,12 @@ def eigenspace_invariance_check(h: np.ndarray, rep: Representation,
             current.append(i)
     groups.append(current)
 
-    actions = rep.generator_representatives()
     if rep.flavor == "lie":
         actions = rep.sample_elements(rng_seed, n_samples)
     elif rep.group.order <= 64:
         actions = rep.representatives()
+    else:
+        actions = rep.generator_images
 
     res = 0.0
     fixed = 0

@@ -126,8 +126,7 @@ def twirl_channel(rep_in: Representation, rep_out: Representation,
     return acc / g.order
 
 
-def k_design_twirl(d: int, k: int, o: np.ndarray,
-                   tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def k_design_twirl(d: int, k: int, o: np.ndarray) -> np.ndarray:
     """Exact Haar twirl of an operator on (C^d)^(x k) over U(d).
 
     By Schur-Weyl the image is the span of the k! index permutations, so the

@@ -216,8 +216,9 @@ def _malformed_files(tmp_path):
     image; then (e) a Lie spec without generator images, (f) a non-integer
     group order, (g) a spec, group or algebra that is a JSON list, and (h)
     table group specs with a ragged, string or fractional table, or with a
-    non-integer or out-of-range generator."""
-    from equirep.representations import perm_rep_qubits, su2_fundamental
+    non-integer or out-of-range generator; then (i) a finite S_3 spec whose
+    two images are 2x2 and 3x3."""
+    from equirep.representations import dihedral_rep_s3, perm_rep_qubits, su2_fundamental
     from equirep.serialize import rep_to_spec
     spec = rep_to_spec(perm_rep_qubits(3))
     del spec["matrices"]
@@ -238,6 +239,10 @@ def _malformed_files(tmp_path):
                          ("h3", {"mul": [[0, 1.5], [1, 0]]}),
                          ("h4", {"generators": ["x"]}), ("h5", {"generators": [99]})):
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(z2_table, **change)))
+    s3 = rep_to_spec(dihedral_rep_s3())
+    s3["matrices"][1] = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(3)]
+                         for i in range(3)]
+    (tmp_path / "i.json").write_text(json.dumps(s3))
     return tmp_path
 
 
@@ -256,6 +261,8 @@ def _malformed_files(tmp_path):
     (("group", "verify", "--in", "h3.json"), "entries must be integers"),
     (("group", "verify", "--in", "h4.json"), "integer element indices"),
     (("group", "verify", "--in", "h5.json"), "must lie in 0..1"),
+    (("rep", "verify", "--in", "i.json"), "do not form one stack"),
+    (("commutant", "--rep", "i.json"), "do not form one stack"),
 ])
 def test_malformed_input_exits_one(tmp_path, capsys, argv, reason):
     work = _malformed_files(tmp_path)

@@ -318,10 +318,10 @@ def test_finite_representatives_unitary(rep):
 
 def test_perturbed_representative_detected():
     rep = dihedral_rep_s3()
-    images = [m.copy() for m in rep._gen_images]
+    images = [m.copy() for m in rep.generator_images]
     images[0] = images[0] + 1e-3
     from equirep.representations import Representation
-    bad = Representation(rep.source, "finite", 2, "perturbed", gen_images=images)
+    bad = Representation(rep.source, "finite", 2, "perturbed", generator_images=images)
     assert verify_homomorphism(bad) >= 1e-4
 
 

@@ -1,25 +1,31 @@
-"""Commutants, isotypic decomposition, intertwiners, and the Schur-Weyl check.
+"""Isotypic decomposition, commutants, intertwiners, and the Schur-Weyl check.
 
-Commutants and intertwiners come from one kernel solver.  Any phi with
-phi R(g) = S(g) phi also satisfies phi A_R = A_S phi for a Hermitian element
-A of the representation's algebra taken with the same coefficients on both
-sides, so in the eigenbases of A_R and A_S phi only connects eigenspaces
-with equal eigenvalues.  The unknowns shrink from d_s d_r to the entries on matched
-eigenvalue clusters (sum_k d_k m_k^2 for a commutant), and the generator
-constraints are solved in that reduced space (the route of RepLAB and of
-Maehara & Murota's block-diagonalization of matrix *-algebras).  The
-argument needs the algebra to be closed under the adjoint, so the solver
-rejects non-unitary representations.
+The decomposition is the cluster-graph block diagonalisation of matrix
+*-algebras (Murota, Kanno, Kojima & Kojima 2010; de Klerk, Dobre &
+Pasechnik 2011).  A generic Hermitian element A of the representation's
+algebra has, inside each isotypic block, the form 1_m x A_k with simple A_k
+spectrum, so each eigenvalue cluster of A is one weight of one irrep type
+and has that type's multiplicity as its size.  A random combination K of the
+generator images, rotated into A's eigenbasis, has non-zero blocks K_cc'
+only between clusters of one irrep type, and each is a scalar times a
+unitary.  The connected components of this cluster graph are the isotypic
+blocks, and polar factors of K_cc' carried along a spanning tree align the
+copies into the exact 1_m x U_k form.  Degenerate draws are caught (cluster
+sizes that differ within a component, a K block that is not a multiple of a
+unitary, a failed certification) and handled by redrawing with a derived
+seed, never by perturbing, so the change of basis stays numerically unitary.
 
-The decomposition algorithm follows the classic two-element strategy: a
-generic Hermitian element A of the representation's algebra has, inside each
-isotypic block, the form 1_m x A_k with simple A_k spectrum, while a generic
-Hermitian element C of the commutant has the complementary form C_k x 1_d.
-Joint eigenspaces of the commuting pair (A, C) are then one-dimensional and
-their eigenvalue bipartite graph reconstructs the blocks; copies inside a
-block are aligned into the exact 1_m x U_k form with explicit unitary
-intertwiners.  Degenerate draws are handled by redrawing with a derived seed,
-never by perturbing, so the change of basis stays numerically unitary.
+Schur's lemma then gives the commutant without any linear solve: it is
+q(sum_k M_k x 1_{d_k})q^dag, so a Hermitian orthonormal basis of every
+m_k x m_k block, sent through the certified q, spans it.
+
+Intertwiners come from a kernel solver.  Any phi with phi R(g) = S(g) phi
+also satisfies phi A_R = A_S phi for algebra elements taken with the same
+coefficients on both sides, so in the eigenbases of A_R and A_S phi only
+connects eigenspaces with equal eigenvalues, and the generator constraints
+are solved for those entries alone (the route of RepLAB).  Both routes need
+the algebra to be closed under the adjoint, so they reject non-unitary
+representations.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from . import linalg
 from .errors import (
     DecompositionFailedError,
     DimensionTooLargeError,
-    NumericalError,
     SourceMismatchError,
 )
 from .linalg import DEFAULT_TOL, Tolerance, haar_unitary
@@ -56,10 +61,15 @@ __all__ = [
 
 MAX_REDRAWS = 8
 # Eigenvalues of the splitting element closer than this, relative to its
-# spectral scale, share a cluster.  Merging clusters only enlarges the search
-# space, while splitting a true eigenspace would lose solutions, so the cut
-# sits far above eigh's rounding and far below the gaps of a generic element.
+# spectral scale, share a cluster.  The cut sits far above eigh's rounding,
+# so a true eigenspace is never split, and far below the gaps of a generic
+# element; a draw that merges two eigenspaces is caught and redrawn by
+# _attempt_decomposition, and in the kernel solver it only enlarges the
+# search space.
 _CLUSTER_GAP = 1e-6
+# Largest relative spread of the singular values of a K block that still
+# counts as a multiple of a unitary; rounding leaves under 1e-12.
+_POLAR_SPREAD = 1e-6
 _KERNEL_SEED = 2210
 
 
@@ -82,35 +92,36 @@ class CommutantBasis:
 
 
 def commutant_basis(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> CommutantBasis:
-    """Solve [B, R(g)] = 0 over generators (finite) or images (lie).
+    """Hermitian orthonormal basis of everything commuting with the representation.
 
-    Commuting with the generators implies commuting with the whole group by
-    the homomorphism property.  The kernel is solved only over the blocks
-    that a generic algebra element's eigenspaces allow (see the module
-    docstring), which costs O(sum_k d_k m_k^2) unknowns instead of d^2.  The
-    returned elements are Hermitian and orthonormal; their real span is the
-    full commutant's Hermitian part.
+    Built from the certified decomposition ``isotypic_decompose(rep, 0, tol)``
+    by Schur's lemma, with no linear solve: the commutant is
+    q(sum_k M_k x 1_{d_k})q^dag, and its basis holds, block after block, the
+    images of E_ii, then (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2 for
+    i < j, scaled by 1/sqrt(d_k).  Their real span is the full commutant's
+    Hermitian part.
 
     Raises:
         ValidationError: if the representation is not unitary.
     """
-    kernel = _eigenspace_kernel(rep, rep, tol)
-    complex_dim = len(kernel)
-    adj = kernel.conj().transpose(0, 2, 1)
-    # Rows interleave h_0, a_0, h_1, a_1, ...; the basis the SVD returns
-    # depends on that order.
-    herm = np.stack([(kernel + adj) / 2, (kernel - adj) / 2j], axis=1).reshape(-1, *kernel.shape[1:])
-    basis = linalg.orthonormalize_hermitian(herm, tol)
-    if len(basis) != complex_dim:
-        # Hermitian closure must preserve the dimension; a mismatch signals
-        # a rank decision sitting on the tolerance threshold.
-        basis = linalg.orthonormalize_hermitian(herm, Tolerance(tol.absolute * 10,
-                                                                tol.relative * 10))
-        if len(basis) != complex_dim:
-            raise NumericalError(
-                f"commutant rank is ambiguous at this tolerance "
-                f"({len(basis)} Hermitian vs {complex_dim} complex dimensions)")
-    return CommutantBasis(rep, basis)
+    return CommutantBasis(rep, _block_commutant(isotypic_decompose(rep, 0, tol)))
+
+
+def _block_commutant(dec: IsotypicDecomposition) -> np.ndarray:
+    """``(sum_k m_k^2, d, d)`` stack q(M x 1_{d_k})q^dag / sqrt(d_k), as in commutant_basis."""
+    out = []
+    for (d_k, m_k), (a, b) in zip(dec.blocks, dec.block_offsets):
+        # copies[i] holds copy i's columns, so q(E_ij x 1)q^dag = copies[i] copies[j]^dag.
+        copies = dec.q[:, a:b].reshape(-1, m_k, d_k).transpose(1, 0, 2)
+        adj = copies.conj().transpose(0, 2, 1)
+        diag = copies @ adj
+        out.append((diag + diag.conj().transpose(0, 2, 1)) / (2 * np.sqrt(d_k)))
+        if m_k > 1:
+            i, j = np.triu_indices(m_k, 1)
+            off = copies[i] @ adj[j] / np.sqrt(2 * d_k)
+            off_adj = off.conj().transpose(0, 2, 1)
+            out += [off + off_adj, 1j * (off - off_adj)]
+    return np.concatenate(out)
 
 
 def is_irreducible(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -173,20 +184,19 @@ def _algebra_element(rep: Representation, rng: np.random.Generator) -> np.ndarra
     return a
 
 
-def _commutant_element(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return np.tensordot(rng.standard_normal(len(basis)), basis, 1)
+def _cluster_labels(w: np.ndarray) -> np.ndarray:
+    """Cluster index of every eigenvalue, ascending with the eigenvalue.
 
-
-def _cluster(values: np.ndarray, gap_tol: float):
-    """Split a sorted eigenvalue array where consecutive gaps exceed gap_tol."""
-    order = np.argsort(values)
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] > gap_tol:
-            groups.append([idx])
-        else:
-            groups[-1].append(idx)
-    return groups
+    A new cluster starts wherever the sorted spectrum jumps by more than
+    _CLUSTER_GAP times its scale, so an ascending spectrum gets ascending,
+    contiguous labels.
+    """
+    order = np.argsort(w, kind="stable")
+    scale = max(float(np.ptp(w)), float(np.abs(w).max())) if w.size else 0.0
+    labels = np.empty(w.size, dtype=np.int64)
+    labels[order] = np.concatenate(
+        [[0], np.cumsum(np.diff(w[order]) > _CLUSTER_GAP * scale)])
+    return labels
 
 
 def _eigenspace_kernel(r: Representation, s: Representation,
@@ -221,12 +231,7 @@ def _matched_kernel(k_r: np.ndarray, w_r: np.ndarray, k_s: np.ndarray,
     """
     d_s, d_r = len(w_s), len(w_r)
     # Cluster both spectra together; equal labels mark allowed entries.
-    w = np.concatenate([w_s, w_r])
-    order = np.argsort(w, kind="stable")
-    scale = max(float(np.ptp(w)), float(np.abs(w).max())) if w.size else 0.0
-    labels = np.empty(w.size, dtype=np.int64)
-    labels[order] = np.concatenate(
-        [[0], np.cumsum(np.diff(w[order]) > _CLUSTER_GAP * scale)])
+    labels = _cluster_labels(np.concatenate([w_s, w_r]))
     p, q = np.nonzero(labels[:d_s, None] == labels[None, d_s:])
     n = p.size
     if n == 0:
@@ -247,129 +252,80 @@ class _Genericity(Exception):
     """Internal: the random draw was degenerate, redraw."""
 
 
-def _verification_set(rep: Representation, rng: np.random.Generator):
-    """Operators whose block alignment certifies the decomposition."""
+def _verification_set(rep: Representation, rng: np.random.Generator) -> np.ndarray:
+    """``(n, d, d)`` stack of operators whose block alignment certifies the decomposition."""
+    imgs = rep.generator_images
     if rep.flavor == "finite":
         g = rep.group
         if g.order <= 64:
-            ops = rep.representatives()
-        else:
-            ops = list(rep.generator_images)
-            ops += [rep.representative(int(rng.integers(g.order))) for _ in range(20)]
-    else:
-        ops = list(rep.generator_images)
-        for _ in range(5):
-            w = rng.standard_normal(len(rep.generator_images))
-            h = sum(wi * hi for wi, hi in zip(w, rep.generator_images))
-            ops.append(linalg.exp_unitary(h, float(rng.uniform(0, 2 * np.pi))))
-    return ops
+            return rep.representatives()
+        extra = [rep.representative(int(rng.integers(g.order))) for _ in range(20)]
+        return np.concatenate([imgs, extra])
+    hs, thetas = [], []
+    for _ in range(5):
+        w = rng.standard_normal(len(imgs))
+        hs.append(sum(wi * hi for wi, hi in zip(w, imgs)))
+        thetas.append(rng.uniform(0, 2 * np.pi))
+    return np.concatenate([imgs, linalg.exp_unitary(np.array(hs), np.array(thetas))])
 
 
-def _attempt_decomposition(rep, comm_basis, rng, tol):
-    d_total = rep.dim
-    a = _algebra_element(rep, rng)
-    c = _commutant_element(comm_basis, rng)
+def _polar(x: np.ndarray) -> np.ndarray:
+    """Unitary polar factor of x, which must be a multiple of a unitary."""
+    u, s, vh = np.linalg.svd(x)
+    if s[0] - s[-1] > _POLAR_SPREAD * s[0]:
+        raise _Genericity("a cluster block is not a multiple of a unitary")
+    return u @ vh
 
-    wa, va = np.linalg.eigh(a)
-    wc = np.linalg.eigvalsh(c)
-    gap_a = max(1e-8 * max(1.0, wa[-1] - wa[0]), 1e-10)
-    gap_c = max(1e-8 * max(1.0, wc[-1] - wc[0]), 1e-10)
-    a_groups = _cluster(wa, gap_a)
-    c_groups = _cluster(wc, gap_c)
-    c_values = np.array([np.mean(wc[g]) for g in c_groups])
 
-    # Joint eigenvectors, labeled by (alpha cluster, gamma cluster).
-    joint: dict[tuple[int, int], np.ndarray] = {}
-    edges: set[tuple[int, int]] = set()
-    for ai, grp in enumerate(a_groups):
-        v_alpha = va[:, grp]
-        c_alpha = linalg.dagger(v_alpha) @ c @ v_alpha
-        wloc, wvec = np.linalg.eigh((c_alpha + linalg.dagger(c_alpha)) / 2)
-        loc_groups = _cluster(wloc, gap_c)
-        for lg in loc_groups:
-            if len(lg) != 1:
-                raise _Genericity("joint eigenspace not one-dimensional")
-            val = wloc[lg[0]]
-            dist = np.abs(c_values - val)
-            gi = int(np.argmin(dist))
-            if dist[gi] > 10 * gap_c + 1e-9:
-                raise _Genericity("commutant eigenvalue failed to match globally")
-            key = (ai, gi)
-            if key in joint:
-                raise _Genericity("duplicate joint eigenvalue pair")
-            joint[key] = v_alpha @ wvec[:, lg[0]]
-            edges.add(key)
+def _attempt_decomposition(rep: Representation, rng: np.random.Generator,
+                           tol: Tolerance) -> IsotypicDecomposition:
+    wa, va = np.linalg.eigh(_algebra_element(rep, rng))
+    labels = _cluster_labels(wa)
+    sizes = np.bincount(labels).tolist()
+    starts = [0, *itertools.accumulate(sizes)]
+    rows = [slice(a, b) for a, b in zip(starts, starts[1:])]  # eigh sorts ascending
+    imgs = rep.generator_images
+    k = linalg.dagger(va) @ np.tensordot(rng.standard_normal(len(imgs)), imgs, 1) @ va
+    # Squared Frobenius norm of every cluster block K_cc', by one one-hot product.
+    onehot = np.eye(len(sizes))[labels]
+    weight = onehot.T @ (np.abs(k) ** 2) @ onehot
+    joined = weight > tol.threshold(linalg.frob(k)) ** 2
 
-    # Connected components of the eigenvalue bipartite graph are the blocks.
-    a_adj: dict[int, set[int]] = {}
-    c_adj: dict[int, set[int]] = {}
-    for ai, gi in edges:
-        a_adj.setdefault(ai, set()).add(gi)
-        c_adj.setdefault(gi, set()).add(ai)
-    seen_a: set[int] = set()
-    components = []
-    for start in range(len(a_groups)):
-        if start in seen_a:
-            continue
-        comp_a, comp_c = set(), set()
-        stack_a = [start]
-        while stack_a:
-            x = stack_a.pop()
-            if x in comp_a:
-                continue
-            comp_a.add(x)
-            for gi in a_adj.get(x, ()):
-                if gi not in comp_c:
-                    comp_c.add(gi)
-                    stack_a.extend(c_adj.get(gi, ()))
-        seen_a |= comp_a
-        components.append((sorted(comp_a, key=lambda i: np.mean(wa[a_groups[i]])),
-                           sorted(comp_c, key=lambda i: c_values[i])))
-
-    constraints = rep.generator_images
+    # Each connected component is one isotypic block; Z_c carries the copy
+    # basis of its first cluster to cluster c along a spanning tree.  A
+    # component that misses a cluster of its irrep (possible only if K has an
+    # invariant set of clusters there) leaves cross-block terms that fail
+    # certification.
     blocks = []
-    for alphas, gammas in components:
-        d_k, m_k = len(alphas), len(gammas)
-        if any((ai, gi) not in joint for ai in alphas for gi in gammas):
-            raise _Genericity("component is not a complete bipartite block")
-        copies = []
-        for gi in gammas:
-            cols = np.column_stack([joint[(ai, gi)] for ai in alphas])
-            copies.append(cols)
-        # Align copies 1.. with copy 0 through explicit unitary intertwiners.
-        # Every copy's columns are eigenvectors of a for the same clusters,
-        # so the intertwiners are diagonal in them up to merged clusters.
-        w_k = np.array([np.mean(wa[a_groups[ai]]) for ai in alphas])
-        ref = copies[0]
-        u_ref = linalg.dagger(ref) @ constraints @ ref
-        for j in range(1, m_k):
-            u_j = linalg.dagger(copies[j]) @ constraints @ copies[j]
-            ker = _matched_kernel(u_ref, w_k, u_j, w_k, tol)
-            if len(ker) == 0:
-                raise _Genericity("copies in one block are not equivalent")
-            s = ker[0]
-            gram = linalg.dagger(s) @ s
-            scale = float(np.real(np.trace(gram))) / d_k
-            if scale < 1e-12 or linalg.frob(gram - scale * np.eye(d_k)) > 1e-6 * scale * d_k:
-                raise _Genericity("intertwiner is not proportional to a unitary")
-            copies[j] = copies[j] @ (s / np.sqrt(scale))
-        first_alpha = float(np.mean(wa[a_groups[alphas[0]]]))
-        blocks.append((d_k, m_k, first_alpha, np.hstack(copies)))
+    seen = np.zeros(len(sizes), dtype=bool)
+    for root in range(len(sizes)):
+        if seen[root]:
+            continue
+        m_k = sizes[root]
+        seen[root] = True
+        component, z = [root], {root: np.eye(m_k, dtype=complex)}
+        for c in component:
+            for c2 in np.flatnonzero(joined[c] & ~seen):
+                if sizes[c2] != m_k:
+                    raise _Genericity("clusters in one component differ in size")
+                seen[c2] = True
+                component.append(c2)
+                z[c2] = z[root] if m_k == 1 else _polar(
+                    linalg.dagger(k[rows[c], rows[c2]]) @ z[c])
+        component.sort()
+        # (d, m_k, d_k) -> copy-major columns: copy i holds one vector per cluster.
+        cols = np.stack([va[:, rows[c]] @ z[c] for c in component], axis=2)
+        blocks.append((len(component), m_k, cols.reshape(rep.dim, -1)))
 
-    blocks.sort(key=lambda t: (-t[0], -t[1], t[2]))
-    q = np.hstack([b[3] for b in blocks])
-    if q.shape != (d_total, d_total):
-        raise _Genericity("assembled basis is not square")
-    offsets = []
-    pos = 0
-    out_blocks = []
-    for d_k, m_k, _, _ in blocks:
-        offsets.append((pos, pos + d_k * m_k))
-        out_blocks.append((d_k, m_k))
-        pos += d_k * m_k
-    dec = IsotypicDecomposition(q, out_blocks, offsets)
+    # Stable sort: ties keep the ascending order of their first eigenvalue.
+    blocks.sort(key=lambda b: (-b[0], -b[1]))
+    q = np.hstack([b[2] for b in blocks])
+    ends = list(itertools.accumulate(d_k * m_k for d_k, m_k, _ in blocks))
+    dec = IsotypicDecomposition(q, [(d_k, m_k) for d_k, m_k, _ in blocks],
+                                [(b - d_k * m_k, b) for (d_k, m_k, _), b in zip(blocks, ends)])
 
     # Certify before returning: unitarity and the exact 1_m x U block form.
+    d_total = rep.dim
     if linalg.frob(linalg.dagger(q) @ q - np.eye(d_total)) > 1e-9 * d_total:
         raise _Genericity("change of basis is not unitary")
     check_ops = _verification_set(rep, rng)
@@ -378,19 +334,15 @@ def _attempt_decomposition(rep, comm_basis, rng, tol):
     return dec
 
 
-def _alignment_residual(dec: IsotypicDecomposition, ops) -> float:
+def _alignment_residual(dec: IsotypicDecomposition, ops: np.ndarray) -> float:
     """Worst deviation of q^dag K q from the declared sum_k 1_m x U_k form."""
-    q = dec.q
-    res = 0.0
-    for k_op in ops:
-        t = linalg.dagger(q) @ k_op @ q
-        model = np.zeros_like(t)
-        for (d_k, m_k), (a, b) in zip(dec.blocks, dec.block_offsets):
-            blk = t[a:b, a:b].reshape(m_k, d_k, m_k, d_k)
-            u0 = blk[0, :, 0, :]
-            model[a:b, a:b] = np.kron(np.eye(m_k), u0)
-        res = max(res, linalg.frob(t - model))
-    return res
+    t = linalg.dagger(dec.q) @ ops @ dec.q
+    model = np.zeros_like(t)
+    for (d_k, m_k), (a, b) in zip(dec.blocks, dec.block_offsets):
+        u0 = t[:, a:a + d_k, a:a + d_k]
+        for c in range(a, b, d_k):
+            model[:, c:c + d_k, c:c + d_k] = u0
+    return max(linalg.frob(x) for x in t - model)
 
 
 def decomposition_residuals(rep: Representation, dec: IsotypicDecomposition,
@@ -404,42 +356,38 @@ def decomposition_residuals(rep: Representation, dec: IsotypicDecomposition,
 
 
 def isotypic_decompose(rep: Representation, rng_seed: int = 0,
-                       tol: Tolerance = DEFAULT_TOL,
-                       commutant: CommutantBasis | None = None) -> IsotypicDecomposition:
+                       tol: Tolerance = DEFAULT_TOL) -> IsotypicDecomposition:
     """Decompose a unitary representation into aligned isotypic blocks.
+
+    A generic Hermitian algebra element A is diagonalised; each eigenvalue
+    cluster is one weight of one irrep type k, with size m_k.  A random
+    combination K of the generator images, rotated into A's eigenbasis,
+    joins clusters of one irrep type: the connected components of the
+    cluster graph are the blocks (d_k clusters of size m_k), and each K
+    block is a scalar times a unitary, whose polar factors align the copies.
+    q is certified unitary and in the exact 1_m x U_k form on a verification
+    set; since A has a simple spectrum on each irrep and each component is
+    connected, every U_k is irreducible and the census is exact.
 
     Deterministic given ``rng_seed``; degenerate random draws trigger a
     redraw with a derived seed, at most 8 attempts, after which
-    DecompositionFailedError signals tolerance or non-unitarity problems.
-    Blocks are sorted by descending irrep dimension, then descending
-    multiplicity, ties by first occurrence at ascending splitting eigenvalue.
+    DecompositionFailedError names the reason of every attempt.  Blocks are
+    sorted by descending irrep dimension, then descending multiplicity, ties
+    by ascending splitting eigenvalue.
 
-    ``commutant`` reuses a basis already solved for this same ``rep``.  The
-    certified block census must reproduce its dimension as sum_k m_k^2; a
-    mismatch raises NumericalError, since one of the two rank decisions is
-    wrong.
+    Raises:
+        ValidationError: if the representation is not unitary.
     """
-    if commutant is None:
-        commutant = commutant_basis(rep, tol)
-    elif commutant.rep is not rep:
-        raise SourceMismatchError(
-            f"commutant was solved for {commutant.rep.name}, not for {rep.name}")
-    last = "no attempt run"
+    require_unitary(rep)
+    reasons = []
     for attempt in range(MAX_REDRAWS):
         rng = np.random.default_rng([int(rng_seed), attempt])
         try:
-            dec = _attempt_decomposition(rep, commutant.basis, rng, tol)
+            return _attempt_decomposition(rep, rng, tol)
         except _Genericity as exc:
-            last = str(exc)
-            continue
-        census = sum(m * m for _, m in dec.blocks)
-        if census != commutant.dim:
-            raise NumericalError(
-                f"block census {dec.blocks} gives a commutant of dimension "
-                f"{census}, the kernel solver found {commutant.dim}")
-        return dec
+            reasons.append(f"attempt {attempt}: {exc}")
     raise DecompositionFailedError(
-        f"no certified decomposition after {MAX_REDRAWS} redraws: {last}")
+        f"no certified decomposition after {MAX_REDRAWS} redraws: " + "; ".join(reasons))
 
 
 def block_projectors(dec: IsotypicDecomposition) -> list[np.ndarray]:
@@ -476,7 +424,7 @@ def find_intertwiner(r: Representation, s: Representation,
                      tol: Tolerance = DEFAULT_TOL) -> Intertwiner:
     """Solve phi R(g) = S(g) phi over generators; classify per Schur.
 
-    Uses the same eigenspace-reduced kernel solver as commutant_basis, so
+    Uses the eigenspace-reduced kernel solver (see the module docstring), so
     both representations must be unitary.  "equivalent" requires an
     invertible kernel element (smallest singular value above tolerance);
     between irreducibles the verdict is never "partial".
@@ -550,14 +498,16 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
     perm_rep = perm_rep_tensor(n, d)
     tensor_rep = tensor_power(unitary_algebra_rep(d), n)
 
-    perm_comm = commutant_basis(perm_rep, tol)
-    tensor_comm = commutant_basis(tensor_rep, tol)
+    dec_perm = isotypic_decompose(perm_rep, rng_seed, tol)
+    dec_tensor = isotypic_decompose(tensor_rep, rng_seed, tol)
+    perm_comm = _block_commutant(dec_perm)
+    tensor_comm = _block_commutant(dec_tensor)
 
     # (a) saturate span{U^(x n)} with Haar samples.
     rng = np.random.default_rng([rng_seed, 101])
     vecs: list[np.ndarray] = []
     rank, stall, used = 0, 0, 0
-    cap = 2 * perm_comm.dim + 12
+    cap = 2 * len(perm_comm) + 12
     while used < cap and stall < 3:
         u = haar_unitary(d, rng)
         un = u
@@ -570,23 +520,21 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
         stall = stall + 1 if new_rank == rank else 0
         rank = new_rank
     p_samples = _span_projector(np.array(vecs), tol)
-    p_perm_comm = _span_projector(perm_comm.basis, tol)
+    p_perm_comm = _span_projector(perm_comm, tol)
     dist_perm = linalg.frob(p_samples - p_perm_comm)
 
     # (b) commutant of the tensor action against the permutation span.
     perm_ops = np.array([perm_matrix_on_tensor(p, d) for p in
                          itertools.permutations(range(n))])
     p_perm_span = _span_projector(perm_ops, tol)
-    p_tensor_comm = _span_projector(tensor_comm.basis, tol)
+    p_tensor_comm = _span_projector(tensor_comm, tol)
     dist_tensor = linalg.frob(p_perm_span - p_tensor_comm)
 
-    dec_perm = isotypic_decompose(perm_rep, rng_seed, tol, perm_comm)
-    dec_tensor = isotypic_decompose(tensor_rep, rng_seed, tol, tensor_comm)
     pairing_ok = sorted((dk, mk) for dk, mk in dec_perm.blocks) == \
         sorted((mk, dk) for dk, mk in dec_tensor.blocks)
 
     return SchurWeylReport(
-        d, n, perm_comm.dim, tensor_comm.dim, dist_perm, dist_tensor,
+        d, n, len(perm_comm), len(tensor_comm), dist_perm, dist_tensor,
         dec_perm.blocks, dec_tensor.blocks, pairing_ok, used,
         residuals={
             "perm_projector_distance": dist_perm,

@@ -206,5 +206,4 @@ def swap_symmetric_six() -> list[np.ndarray]:
 
 GENERATOR_PRESETS = {
     "paper-swap-six": swap_symmetric_six,
-    "swap-six": swap_symmetric_six,
 }

@@ -118,9 +118,10 @@ def herm_eig(h: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         NotHermitianError: if ``||h - h^dag||_F > tol * ||h||_F`` for any matrix.
     """
     h = np.asarray(h, dtype=complex)
-    for a in h.reshape(-1, *h.shape[-2:]):
-        if frob(a - dagger(a)) > tol.threshold(max(frob(a), 1.0)):
-            raise NotHermitianError("matrix is not Hermitian within tolerance")
+    skew = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(h, axis=(-2, -1)), 1.0)
+    if np.any(skew > np.maximum(tol.absolute, tol.relative * scale)):
+        raise NotHermitianError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return w, v
 

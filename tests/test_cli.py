@@ -93,12 +93,11 @@ def test_equivariant_preset_in_span(capsys):
     assert report["dim"] == 10
     assert report["preset"]["in_span"] is True
     assert report["preset"]["count"] == 6
-    # alias accepted
-    code, out = run_cli(capsys, "equivariant", "--rep",
-                        str(PRESETS / "swap-adjoint.json"),
-                        "--preset", "swap-six")
-    assert code == 0
-    assert json.loads(out)["preset"]["in_span"] is True
+    # the old "swap-six" alias is gone: an unknown preset exits 1
+    code, _ = run_cli(capsys, "equivariant", "--rep",
+                      str(PRESETS / "swap-adjoint.json"),
+                      "--preset", "swap-six")
+    assert code == 1
 
 
 def test_symtest_subcommand(capsys):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import equirep.decompose
 from equirep.decompose import (
-    CommutantBasis,
     _eigenspace_kernel,
     block_diagonal_part,
     block_projectors,
@@ -18,9 +18,9 @@ from equirep.decompose import (
     schur_weyl_check,
 )
 from equirep.errors import (
+    DecompositionFailedError,
     DimensionTooLargeError,
     NotHermitianError,
-    NumericalError,
     SourceMismatchError,
     ValidationError,
 )
@@ -177,14 +177,19 @@ def span_distance(stack, columns):
     return frob(vecs @ dagger(vecs) - columns @ dagger(columns))
 
 
-def test_eigenspace_kernel_matches_superoperator_oracle():
-    rng = np.random.default_rng(12)
+def oracle_reps(rng):
+    """Reps checked against the slower solvers, and their Haar conjugates."""
     su2 = su2_fundamental()
     reps = [tensor_power(su2, k) for k in (2, 3, 4)]
     reps += [perm_rep_qubits(n) for n in (2, 3, 4)]
     reps.append(left_regular_rep(make_dihedral(6)))
-    reps += [conjugated(r, haar_unitary(r.dim, rng)) for r in list(reps)]
-    for rep in reps:
+    return reps + [conjugated(r, haar_unitary(r.dim, rng)) for r in reps]
+
+
+def test_eigenspace_kernel_matches_superoperator_oracle():
+    rng = np.random.default_rng(12)
+    su2 = su2_fundamental()
+    for rep in oracle_reps(rng):
         got = _eigenspace_kernel(rep, rep, DEFAULT_TOL)
         oracle = superoperator_kernel(rep, rep)
         assert got.shape == (oracle.shape[1], rep.dim, rep.dim), rep.name
@@ -202,6 +207,16 @@ def test_eigenspace_kernel_matches_superoperator_oracle():
         assert got.shape == (kdim, s.dim, r.dim)
         if kdim:
             assert span_distance(got, oracle) <= 1e-10
+
+
+def test_commutant_matches_the_kernel_solver_oracle():
+    # The commutant built from the decomposition spans what the kernel
+    # solver finds; both spans are complex spans of orthonormal stacks.
+    for rep in oracle_reps(np.random.default_rng(13)):
+        kernel = _eigenspace_kernel(rep, rep, DEFAULT_TOL)
+        basis = commutant_basis(rep).basis
+        assert len(basis) == len(kernel), rep.name
+        assert span_distance(basis, kernel.reshape(len(kernel), -1).T) <= 1e-10, rep.name
 
 
 def spin_rep(source, twice_j):
@@ -225,7 +240,7 @@ def s3_irreps():
 
 @settings(max_examples=25, deadline=None)
 @given(flavor=st.sampled_from(["finite", "lie"]),
-       mults=st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any),
+       mults=st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_commutant_dim_of_conjugated_direct_sums_is_the_census(flavor, mults, seed):
     if flavor == "finite":
@@ -238,7 +253,12 @@ def test_commutant_dim_of_conjugated_direct_sums_is_the_census(flavor, mults, se
     for extra in summands[1:]:
         rep = direct_sum(rep, extra)
     rep = conjugated(rep, haar_unitary(rep.dim, np.random.default_rng(seed)))
-    assert commutant_basis(rep).dim == sum(m * m for m in mults)
+    basis = commutant_basis(rep).basis
+    assert len(basis) == sum(m * m for m in mults)
+    assert sorted(isotypic_decompose(rep, 0).blocks) == sorted(
+        (irrep.dim, m) for irrep, m in zip(irreps, mults) if m)
+    kernel = _eigenspace_kernel(rep, rep, DEFAULT_TOL)
+    assert span_distance(basis, kernel.reshape(len(kernel), -1).T) <= 1e-10
 
 
 def test_commutant_rejects_non_unitary_finite_images():
@@ -338,22 +358,14 @@ def test_commutant_dim_equals_sum_of_multiplicity_squares():
         assert dim == sum(m * m for _, m in blocks), rep.name
 
 
-def test_isotypic_decompose_reuses_a_given_commutant():
-    rep = perm_rep_qubits(3)
-    comm_basis = commutant_basis(rep)
-    given_dec = isotypic_decompose(rep, 2, commutant=comm_basis)
-    fresh = isotypic_decompose(rep, 2)
-    assert given_dec.blocks == fresh.blocks
-    assert frob(given_dec.q - fresh.q) < 1e-12
-    with pytest.raises(SourceMismatchError):
-        isotypic_decompose(perm_rep_qubits(3), 2, commutant=comm_basis)
-
-
-def test_isotypic_decompose_checks_the_block_census_against_the_commutant():
-    rep = perm_rep_qubits(3)
-    short = CommutantBasis(rep, commutant_basis(rep).basis[:-1])
-    with pytest.raises(NumericalError, match="20.*19|19.*20"):
-        isotypic_decompose(rep, 0, commutant=short)
+def test_failed_decomposition_names_every_redraw(monkeypatch):
+    # A zero splitting element leaves one cluster, so no draw can certify.
+    monkeypatch.setattr(equirep.decompose, "_algebra_element",
+                        lambda rep, rng: np.zeros((rep.dim, rep.dim), dtype=complex))
+    with pytest.raises(DecompositionFailedError) as info:
+        isotypic_decompose(perm_rep_qubits(3), 0)
+    for attempt in range(equirep.decompose.MAX_REDRAWS):
+        assert f"attempt {attempt}: block alignment residual too large" in str(info.value)
 
 
 def test_block_projectors_resolve_identity():
@@ -503,6 +515,18 @@ def test_commutant_perm5_lazy_representation_path():
     # Schur-Weyl: multiplicities of the S_5 irreps are the two-row
     # unitary-side dimensions 6, 4, 2, so the commutant has dim 36 + 16 + 4
     assert commutant_basis(rep).dim == 56
+
+
+def test_commutant_of_swap_cubed_at_dim_64():
+    # SWAP(x)3 on 64 dims: multiplicities 36 and 28, so 36^2 + 28^2
+    assert commutant_basis(tensor_power(swap_rep(), 3)).dim == 2080
+
+
+def test_su2_seventh_power_at_dim_128():
+    # seven spin-1/2s: spin-7/2 x1, spin-5/2 x6, spin-3/2 x14, spin-1/2 x14
+    rep = tensor_power(su2_fundamental(), 7)
+    assert isotypic_decompose(rep, 0).blocks == [(8, 1), (6, 6), (4, 14), (2, 14)]
+    assert commutant_basis(rep).dim == 1 + 36 + 196 + 196
 
 
 # -- schur-weyl ----------------------------------------------------------------

@@ -64,6 +64,9 @@ def test_herm_eig_identity():
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+    # one bad matrix anywhere in a stack rejects the stack
+    with pytest.raises(NotHermitianError):
+        herm_eig(np.array([Z, X, [[0, 1], [0, 0]]], dtype=complex))
 
 
 def test_herm_eig_reconstruction_random():

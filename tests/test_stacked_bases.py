@@ -8,12 +8,11 @@ import itertools
 import numpy as np
 import pytest
 
-from equirep.decompose import _eigenspace_kernel, commutant_basis
+from equirep.decompose import commutant_basis
 from equirep.equivariant import equivariant_generators, equivariant_measurement
 from equirep.errors import DimensionMismatchError
 from equirep.groups import LieAlgebraBasis, lie_closure, make_dihedral
 from equirep.linalg import (
-    DEFAULT_TOL,
     X,
     Y,
     Z,
@@ -183,16 +182,6 @@ def test_orthonormalize_hermitian_matches_row_loop():
     # Same SVD input, same elementwise arithmetic: equal to the last bit.
     assert np.array_equal(got, np.array(loop_orthonormalize_hermitian(mats)))
     assert_stack(orthonormalize_hermitian(np.array(mats)), 5, 4)
-
-
-def test_commutant_keeps_the_interleaved_hermitian_order():
-    rep = tensor_power(su2_fundamental(), 3)
-    herm = []
-    for b in _eigenspace_kernel(rep, rep, DEFAULT_TOL):
-        herm.append((b + dagger(b)) / 2)
-        herm.append((b - dagger(b)) / 2j)
-    ref = np.array(loop_orthonormalize_hermitian(herm))
-    assert np.array_equal(commutant_basis(rep).basis, ref)
 
 
 def test_measurement_matches_combination_loop():

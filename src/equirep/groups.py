@@ -72,27 +72,39 @@ class FiniteGroup:
             x = self.multiply(x, a)
         return x
 
-    def element_words(self) -> list[list[int]]:
-        """Shortest word in ``generators`` for every element, by BFS.
+    def element_tree(self) -> list[tuple[int, int, int]]:
+        """Breadth-first spanning tree of the Cayley graph from the identity.
 
-        Deterministic: generators are tried in listed order, elements are
-        visited in breadth-first order from the identity.
+        One ``(element, parent, gi)`` triple per non-identity element, in
+        visiting order, with ``element = parent * generators[gi]``; a parent
+        always comes before its children.  Deterministic: generators are
+        tried in listed order.
         """
-        words: list[list[int] | None] = [None] * self.order
-        words[self.identity] = []
+        seen = [False] * self.order
+        seen[self.identity] = True
+        tree = []
         frontier = [self.identity]
         while frontier:
             nxt = []
             for e in frontier:
                 for gi, g in enumerate(self.generators):
                     f = self.multiply(e, g)
-                    if words[f] is None:
-                        words[f] = words[e] + [gi]
+                    if not seen[f]:
+                        seen[f] = True
+                        tree.append((f, e, gi))
                         nxt.append(f)
             frontier = nxt
-        if any(w is None for w in words):
+        if len(tree) != self.order - 1:
             raise InvalidParameterError("generators do not generate the group")
-        return words  # type: ignore[return-value]
+        return tree
+
+    def element_words(self) -> list[list[int]]:
+        """Shortest word in ``generators`` for every element: its path in
+        :meth:`element_tree`."""
+        words: list[list[int]] = [[] for _ in range(self.order)]
+        for f, e, gi in self.element_tree():
+            words[f] = words[e] + [gi]
+        return words
 
     def conjugate(self, g: int, h: int) -> int:
         """g * h * g^-1."""

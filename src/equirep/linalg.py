@@ -27,7 +27,7 @@ __all__ = [
     "is_hermitian", "is_unitary", "is_psd", "is_trace_one",
     "herm_eig", "exp_unitary", "null_space", "partial_trace", "hs_inner",
     "vectorize", "devectorize", "conjugation_superoperator",
-    "commutator_superoperator", "random_hermitian", "haar_unitary",
+    "commutator_superoperator", "random_hermitian", "haar_unitary", "haar_unitaries",
     "hvec", "orthonormalize_hermitian",
 ]
 
@@ -225,16 +225,25 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (a + dagger(a)) / 2
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian with phase fixing.
+def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``(n, d, d)`` stack of Haar-distributed unitaries (Mezzadri 2007).
 
-    The diagonal-phase correction makes the QR output distribution exactly
-    left- and right-invariant rather than merely column-orthonormal.
+    One ``(n, 2, d, d)`` Gaussian draw (real then imaginary part of each
+    sample, the order one sample at a time would draw them in), one batched
+    QR and a batched diagonal-phase correction, which makes the QR output
+    distribution exactly left- and right-invariant rather than merely
+    column-orthonormal.  Sample i is bit-identical to the i-th of n
+    successive single draws from the same generator.
     """
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    g = rng.standard_normal((n, 2, d, d))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed d x d unitary: ``haar_unitaries(d, 1, rng)[0]``."""
+    return haar_unitaries(d, 1, rng)[0]
 
 
 def hvec(m: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 Either flavor is fixed by one ``(g, d, d)`` stack of generator images: the
 unitaries of the group generators, or the Hermitian images of the algebra
 basis.  Finite-flavor elements are word products of those images (all of
-them eagerly for order <= 64, otherwise on demand); lie-flavor group-level
-elements are produced by exponentiating algebra samples.
+them eagerly for order <= 64, each as its BFS parent times one image;
+otherwise on demand); lie-flavor group-level elements are produced by
+exponentiating algebra samples.
 
 Basis ordering on qubit registers is big-endian: qubit 1 is the leftmost
 tensor factor, so the transposition (1,2) is represented by SWAP of the two
@@ -108,14 +109,18 @@ class Representation:
     def representatives(self) -> np.ndarray:
         """``(order, d, d)`` stack of every unitary, in element order (finite flavor).
 
-        Built once and kept; single elements of a larger group are built on
-        demand by :meth:`representative` until this is called.
+        Built once and kept, along the BFS tree of ``group.element_tree()``:
+        each element is its parent's matrix times one generator image, the
+        same products in the same order as its word walk, with one product
+        per element.  Single elements of a larger group are built on demand
+        by :meth:`representative` until this is called.
         """
         if self._all is None:
             out = np.empty((self.group.order, self.dim, self.dim), dtype=complex)
-            for i in range(len(out)):
-                out[i] = self.representative(i)
-                self._cache.pop(i)  # the stack becomes the only full copy
+            out[self.group.identity] = np.eye(self.dim)
+            for f, e, gi in self.group.element_tree():
+                out[f] = out[e] @ self.generator_images[gi]
+            self._cache.clear()  # the stack becomes the only full copy
             self._all = out
         return self._all
 

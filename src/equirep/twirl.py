@@ -33,7 +33,10 @@ __all__ = [
     "choi_matrix", "is_cptp",
 ]
 
-_MC_BATCH = 512  # Monte Carlo samples accumulated per einsum
+_MC_BATCH = 512  # Monte Carlo samples drawn and accumulated per batch
+# Bytes of representatives per GEMM pair in an average twirl: each chunk's
+# temporaries stay cache-sized, and below the allocator's trim threshold.
+_AVERAGE_CHUNK_BYTES = 1 << 17
 
 
 @dataclass
@@ -64,20 +67,34 @@ def twirl_context(rep: Representation, mode: str | None = None,
 
 
 def twirl_operator(ctx: TwirlContext, o: np.ndarray) -> np.ndarray:
-    """Twirl an operator; the output commutes with every representative."""
+    """Twirl an operator; the output commutes with every representative.
+
+    Average mode reads the ``representatives()`` stack in element chunks of
+    ``_AVERAGE_CHUNK_BYTES``.  Each chunk is copied once as B = [R(g_1) |
+    R(g_2) | ...] with rows j and columns (g, k); one GEMM gives the rows of
+    R(g) o in the same layout and a second contracts them with B^dag over
+    (g, k).  Projection mode reads the commutant stack as an ``(n, d^2)``
+    matrix C and takes two matrix-vector products: the coefficients
+    Tr[b^dag o] = conj(C vec(conj o)), which needs no conjugate copy of C,
+    then their combination of the rows of C.
+    """
     o = np.asarray(o, dtype=complex)
-    if o.shape != (ctx.rep.dim, ctx.rep.dim):
+    d = ctx.rep.dim
+    if o.shape != (d, d):
         raise DimensionMismatchError(
-            f"operator shape {o.shape} does not match carrier dim {ctx.rep.dim}")
+            f"operator shape {o.shape} does not match carrier dim {d}")
     if ctx.mode == "average":
-        g = ctx.rep.group
+        reps = ctx.rep.representatives()
+        chunk = max(1, _AVERAGE_CHUNK_BYTES // reps[0].nbytes)
         acc = np.zeros_like(o)
-        for i in range(g.order):
-            r = ctx.rep.representative(i)
-            acc += r @ o @ linalg.dagger(r)
-        return acc / g.order
-    basis = ctx.commutant.basis  # sum_b b Tr[b^dag o]
-    return np.tensordot(np.tensordot(basis.conj(), o, 2), basis, 1)
+        for start in range(0, len(reps), chunk):
+            b = np.ascontiguousarray(reps[start:start + chunk].transpose(1, 0, 2))
+            ro = b.reshape(-1, d) @ o
+            acc += ro.reshape(d, -1) @ b.reshape(d, -1).conj().T
+        return acc / len(reps)
+    basis = ctx.commutant.basis.reshape(-1, d * d)
+    coeffs = np.dot(basis, o.reshape(-1).conj()).conj()
+    return np.dot(coeffs, basis).reshape(d, d)
 
 
 def choi_matrix(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
@@ -147,10 +164,14 @@ def k_design_twirl(d: int, k: int, o: np.ndarray) -> np.ndarray:
     return (coeff @ perms).reshape(dim, dim)
 
 
+def _require_positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def haar_sample_unitary(d: int, rng_seed: int) -> np.ndarray:
     """Haar-distributed d x d unitary, deterministic per seed."""
-    if d < 1:
-        raise InvalidParameterError("need d >= 1")
+    _require_positive_int("d", d)
     return linalg.haar_unitary(d, np.random.default_rng(rng_seed))
 
 
@@ -159,17 +180,23 @@ def monte_carlo_k_design_twirl(d: int, k: int, o: np.ndarray, n_samples: int,
     """Monte Carlo oracle for the Haar twirl: empirical mean of U^k o U^k dag.
 
     Used to cross-check the exact permutation-projection route; the error
-    scale is O(1/sqrt(n_samples)).  Deterministic per seed; samples are
-    consumed in batches of a fixed size.
+    scale is O(1/sqrt(n_samples)).  Deterministic per seed.  Samples come in
+    batches of ``_MC_BATCH``: each batch is one ``linalg.haar_unitaries``
+    draw (one batched QR), its k-fold tensor powers are built by ``einsum``,
+    and one ``einsum`` adds the batch's sum of U^k o U^k dag.
     """
+    for name, value in (("d", d), ("k", k), ("n_samples", n_samples)):
+        _require_positive_int(name, value)
     o = np.asarray(o, dtype=complex)
-    rng = np.random.default_rng(rng_seed)
     dim = d ** k
+    if o.shape != (dim, dim):
+        raise DimensionMismatchError(f"operator shape {o.shape}, expected {(dim, dim)}")
+    rng = np.random.default_rng(rng_seed)
     acc = np.zeros((dim, dim), dtype=complex)
     done = 0
     while done < n_samples:
         nb = min(_MC_BATCH, n_samples - done)
-        us = np.stack([linalg.haar_unitary(d, rng) for _ in range(nb)])
+        us = linalg.haar_unitaries(d, nb, rng)
         uk = us
         for _ in range(k - 1):
             uk = np.einsum("nij,nkl->nikjl", uk, us).reshape(nb, uk.shape[1] * d, -1)

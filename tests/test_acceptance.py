@@ -33,7 +33,7 @@ from equirep.linalg import (
     dagger,
     exp_unitary,
     frob,
-    haar_unitary,
+    haar_unitaries,
     random_hermitian,
 )
 from equirep.representations import (
@@ -245,7 +245,7 @@ def test_criterion_07_k_design_vs_monte_carlo():
     done = 0
     while done < n:
         nb = min(batch, n - done)
-        us = np.stack([haar_unitary(2, mc_rng) for _ in range(nb)])
+        us = haar_unitaries(2, nb, mc_rng)
         u2 = np.einsum("nij,nkl->nikjl", us, us).reshape(nb, 4, 4)
         acc += np.einsum("nij,nkl->ikjl", u2, u2.conj()).reshape(16, 16)
         done += nb

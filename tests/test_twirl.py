@@ -17,17 +17,22 @@ from equirep.linalg import (
     conjugation_superoperator,
     dagger,
     frob,
+    haar_unitaries,
     haar_unitary,
     random_hermitian,
 )
+from equirep.groups import make_cyclic, make_dihedral, make_symmetric
 from equirep.representations import (
     bitflip_rep,
+    finite_rep_from_images,
+    left_regular_rep,
     perm_rep_qubits,
     su2_fundamental,
     swap_matrix,
     swap_rep,
     tensor_power,
 )
+from equirep import twirl as twirl_module
 from equirep.twirl import (
     haar_sample_unitary,
     is_cptp,
@@ -262,10 +267,8 @@ def test_haar_deterministic_per_seed():
 def test_haar_mean_conjugated_z_vanishes():
     rng = np.random.default_rng(11)
     n = 10 ** 5
-    acc = np.zeros((2, 2), dtype=complex)
-    for _ in range(n):
-        u = haar_unitary(2, rng)
-        acc += u @ Z @ dagger(u)
+    us = haar_unitaries(2, n, rng)
+    acc = (us @ Z @ us.conj().swapaxes(1, 2)).sum(axis=0)
     assert frob(acc / n) < 3 / np.sqrt(n)
 
 
@@ -315,3 +318,73 @@ def test_monte_carlo_twirl_is_bit_identical_to_per_sample_sampling(d, k):
     got = monte_carlo_k_design_twirl(d, k, o, 1100, rng_seed=5)
     np.testing.assert_array_equal(got, _reference_monte_carlo_twirl(d, k, o, 1100, 5))
 
+
+
+@pytest.mark.parametrize("n", [1, 7, 512])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_haar_unitaries_are_bit_identical_to_successive_draws(d, n):
+    got = haar_unitaries(d, n, np.random.default_rng(40 + d))
+    assert got.shape == (n, d, d) and got.dtype == np.complex128
+    rng = np.random.default_rng(40 + d)
+    ref = np.stack([_reference_haar(d, rng) for _ in range(n)])
+    assert got.tobytes() == ref.tobytes()
+    rng = np.random.default_rng(40 + d)
+    assert got.tobytes() == np.stack([haar_unitary(d, rng) for _ in range(n)]).tobytes()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_samples": -3}, {"n_samples": 0}, {"n_samples": 5.5}, {"d": 0}, {"k": 0},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_monte_carlo_twirl_rejects_bad_integers(kwargs):
+    args = {"d": 2, "k": 1, "n_samples": 10, **kwargs}
+    o = np.eye(max(args["d"], 1) ** max(args["k"], 1), dtype=complex)
+    with pytest.raises(InvalidParameterError):
+        monte_carlo_k_design_twirl(args["d"], args["k"], o, args["n_samples"])
+
+
+def test_monte_carlo_twirl_rejects_wrong_operator_shape():
+    with pytest.raises(DimensionMismatchError):
+        monte_carlo_k_design_twirl(2, 2, np.eye(2), 10)
+
+
+@pytest.mark.parametrize("d", [0, 2.0])
+def test_haar_sample_unitary_rejects_bad_dimension(d):
+    with pytest.raises(InvalidParameterError):
+        haar_sample_unitary(d, 0)
+
+
+# -- average twirl against the per-element loop ----------------------------------
+
+def _loop_average_twirl(rep, o):
+    """The per-element average: sum_g R(g) o R(g)^dag / |G|, one element at a time."""
+    acc = np.zeros_like(o)
+    for i in range(rep.group.order):
+        r = rep.representative(i)
+        acc += r @ o @ dagger(r)
+    return acc / rep.group.order
+
+
+def _haar_conjugated(rep, seed):
+    u = haar_sample_unitary(rep.dim, seed)
+    return finite_rep_from_images(
+        rep.group, [u @ k @ dagger(u) for k in rep.generator_images], rep.name + "~haar")
+
+
+AVERAGE_CASES = {
+    "swap": swap_rep, "perm4": lambda: perm_rep_qubits(4), "perm5": lambda: perm_rep_qubits(5),
+    "regular-S4": lambda: left_regular_rep(make_symmetric(4)),
+    "regular-D6": lambda: left_regular_rep(make_dihedral(6)),
+    "regular-Z64": lambda: left_regular_rep(make_cyclic(64)),
+    "perm4~haar": lambda: _haar_conjugated(perm_rep_qubits(4), 13),
+}
+
+
+@pytest.mark.parametrize("name", list(AVERAGE_CASES))
+def test_average_twirl_matches_the_per_element_loop(name):
+    rep = AVERAGE_CASES[name]()
+    if name in ("perm5", "regular-Z64"):  # these cross a chunk boundary
+        assert rep.group.order * rep.dim ** 2 * 16 > twirl_module._AVERAGE_CHUNK_BYTES
+    rng = np.random.default_rng(17)
+    o = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
+    got = twirl_operator(twirl_context(rep, "average"), o)
+    assert np.abs(got - _loop_average_twirl(rep, o)).max() <= 1e-12

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__, decompose, linalg, serialize, tasks
@@ -27,7 +28,6 @@ from .representations import (
     tensor_power,
     translation_rep,
     trivial_rep,
-    verify_homomorphism,
 )
 from .serialize import dumps_report
 from .tasks import TrainConfig, symmetry_test
@@ -40,6 +40,29 @@ REP_KINDS = ("trivial", "perm-qubits", "bitflip", "swap", "dihedral-s3",
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
+
+
+def _tolerance(text: str) -> float:
+    """A ``--tol-*`` value: a finite, non-negative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite non-negative number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as numpy's generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _header(args, command: str) -> dict:
@@ -68,12 +91,23 @@ def _vlog(args, message: str):
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ValidationError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _infile(args) -> dict:
+    """The JSON document named by ``--in``, which verify and identify need."""
+    if args.infile is None:
+        raise ValidationError(f"{args.cmd} {args.action} needs --in")
+    return _load_json(args.infile)
 
 
 def _make_group(args):
@@ -123,7 +157,7 @@ def _cmd_group(args, tol):
                        "written": args.out or ""})
         _emit(report, None)
         return 0
-    g = serialize.group_from_spec(_load_json(args.infile))
+    g = serialize.group_from_spec(_infile(args))
     if args.action == "verify":
         axioms = verify_group_axioms(g)
         report = _header(args, "group verify")
@@ -157,10 +191,10 @@ def _cmd_rep(args, tol):
         _emit(report, None)
         return 0
     if args.action == "verify":
-        rep = serialize.rep_from_spec(_load_json(args.infile))
+        rep, residual = serialize._load_rep(_infile(args))
         report = _header(args, "rep verify")
         report.update({"name": rep.name, "dim": rep.dim, "flavor": rep.flavor,
-                       "residual": verify_homomorphism(rep), "ok": True})
+                       "residual": residual, "ok": True})
         _emit(report, args.out)
         return 0
     raise ValidationError(f"unknown rep action {args.action!r}")
@@ -173,7 +207,7 @@ def _cmd_commutant(args, tol):
     report.update({
         "rep": rep.name,
         "dim": comm.dim,
-        "basis": [serialize.mat_to_json(b) for b in comm.basis],
+        "basis": comm.basis,
     })
     _emit(report, args.out)
     return 0
@@ -189,7 +223,7 @@ def _cmd_decompose(args, tol):
     report.update({
         "rep": rep.name,
         "blocks": [[d, m] for d, m in dec.blocks],
-        "q": serialize.mat_to_json(dec.q),
+        "q": dec.q,
         "residuals": residuals,
     })
     _emit(report, args.out)
@@ -206,7 +240,7 @@ def _cmd_twirl(args, tol):
     report.update({
         "rep": rep.name,
         "mode": ctx.mode,
-        "twirled": serialize.mat_to_json(twirled),
+        "twirled": twirled,
         "residuals": {"commutation": residual},
     })
     _emit(report, args.out)
@@ -223,7 +257,7 @@ def _cmd_equivariant(args, tol):
         "dim": gens.dim,
         "includes_identity": gens.includes_identity,
         "residuals": {"commutation": residual},
-        "generators": [serialize.mat_to_json(g) for g in gens.generators],
+        "generators": gens.generators,
     })
     if args.preset:
         maker = GENERATOR_PRESETS.get(args.preset)
@@ -299,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "quantum models")
     # global flags are accepted both before and after the subcommand; the
     # after-subcommand copies use SUPPRESS so they never clobber earlier values
-    p.add_argument("--tol-abs", type=float, default=1e-10)
-    p.add_argument("--tol-rel", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol-abs", type=_tolerance, default=1e-10)
+    p.add_argument("--tol-rel", type=_tolerance, default=1e-9)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--verbose", action="store_true", default=False)
     common = _CliParser(add_help=False)
-    common.add_argument("--tol-abs", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--tol-rel", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--tol-abs", type=_tolerance, default=argparse.SUPPRESS)
+    common.add_argument("--tol-rel", type=_tolerance, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     common.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=_CliParser)
 
@@ -378,10 +412,13 @@ _DISPATCH = {
 }
 
 
+# Built once: parse_args only reads the parser, so runs share it.
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         tol = Tolerance(args.tol_abs, args.tol_rel)
         return _DISPATCH[args.cmd](args, tol)
     except (ValidationError, InvalidParameterError) as exc:

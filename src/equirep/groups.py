@@ -231,25 +231,23 @@ def make_symmetric(n: int) -> FiniteGroup:
     """Symmetric group on n letters, elements in lexicographic one-line order.
 
     Generators are the adjacent transpositions.  Order capped at 6! = 720.
+    Each permutation is encoded by its one-line form read as a base-n number,
+    so the codes of the elements ascend.  The table composes all pairs by one
+    fancy index, (sigma*tau)(x) = sigma(tau(x)), and maps the composed codes
+    back to elements by one ``np.searchsorted``.
     """
     if not (1 <= n <= 6):
         raise InvalidParameterError("symmetric group supported for 1 <= n <= 6")
     elems = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(elems)}
-    arr = np.array(elems, dtype=np.int64)
-    order = len(elems)
-    mul = np.empty((order, order), dtype=np.int64)
-    for i in range(order):
-        composed = arr[i][arr]          # (sigma*tau)(x) = sigma(tau(x))
-        for j in range(order):
-            mul[i, j] = index[tuple(composed[j])]
-    gens = []
+    arr = np.array(elems, dtype=np.int32)
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    codes = arr @ place
+    mul = np.searchsorted(codes, arr[:, arr] @ place)
+    swaps = np.tile(np.arange(n, dtype=np.int32), (n - 1, 1))
     for k in range(n - 1):
-        t = list(range(n))
-        t[k], t[k + 1] = t[k + 1], t[k]
-        gens.append(index[tuple(t)])
-    if n == 1:
-        gens = [0]
+        swaps[k, [k, k + 1]] = k + 1, k
+    # the adjacent transpositions; S_1's one generator is its identity
+    gens = np.searchsorted(codes, swaps @ place).tolist() or [0]
     labels = ["(" + ",".join(str(x + 1) for x in p) + ")" for p in elems]
     return group_from_table(mul, gens, labels, f"S_{n}")
 

@@ -39,6 +39,10 @@ __all__ = [
 
 EAGER_ORDER = 64
 _UNITARITY_TOL = Tolerance(1e-8, 1e-8)
+# Bytes of representatives per stacked product in a homomorphism check: each
+# chunk's temporaries stay cache-sized, as in the average twirl, and a large
+# group's (order, d, d) stack is never copied whole.
+_HOMOMORPHISM_CHUNK_BYTES = 1 << 17
 
 
 class Representation:
@@ -203,6 +207,8 @@ def finite_rep_from_images(group: FiniteGroup, images, name: str) -> Representat
 
 def trivial_rep(source, dim: int) -> Representation:
     """Identity on everything (finite) or zero images (lie)."""
+    if dim < 0:
+        raise InvalidParameterError(f"dimension must be non-negative, got {dim}")
     if isinstance(source, FiniteGroup):
         flavor, image, count = "finite", np.eye(dim), len(source.generators)
     else:
@@ -385,30 +391,46 @@ def translation_rep(n_sites: int) -> Representation:
                                   f"translation({n_sites})")
 
 
+def _max_frob(stack: np.ndarray) -> float:
+    """Largest Frobenius norm in an ``(n, d, d)`` stack, 0 if it is empty.
+
+    Each squared norm is two BLAS dot products, over the real and the
+    imaginary parts, as ``np.linalg.norm`` takes them for one matrix, so
+    every norm has the bits of ``linalg.frob`` of that matrix.
+    """
+    flat = stack.reshape(len(stack), 1, stack.shape[-1] ** 2)
+    re, im = flat.real, flat.imag
+    sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return float(np.sqrt(sq.max(initial=0.0)))
+
+
 def verify_homomorphism(r: Representation) -> float:
     """Max homomorphism residual.
 
     Finite flavor: max over pairs of ||R(gh) - R(g)R(h)||_F (all pairs up to
     order 64, generator x element beyond, which is equivalent by induction),
     and over generators of the distance between each generator image and the
-    word product that represents its element.
+    word product that represents its element.  For each first element g the
+    pairs are taken as stacks: R(gh) for a chunk of h by one fancy index of
+    ``representatives()``, less R(g) times that chunk's stack by one batched
+    matmul.  Chunks hold ``_HOMOMORPHISM_CHUNK_BYTES`` of representatives.
     Lie flavor: max over basis pairs of ||r([X,Y]) - [r(X), r(Y)]||_F with the
     left side expanded through the source's structure constants.
     """
     if r.flavor == "finite":
-        res = 0.0
         g = r.group
         mats = r.representatives()
+        chunk = max(1, _HOMOMORPHISM_CHUNK_BYTES // max(mats[0].nbytes, 1))
         firsts = range(g.order) if g.order <= EAGER_ORDER else g.generators
+        res = 0.0
         for a in firsts:
-            ma = mats[a]
-            for b in range(g.order):
-                res = max(res, linalg.frob(mats[g.multiply(a, b)] - ma @ mats[b]))
+            for start in range(0, g.order, chunk):
+                stop = start + chunk
+                res = max(res, _max_frob(mats[g.mul[a, start:stop]]
+                                         - mats[a] @ mats[start:stop]))
         # A generator that is the identity, or repeats an earlier one, is
         # never walked in a word, so its image is compared directly.
-        for gi, img in zip(g.generators, r.generator_images):
-            res = max(res, linalg.frob(mats[gi] - img))
-        return res
+        return max(res, _max_frob(mats[g.generators] - r.generator_images))
     f = r.algebra.structure_constants()
     require_unitary(r)
     return _bracket_residual(f, r.generator_images)

@@ -22,9 +22,15 @@ __all__ = [
 ]
 
 
-def mat_to_json(a: np.ndarray):
+def _pair_array(a) -> np.ndarray:
+    """A complex array as a float array with a last axis of ``(re, im)``."""
     a = np.asarray(a, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+    return np.stack((a.real, a.imag), -1)
+
+
+def mat_to_json(a: np.ndarray):
+    """A complex array as nested lists that end in ``[re, im]`` pairs."""
+    return _pair_array(a).tolist()
 
 
 def mat_from_json(data) -> np.ndarray:
@@ -64,9 +70,25 @@ def _fmt(x) -> str:
     raise ValidationError(f"unsupported scalar {type(x)}")
 
 
+def _template(shape: tuple[int, ...], indent: int) -> str:
+    """``%``-template of a ``(*shape, 2)`` array as ``_write`` lays out its lists."""
+    if not shape:
+        return "[%.17g, %.17g]"
+    if shape[0] == 0:
+        return "[]"
+    pad = "  " * indent
+    item = pad + "  " + _template(shape[1:], indent + 1)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
+
+
 def _write(obj, out: list[str], indent: int):
     pad = "  " * indent
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray):
+        pairs = _pair_array(obj)
+        if not np.all(np.isfinite(pairs)):
+            raise ValidationError("non-finite float in report")
+        out.append(_template(pairs.shape[:-1], indent) % tuple(pairs.ravel().tolist()))
+    elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
@@ -102,7 +124,14 @@ def _write(obj, out: list[str], indent: int):
 
 
 def dumps_report(obj) -> str:
-    """Deterministic JSON text with fixed 17-significant-digit floats."""
+    """Deterministic JSON text with fixed 17-significant-digit floats.
+
+    Dicts, lists, strings and scalars are written one by one.  An
+    ``np.ndarray`` is written as a complex array, byte for byte as its
+    :func:`mat_to_json` would be, but in bulk: one ``"%.17g"`` template
+    built from its shape and indent is filled with all its floats by one
+    ``%`` operation.  A non-finite float anywhere raises ``ValidationError``.
+    """
     out: list[str] = []
     _write(obj, out, 0)
     out.append("\n")
@@ -214,6 +243,11 @@ def rep_from_spec(spec: dict) -> Representation:
             ``(count, dim, dim)`` stack, non-unitary images, or a homomorphism
             residual above 1e-8.
     """
+    return _load_rep(spec)[0]
+
+
+def _load_rep(spec: dict) -> tuple[Representation, float]:
+    """:func:`rep_from_spec`, also returning the homomorphism residual it checked."""
     flavor = _object(spec).get("flavor")
     if flavor == "finite":
         group = group_from_spec(_field(spec, "group"))
@@ -233,7 +267,7 @@ def rep_from_spec(spec: dict) -> Representation:
     if residual > _MAX_RESIDUAL:
         raise ValidationError(
             f"loaded representation fails verification (residual {residual:.3e})")
-    return rep
+    return rep, residual
 
 
 def operator_to_spec(a: np.ndarray, name: str = "operator") -> dict:

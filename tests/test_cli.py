@@ -160,6 +160,20 @@ def test_reports_carry_header(capsys):
     assert report["tolerances"]["absolute"] == 1e-11
 
 
+def test_flags_do_not_carry_over_between_runs(capsys):
+    argv = ("symtest", "--h", str(PRESETS / "xxx3.json"), "--rep", str(PRESETS / "su2-local.json"))
+    code, out = run_cli(capsys, "--seed", "5", "--tol-abs", "1e-11", *argv, "--tol-rel", "1e-8")
+    assert code == 0
+    report = json.loads(out)
+    assert report["seed"] == 5
+    assert report["tolerances"] == {"absolute": 1e-11, "relative": 1e-8}
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["seed"] == 0
+    assert report["tolerances"] == {"absolute": 1e-10, "relative": 1e-9}
+
+
 def test_identical_invocations_byte_identical(capsys):
     args = ("decompose", "--rep", str(PRESETS / "su2-tensor2.json"))
     _, out1 = run_cli(capsys, *args)
@@ -242,6 +256,8 @@ def _malformed_files(tmp_path):
     s3["matrices"][1] = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(3)]
                          for i in range(3)]
     (tmp_path / "i.json").write_text(json.dumps(s3))
+    (tmp_path / "dir.json").mkdir()
+    (tmp_path / "latin1.json").write_bytes('{"name": "\u00e9"}'.encode("latin-1"))
     return tmp_path
 
 
@@ -262,6 +278,18 @@ def _malformed_files(tmp_path):
     (("group", "verify", "--in", "h5.json"), "must lie in 0..1"),
     (("rep", "verify", "--in", "i.json"), "do not form one stack"),
     (("commutant", "--rep", "i.json"), "do not form one stack"),
+    (("rep", "make", "--kind", "trivial", "--dim", "-1"), "must be non-negative"),
+    (("rep", "verify"), "rep verify needs --in"),
+    (("group", "verify"), "group verify needs --in"),
+    (("group", "identify"), "group identify needs --in"),
+    (("--tol-abs", "-1", "group", "make", "--kind", "cyclic"), "finite non-negative"),
+    (("--tol-abs", "nan", "group", "make", "--kind", "cyclic"), "finite non-negative"),
+    (("group", "make", "--kind", "cyclic", "--tol-rel", "inf"), "finite non-negative"),
+    (("commutant", "--rep", "dir.json"), "cannot read"),
+    (("commutant", "--rep", "latin1.json"), "not UTF-8"),
+    (("decompose", "--rep", str(PRESETS / "su2-tensor2.json"), "--seed", "-1"),
+     "non-negative integer"),
+    (("--seed", "-2", "task", "run", "--name", "purity"), "non-negative integer"),
 ])
 def test_malformed_input_exits_one(tmp_path, capsys, argv, reason):
     work = _malformed_files(tmp_path)

@@ -65,6 +65,35 @@ def test_symmetric_composition_convention():
     assert g.multiply(t12, t23) == c123
 
 
+def _symmetric_by_lookup(n):
+    """Dict-lookup reference: one tuple lookup per pair of permutations."""
+    import itertools
+    elems = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(elems)}
+    arr = np.array(elems, dtype=np.int64)
+    mul = np.empty((len(elems), len(elems)), dtype=np.int64)
+    for i in range(len(elems)):
+        composed = arr[i][arr]
+        for j in range(len(elems)):
+            mul[i, j] = index[tuple(composed[j])]
+    gens = []
+    for k in range(n - 1):
+        t = list(range(n))
+        t[k], t[k + 1] = t[k + 1], t[k]
+        gens.append(index[tuple(t)])
+    labels = ["(" + ",".join(str(x + 1) for x in p) + ")" for p in elems]
+    return mul, gens or [0], labels
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_matches_dict_lookup_reference(n):
+    g = make_symmetric(n)
+    mul, gens, labels = _symmetric_by_lookup(n)
+    assert g.mul.dtype == np.int64 and np.array_equal(g.mul, mul)
+    assert list(g.generators) == gens
+    assert list(g.element_labels) == labels
+
+
 def test_symmetric_rejects_large():
     with pytest.raises(InvalidParameterError):
         make_symmetric(7)

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from equirep import serialize
+from equirep import representations, serialize
 from equirep.errors import SourceMismatchError, ValidationError
-from equirep.groups import make_cyclic, make_symmetric
-from equirep.linalg import I2, X, Y, Z, comm, dagger, frob, hs_inner, kron, vectorize
+from equirep.groups import make_cyclic, make_dihedral, make_symmetric
+from equirep.linalg import I2, X, Y, Z, comm, dagger, frob, haar_unitary, hs_inner, kron, \
+    vectorize
 from equirep.representations import (
     RepOnOperators,
     adjoint_action,
@@ -15,6 +16,7 @@ from equirep.representations import (
     dihedral_rep_s3,
     direct_sum,
     dual,
+    finite_rep_from_images,
     left_regular_rep,
     perm_rep_qubits,
     su2_fundamental,
@@ -381,3 +383,43 @@ def test_rep_spec_malformed_payloads_raise_validation_error(corrupt):
     corrupt(spec)
     with pytest.raises(ValidationError):
         serialize.rep_from_spec(spec)
+
+
+def _homomorphism_by_pairs(r):
+    """Per-pair reference: one ``frob`` for each pair of elements."""
+    g, mats, res = r.group, r.representatives(), 0.0
+    firsts = range(g.order) if g.order <= representations.EAGER_ORDER else g.generators
+    for a in firsts:
+        for b in range(g.order):
+            res = max(res, frob(mats[g.multiply(a, b)] - mats[a] @ mats[b]))
+    for gi, img in zip(g.generators, r.generator_images):
+        res = max(res, frob(mats[gi] - img))
+    return res
+
+
+_FINITE_REPS = {
+    "dihedral-s3": dihedral_rep_s3, "perm3": lambda: perm_rep_qubits(3),
+    "perm4": lambda: perm_rep_qubits(4),
+    "regular-S4": lambda: left_regular_rep(make_symmetric(4)),
+    "regular-D6": lambda: left_regular_rep(make_dihedral(6)),
+    "regular-Z128": lambda: left_regular_rep(make_cyclic(128)),
+    "bitflip3": lambda: bitflip_rep(3), "swap": swap_rep,
+    "translation4": lambda: translation_rep(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FINITE_REPS))
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_verify_homomorphism_equals_per_pair_loop(name, conjugate):
+    rep = _FINITE_REPS[name]()
+    if conjugate:
+        u = haar_unitary(rep.dim, np.random.default_rng(5))
+        rep = finite_rep_from_images(
+            rep.group, [u @ m @ dagger(u) for m in rep.generator_images], rep.name)
+    assert verify_homomorphism(rep) == _homomorphism_by_pairs(rep)
+
+
+def test_verify_homomorphism_chunks_cross_a_boundary_on_regular_z128():
+    rep = _FINITE_REPS["regular-Z128"]()
+    per_chunk = representations._HOMOMORPHISM_CHUNK_BYTES // rep.representatives()[0].nbytes
+    assert max(per_chunk, 1) < rep.group.order

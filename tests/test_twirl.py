@@ -73,12 +73,10 @@ def test_twirl_su2_projection_gives_trace_part():
         assert frob(out - np.trace(o) / 2 * np.eye(2)) < 1e-10
     # Monte Carlo Haar-average cross-check
     o = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    acc = np.zeros((2, 2), dtype=complex)
     mc_rng = np.random.default_rng(1)
     n = 20000
-    for _ in range(n):
-        u = haar_unitary(2, mc_rng)
-        acc += u @ o @ dagger(u)
+    us = haar_unitaries(2, n, mc_rng)
+    acc = (us @ o @ us.conj().transpose(0, 2, 1)).sum(axis=0)
     assert frob(acc / n - twirl_operator(ctx, o)) < 5 / np.sqrt(n)
 
 
@@ -277,12 +275,9 @@ def test_haar_left_invariance_ks():
     rng = np.random.default_rng(12)
     v = haar_unitary(2, rng)
     n = 10 ** 4
-    t_plain = np.empty(n, dtype=complex)
-    t_left = np.empty(n, dtype=complex)
-    for i in range(n):
-        t_plain[i] = np.trace(haar_unitary(2, rng))
-    for i in range(n):
-        t_left[i] = np.trace(v @ haar_unitary(2, rng))
+    # the same draws as 2n successive haar_unitary calls after v
+    t_plain = np.trace(haar_unitaries(2, n, rng), axis1=1, axis2=2)
+    t_left = np.trace(v @ haar_unitaries(2, n, rng), axis1=1, axis2=2)
     for part in (np.real, np.imag):
         _, pvalue = stats.ks_2samp(part(t_plain), part(t_left))
         assert pvalue > 0.01

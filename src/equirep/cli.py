@@ -12,6 +12,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__, decompose, linalg, serialize, tasks
 from .equivariant import GENERATOR_PRESETS, check_equivariance, equivariant_generators
 from .errors import InvalidParameterError, NumericalError, ToolkitError, ValidationError
@@ -181,10 +183,9 @@ def _cmd_group(args, tol):
 def _cmd_rep(args, tol):
     if args.action == "make":
         rep = _make_rep(args)
-        spec = serialize.rep_to_spec(rep)
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(dumps_report(spec))
+                fh.write(dumps_report(serialize._rep_spec(rep, np.asarray)))
         report = _header(args, "rep make")
         report.update({"name": rep.name, "dim": rep.dim, "flavor": rep.flavor,
                        "written": args.out or ""})
@@ -283,7 +284,7 @@ def _cmd_task(args, tol):
     _vlog(args, f"generated {len(ds.states)} samples for {args.name}")
     if args.dump_data:
         with open(args.dump_data, "w") as fh:
-            fh.write(dumps_report(serialize.dataset_to_spec(ds)))
+            fh.write(dumps_report(serialize._dataset_spec(ds, np.asarray)))
     model = tasks.default_task_model(ds, copies=args.k, tol=tol)
     model = tasks.initialize_parameters(model, args.seed)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)

@@ -26,6 +26,15 @@ connects eigenspaces with equal eigenvalues, and the generator constraints
 are solved for those entries alone (the route of RepLAB).  Both routes need
 the algebra to be closed under the adjoint, so they reject non-unitary
 representations.
+
+The Schur-Weyl check compares spans, never dense projectors.  Its Haar
+samples are drawn in one batch; with r the dimension of the permutation
+commutant, an SVD of the first r and one of the first r + 3 samples show
+when the per-sample rule (add samples until three in a row leave the rank
+unchanged) stops at r + 3, and only otherwise are the prefixes walked one
+by one.  The distance ||P1 - P2||_F of two projectors comes from
+orthonormal bases u1, u2 of their ranges as the root of
+||u1 - u2 u2^dag u1||^2 + ||u2 - u1 u1^dag u2||^2.
 """
 
 from __future__ import annotations
@@ -40,10 +49,13 @@ from .errors import (
     DecompositionFailedError,
     DimensionTooLargeError,
     SourceMismatchError,
+    _require_positive_int,
+    _require_seed,
 )
-from .linalg import DEFAULT_TOL, Tolerance, haar_unitary
+from .linalg import DEFAULT_TOL, Tolerance
 from .representations import (
     Representation,
+    _max_frob,
     perm_matrix_on_tensor,
     perm_rep_tensor,
     require_unitary,
@@ -162,26 +174,48 @@ def _algebra_element(rep: Representation, rng: np.random.Generator) -> np.ndarra
     one-dimensional irreps are inseparable without the latter).  Lie flavor:
     random combination of the images and their symmetrized pairwise products
     (plain combinations leave e.g. adjoint-type weight-zero spaces degenerate
-    against trivial blocks).
+    against trivial blocks).  The terms are formed as stacks and added in
+    order by ``_ordered_sum``, so A has the bits of a one-term-at-a-time sum.
     """
+    # Coefficients are cast to complex up front, as a scalar coefficient
+    # would be; that keeps each product's bits and the fast ufunc loop.
     if rep.flavor == "finite":
         mats = rep.representatives()
-        a = np.zeros((rep.dim, rep.dim), dtype=complex)
-        w = rng.standard_normal(len(mats))
-        v = rng.standard_normal(len(mats))
-        for wi, vi, m in zip(w, v, mats):
-            a += wi * (m + linalg.dagger(m)) + vi * 1j * (m - linalg.dagger(m))
-        return a
-    imgs = rep.generator_images
-    words = list(imgs)
-    for i in range(len(imgs)):
-        for j in range(i, len(imgs)):
-            words.append((imgs[i] @ imgs[j] + imgs[j] @ imgs[i]) / 2)
-    w = rng.standard_normal(len(words))
-    a = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for wi, m in zip(w, words):
-        a += wi * m
-    return a
+        w = rng.standard_normal(len(mats)).astype(complex)[:, None, None]
+        v = (rng.standard_normal(len(mats)) * 1j)[:, None, None]
+
+        def terms(part: slice) -> np.ndarray:
+            m = mats[part]
+            adj = m.conj().transpose(0, 2, 1)
+            return w[part] * (m + adj) + v[part] * (m - adj)
+    else:
+        imgs = rep.generator_images
+        i, j = np.triu_indices(len(imgs))
+        words = np.concatenate([imgs, (imgs[i] @ imgs[j] + imgs[j] @ imgs[i]) / 2])
+        w = rng.standard_normal(len(words)).astype(complex)[:, None, None]
+
+        def terms(part: slice) -> np.ndarray:
+            return w[part] * words[part]
+    return _ordered_sum(terms, len(w), rep.dim)
+
+
+def _ordered_sum(terms, n: int, d: int) -> np.ndarray:
+    """Sum of n (d, d) terms, added one after another to a zero matrix.
+
+    ``terms(part)`` gives the stack of the terms in the slice ``part``; the
+    stacks come ``linalg._CHUNK_BYTES`` at a time (one term when a term is
+    larger), and the running sum is added to the first term of each.  A
+    stack is summed along its first axis as real (re, im) pairs: numpy sums
+    pairwise only along the fast axis in memory, and the pairs keep a fast
+    axis of at least 2 even at d = 1, so the terms are added in order.
+    """
+    acc = np.zeros((d, d), dtype=complex)
+    step = max(1, linalg._CHUNK_BYTES // acc.nbytes)
+    for start in range(0, n, step):
+        t = terms(slice(start, start + step))
+        t[0] += acc
+        acc = t[0] if len(t) == 1 else np.add.reduce(t.view(float), axis=0).view(complex)
+    return acc
 
 
 def _cluster_labels(w: np.ndarray) -> np.ndarray:
@@ -342,11 +376,12 @@ def _alignment_residual(dec: IsotypicDecomposition, ops: np.ndarray) -> float:
         u0 = t[:, a:a + d_k, a:a + d_k]
         for c in range(a, b, d_k):
             model[:, c:c + d_k, c:c + d_k] = u0
-    return max(linalg.frob(x) for x in t - model)
+    return _max_frob(t - model)
 
 
 def decomposition_residuals(rep: Representation, dec: IsotypicDecomposition,
                             rng_seed: int = 0) -> dict:
+    _require_seed("rng_seed", rng_seed)
     rng = np.random.default_rng([rng_seed, 17])
     ops = _verification_set(rep, rng)
     return {
@@ -376,12 +411,14 @@ def isotypic_decompose(rep: Representation, rng_seed: int = 0,
     by ascending splitting eigenvalue.
 
     Raises:
-        ValidationError: if the representation is not unitary.
+        ValidationError: if the representation is not unitary, or the seed
+            is not a non-negative integer.
     """
+    _require_seed("rng_seed", rng_seed)
     require_unitary(rep)
     reasons = []
     for attempt in range(MAX_REDRAWS):
-        rng = np.random.default_rng([int(rng_seed), attempt])
+        rng = np.random.default_rng([rng_seed, attempt])
         try:
             return _attempt_decomposition(rep, rng, tol)
         except _Genericity as exc:
@@ -437,18 +474,20 @@ def find_intertwiner(r: Representation, s: Representation,
         return Intertwiner(None, "zero-only", 0)
     if r.dim == s.dim:
         rng = np.random.default_rng(7)
-        candidates = list(mats)
+        mixes = []
         for _ in range(4):
             w = rng.standard_normal(kdim) + 1j * rng.standard_normal(kdim)
-            candidates.append(np.tensordot(w, mats, 1))
-        best, best_smin = None, -1.0
-        for m in candidates:
-            svals = np.linalg.svd(m, compute_uv=False)
-            smin = svals[-1] / max(svals[0], 1e-300)
-            if smin > best_smin:
-                best, best_smin = m, smin
-        if best_smin > max(tol.relative, tol.absolute):
-            return Intertwiner(best, "equivalent", kdim)
+            mixes.append(np.tensordot(w, mats, 1))
+        # Singular values of the kernel basis a chunk at a time, then of the
+        # mixes; the first best-conditioned candidate wins.
+        step = max(1, linalg._CHUNK_BYTES // mats[0].nbytes)
+        chunks = [mats[a:a + step] for a in range(0, kdim, step)] + [np.array(mixes)]
+        svals = np.concatenate([np.linalg.svd(c, compute_uv=False) for c in chunks])
+        smin = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
+        best = int(np.argmax(smin))
+        if smin[best] > max(tol.relative, tol.absolute):
+            phi = mats[best] if best < kdim else mixes[best - kdim]
+            return Intertwiner(phi, "equivalent", kdim)
     return Intertwiner(mats[0], "partial", kdim)
 
 
@@ -476,12 +515,48 @@ class SchurWeylReport:
                 and self.projector_distance_tensor_side < 1e-8)
 
 
-def _span_projector(stack: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthogonal projector onto the span of the flattened stack elements."""
-    u, s, _ = np.linalg.svd(stack.reshape(len(stack), -1).T, full_matrices=False)
-    rank = int(np.sum(s >= tol.threshold(s[0] if s.size else 0.0)))
-    u = u[:, :rank]
-    return u @ linalg.dagger(u)
+def _span_basis(cols: np.ndarray, tol: Tolerance):
+    """Orthonormal basis of the column span, with the singular values it was cut from."""
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    return u[:, :int(np.sum(s >= tol.threshold(s[0])))], s
+
+
+def _span_distance(u1: np.ndarray, u2: np.ndarray) -> float:
+    """||u1 u1^dag - u2 u2^dag||_F for two matrices with orthonormal columns.
+
+    The difference of the projectors splits into P1(1 - P2) - (1 - P1)P2,
+    two terms orthogonal under Tr[A^dag B], so its squared norm is
+    ||u1 - u2 u2^dag u1||^2 + ||u2 - u1 u1^dag u2||^2.  Neither projector
+    is formed, and unlike r1 + r2 - 2||u1^dag u2||^2 nothing cancels.
+    """
+    c = linalg.dagger(u1) @ u2
+    return float(np.hypot(linalg.frob(u1 - u2 @ linalg.dagger(c)), linalg.frob(u2 - u1 @ c)))
+
+
+def _saturate(cols: np.ndarray, r: int, tol: Tolerance) -> tuple[int, np.ndarray]:
+    """Leading columns the per-sample stall rule takes, and their span's basis.
+
+    The rule adds one column at a time and stops after three additions that
+    leave the rank unchanged.  Adding a column raises every singular value
+    and the threshold, and the rank by at most one, so if the first r
+    columns keep rank r even under the threshold of the first r + 3, and the
+    first r + 3 have rank r even under the threshold of the first r, then
+    the j-th prefix has rank j up to r and rank r from r to r + 3: the rule
+    stops at r + 3.  Otherwise the prefixes are walked one at a time.
+    """
+    s_r = np.linalg.svd(cols[:, :r], compute_uv=False)
+    basis, s = _span_basis(cols[:, :r + 3], tol)
+    if (np.sum(s_r >= tol.threshold(s[0])) == r
+            and np.sum(s >= tol.threshold(s_r[0])) == r):
+        return r + 3, basis
+    rank, stall, used = 0, 0, 0
+    while used < cols.shape[1] and stall < 3:
+        used += 1
+        s = np.linalg.svd(cols[:, :used], compute_uv=False)
+        new_rank = int(np.sum(s >= tol.threshold(s[0])))
+        stall = stall + 1 if new_rank == rank else 0
+        rank = new_rank
+    return used, _span_basis(cols[:, :used], tol)[0]
 
 
 def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
@@ -492,7 +567,24 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
     U^(x n); (b) the commutant of the tensor action equals span{P_pi};
     (c) the isotypic block data of the two sides pair up transposed:
     each (d_k, m_k) on one side appears as (m_k, d_k) on the other.
+
+    For (a), all 2r + 12 Haar samples (r the permutation commutant's
+    dimension) are drawn by one ``haar_unitaries`` call and raised to their
+    n-fold tensor powers by ``einsum``.  The samples used are those a
+    one-at-a-time rule takes, adding samples until three in a row leave the
+    rank unchanged; two SVDs, of the first r and the first r + 3 samples,
+    show when that is r + 3 (see ``_saturate``), and only otherwise are
+    the prefixes walked one by one.  Every rank is the count of singular
+    values at or above ``tol.threshold`` of the largest.  Each distance is
+    the Frobenius distance of two orthogonal projectors, taken from
+    orthonormal bases of the spans without forming the projectors (see
+    ``_span_distance``): the samples' left singular vectors against the
+    commutant stack, which is orthonormal under Tr[A^dag B] already, and
+    likewise for (b) the permutations' against the tensor commutant.
     """
+    _require_positive_int("d", d)
+    _require_positive_int("n", n)
+    _require_seed("rng_seed", rng_seed)
     if d ** n > 64:
         raise DimensionTooLargeError("schur_weyl_check capped at d^n <= 64")
     perm_rep = perm_rep_tensor(n, d)
@@ -504,31 +596,21 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
     tensor_comm = _block_commutant(dec_tensor)
 
     # (a) saturate span{U^(x n)} with Haar samples.
-    rng = np.random.default_rng([rng_seed, 101])
-    vecs: list[np.ndarray] = []
-    rank, stall, used = 0, 0, 0
-    cap = 2 * len(perm_comm) + 12
-    while used < cap and stall < 3:
-        u = haar_unitary(d, rng)
-        un = u
-        for _ in range(n - 1):
-            un = np.kron(un, u)
-        vecs.append(linalg.vectorize(un))
-        used += 1
-        s = np.linalg.svd(np.column_stack(vecs), compute_uv=False)
-        new_rank = int(np.sum(s >= tol.threshold(s[0])))
-        stall = stall + 1 if new_rank == rank else 0
-        rank = new_rank
-    p_samples = _span_projector(np.array(vecs), tol)
-    p_perm_comm = _span_projector(perm_comm, tol)
-    dist_perm = linalg.frob(p_samples - p_perm_comm)
+    r = len(perm_comm)
+    cap = 2 * r + 12
+    us = linalg.haar_unitaries(d, cap, np.random.default_rng([rng_seed, 101]))
+    powers = us
+    for _ in range(n - 1):
+        powers = np.einsum("sij,skl->sikjl", powers, us).reshape(cap, powers.shape[1] * d, -1)
+    cols = powers.reshape(cap, -1).T  # column s is vec(U_s^(x n))
+    used, samples = _saturate(cols, r, tol)
+    dist_perm = _span_distance(samples, perm_comm.reshape(r, -1).T)
 
     # (b) commutant of the tensor action against the permutation span.
     perm_ops = np.array([perm_matrix_on_tensor(p, d) for p in
                          itertools.permutations(range(n))])
-    p_perm_span = _span_projector(perm_ops, tol)
-    p_tensor_comm = _span_projector(tensor_comm, tol)
-    dist_tensor = linalg.frob(p_perm_span - p_tensor_comm)
+    perm_span, _ = _span_basis(perm_ops.reshape(len(perm_ops), -1).T, tol)
+    dist_tensor = _span_distance(perm_span, tensor_comm.reshape(len(tensor_comm), -1).T)
 
     pairing_ok = sorted((dk, mk) for dk, mk in dec_perm.blocks) == \
         sorted((mk, dk) for dk, mk in dec_tensor.blocks)

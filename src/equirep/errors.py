@@ -1,9 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the scalar checks that raise them.
 
 Two broad families matter for callers (and for CLI exit codes): validation
 errors mean the inputs violate a precondition; numerical errors mean a
 well-posed computation failed to converge or certify.
 """
+
+import numpy as np
 
 
 class ToolkitError(Exception):
@@ -52,3 +54,18 @@ class PrerequisiteFailedError(ValidationError):
 
 class DecompositionFailedError(NumericalError):
     """Isotypic decomposition did not certify after the redraw budget."""
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """Raise InvalidParameterError unless value is an integer >= minimum; bools are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_positive_int(name: str, value) -> None:
+    _require_int(name, value, 1)
+
+
+def _require_seed(name: str, value) -> None:
+    """A random seed: any non-negative integer, as ``np.random.default_rng`` takes it."""
+    _require_int(name, value, 0)

@@ -60,6 +60,12 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+# Bytes of (n, d, d) operands per step wherever a stack is processed in
+# chunks (average twirl, homomorphism check, splitting element, intertwiner
+# candidates): each chunk's temporaries stay cache-sized and below the
+# allocator's trim threshold, and a large stack is never copied whole.
+_CHUNK_BYTES = 1 << 17
+
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T

@@ -39,10 +39,6 @@ __all__ = [
 
 EAGER_ORDER = 64
 _UNITARITY_TOL = Tolerance(1e-8, 1e-8)
-# Bytes of representatives per stacked product in a homomorphism check: each
-# chunk's temporaries stay cache-sized, as in the average twirl, and a large
-# group's (order, d, d) stack is never copied whole.
-_HOMOMORPHISM_CHUNK_BYTES = 1 << 17
 
 
 class Representation:
@@ -413,14 +409,14 @@ def verify_homomorphism(r: Representation) -> float:
     word product that represents its element.  For each first element g the
     pairs are taken as stacks: R(gh) for a chunk of h by one fancy index of
     ``representatives()``, less R(g) times that chunk's stack by one batched
-    matmul.  Chunks hold ``_HOMOMORPHISM_CHUNK_BYTES`` of representatives.
+    matmul.  Chunks hold ``linalg._CHUNK_BYTES`` of representatives.
     Lie flavor: max over basis pairs of ||r([X,Y]) - [r(X), r(Y)]||_F with the
     left side expanded through the source's structure constants.
     """
     if r.flavor == "finite":
         g = r.group
         mats = r.representatives()
-        chunk = max(1, _HOMOMORPHISM_CHUNK_BYTES // max(mats[0].nbytes, 1))
+        chunk = max(1, linalg._CHUNK_BYTES // max(mats[0].nbytes, 1))
         firsts = range(g.order) if g.order <= EAGER_ORDER else g.generators
         res = 0.0
         for a in firsts:

@@ -191,11 +191,11 @@ def group_from_spec(spec: dict) -> FiniteGroup:
 
 
 def lie_to_spec(alg: LieAlgebraBasis) -> dict:
-    return {
-        "kind": "lie",
-        "generators": [mat_to_json(h) for h in alg.generators],
-        "name": alg.name,
-    }
+    return _lie_spec(alg, mat_to_json)
+
+
+def _lie_spec(alg: LieAlgebraBasis, mat) -> dict:
+    return {"kind": "lie", "generators": mat(alg.generators), "name": alg.name}
 
 
 def lie_from_spec(spec: dict) -> LieAlgebraBasis:
@@ -218,20 +218,29 @@ _MAX_RESIDUAL = 1e-8
 
 
 def rep_to_spec(rep: Representation) -> dict:
+    return _rep_spec(rep, mat_to_json)
+
+
+def _rep_spec(rep: Representation, mat) -> dict:
+    """The spec of :func:`rep_to_spec`, with ``mat`` applied to every matrix stack.
+
+    ``mat_to_json`` gives JSON-native lists; ``np.asarray`` keeps the
+    ndarrays, which :func:`dumps_report` writes to the same bytes in bulk.
+    """
     if rep.flavor == "finite":
         return {
             "flavor": "finite",
             "group": group_to_spec(rep.group),
             "dim": rep.dim,
             "name": rep.name,
-            "matrices": [mat_to_json(m) for m in rep.generator_images],
+            "matrices": mat(rep.generator_images),
         }
     return {
         "flavor": "lie",
-        "algebra": lie_to_spec(rep.algebra),
+        "algebra": _lie_spec(rep.algebra, mat),
         "dim": rep.dim,
         "name": rep.name,
-        "generator_images": [mat_to_json(h) for h in rep.generator_images],
+        "generator_images": mat(rep.generator_images),
     }
 
 
@@ -282,13 +291,18 @@ def operator_from_spec(spec: dict) -> np.ndarray:
 # datasets
 
 def dataset_to_spec(ds) -> dict:
+    return _dataset_spec(ds, mat_to_json)
+
+
+def _dataset_spec(ds, mat) -> dict:
+    """The spec of :func:`dataset_to_spec`, with ``mat`` applied as in :func:`_rep_spec`."""
     return {
         "task": ds.name,
         "params": {k: list(v) if isinstance(v, tuple) else v
                    for k, v in ds.params.items()},
-        "rep": rep_to_spec(ds.rep),
+        "rep": _rep_spec(ds.rep, mat),
         "states": [
-            {"rho": mat_to_json(s.rho), "label": float(s.label), "meta": s.meta}
+            {"rho": mat(s.rho), "label": float(s.label), "meta": s.meta}
             for s in ds.states
         ],
     }

@@ -23,6 +23,7 @@ from .errors import (
     InvalidParameterError,
     NotCPTPError,
     SourceMismatchError,
+    _require_positive_int,
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .representations import Representation, perm_matrix_on_tensor, sources_match
@@ -34,9 +35,6 @@ __all__ = [
 ]
 
 _MC_BATCH = 512  # Monte Carlo samples drawn and accumulated per batch
-# Bytes of representatives per GEMM pair in an average twirl: each chunk's
-# temporaries stay cache-sized, and below the allocator's trim threshold.
-_AVERAGE_CHUNK_BYTES = 1 << 17
 
 
 @dataclass
@@ -70,7 +68,7 @@ def twirl_operator(ctx: TwirlContext, o: np.ndarray) -> np.ndarray:
     """Twirl an operator; the output commutes with every representative.
 
     Average mode reads the ``representatives()`` stack in element chunks of
-    ``_AVERAGE_CHUNK_BYTES``.  Each chunk is copied once as B = [R(g_1) |
+    ``linalg._CHUNK_BYTES``.  Each chunk is copied once as B = [R(g_1) |
     R(g_2) | ...] with rows j and columns (g, k); one GEMM gives the rows of
     R(g) o in the same layout and a second contracts them with B^dag over
     (g, k).  Projection mode reads the commutant stack as an ``(n, d^2)``
@@ -85,7 +83,7 @@ def twirl_operator(ctx: TwirlContext, o: np.ndarray) -> np.ndarray:
             f"operator shape {o.shape} does not match carrier dim {d}")
     if ctx.mode == "average":
         reps = ctx.rep.representatives()
-        chunk = max(1, _AVERAGE_CHUNK_BYTES // reps[0].nbytes)
+        chunk = max(1, linalg._CHUNK_BYTES // reps[0].nbytes)
         acc = np.zeros_like(o)
         for start in range(0, len(reps), chunk):
             b = np.ascontiguousarray(reps[start:start + chunk].transpose(1, 0, 2))
@@ -162,11 +160,6 @@ def k_design_twirl(d: int, k: int, o: np.ndarray) -> np.ndarray:
     gram = perms.conj() @ perms.T
     coeff = np.linalg.pinv(gram, rcond=1e-10) @ (perms.conj() @ o.reshape(-1))
     return (coeff @ perms).reshape(dim, dim)
-
-
-def _require_positive_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def haar_sample_unitary(d: int, rng_seed: int) -> np.ndarray:

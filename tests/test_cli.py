@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from equirep import cli
+from equirep import representations as reps
 from equirep.errors import DecompositionFailedError
+from equirep.groups import make_cyclic
 from equirep.serialize import mat_from_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -146,6 +148,34 @@ def test_task_dump_data_round_trip(tmp_path, capsys):
     assert len(back.states) == 6
     for s in back.states:
         assert back.relabel(s.rho) == s.label
+
+
+@pytest.mark.parametrize("argv, make", [
+    (("--kind", "perm-qubits", "--n", "3"), lambda: reps.perm_rep_qubits(3)),
+    (("--kind", "su2-tensor", "--k", "2"), lambda: reps.tensor_power(reps.su2_fundamental(), 2)),
+    (("--kind", "su2-fundamental"), reps.su2_fundamental),
+    (("--kind", "left-regular", "--n", "5"), lambda: reps.left_regular_rep(make_cyclic(5))),
+    (("--kind", "trivial", "--dim", "0"), lambda: reps.trivial_rep(make_cyclic(2), 0)),
+])
+def test_rep_make_file_matches_the_list_spec(tmp_path, capsys, argv, make):
+    # the CLI writes the image stacks as ndarrays; the bytes are those of
+    # the JSON-native spec written element by element
+    from equirep.serialize import dumps_report, rep_to_spec
+    path = tmp_path / "rep.json"
+    code, _ = run_cli(capsys, "rep", "make", *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_text() == dumps_report(rep_to_spec(make()))
+
+
+def test_task_dump_data_matches_the_list_spec(tmp_path, capsys):
+    from equirep import tasks
+    from equirep.serialize import dataset_to_spec, dumps_report
+    dump = tmp_path / "data.json"
+    code, _ = run_cli(capsys, "--seed", "3", "task", "run", "--name", "swap2d",
+                      "--epochs", "0", "--samples", "5", "--dump-data", str(dump))
+    assert code == 0
+    ds = tasks.make_dataset("swap2d", 5, 3)
+    assert dump.read_text() == dumps_report(dataset_to_spec(ds))
 
 
 def test_reports_carry_header(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import equirep.decompose
+from equirep import linalg
 from equirep.decompose import (
+    _algebra_element,
+    _block_commutant,
     _eigenspace_kernel,
+    _verification_set,
     block_diagonal_part,
     block_projectors,
     commutant_basis,
@@ -20,6 +26,7 @@ from equirep.decompose import (
 from equirep.errors import (
     DecompositionFailedError,
     DimensionTooLargeError,
+    InvalidParameterError,
     NotHermitianError,
     SourceMismatchError,
     ValidationError,
@@ -35,6 +42,7 @@ from equirep.linalg import (
     commutator_superoperator,
     dagger,
     frob,
+    haar_unitaries,
     haar_unitary,
     hs_inner,
     kron,
@@ -50,12 +58,15 @@ from equirep.representations import (
     direct_sum,
     finite_rep_from_images,
     left_regular_rep,
+    perm_matrix_on_tensor,
     perm_rep_qubits,
+    perm_rep_tensor,
     su2_fundamental,
     swap_rep,
     tensor_power,
     translation_rep,
     trivial_rep,
+    unitary_algebra_rep,
 )
 
 SIGMA_MINUS = (X + 1j * Y) / 2
@@ -590,3 +601,195 @@ def test_schur_weyl_d1_degenerate():
 def test_schur_weyl_dimension_cap():
     with pytest.raises(DimensionTooLargeError):
         schur_weyl_check(3, 4)
+
+
+def _schur_weyl_by_samples(d, n, rng_seed=0, draws=None, tol=DEFAULT_TOL):
+    """The per-sample Schur-Weyl check: one Haar draw, kron power and SVD per
+    sample until three leave the rank unchanged, then four dense projectors."""
+    dec_perm = isotypic_decompose(perm_rep_tensor(n, d), rng_seed, tol)
+    dec_tensor = isotypic_decompose(tensor_power(unitary_algebra_rep(d), n), rng_seed, tol)
+    perm_comm, tensor_comm = _block_commutant(dec_perm), _block_commutant(dec_tensor)
+    if draws is None:
+        rng = np.random.default_rng([rng_seed, 101])
+        draws = (haar_unitary(d, rng) for _ in itertools.count())
+    vecs, rank, stall, used = [], 0, 0, 0
+    while used < 2 * len(perm_comm) + 12 and stall < 3:
+        u = un = next(draws)
+        for _ in range(n - 1):
+            un = np.kron(un, u)
+        vecs.append(vectorize(un))
+        used += 1
+        s = np.linalg.svd(np.column_stack(vecs), compute_uv=False)
+        new_rank = int(np.sum(s >= tol.threshold(s[0])))
+        stall = stall + 1 if new_rank == rank else 0
+        rank = new_rank
+
+    def projector(stack):
+        u, s, _ = np.linalg.svd(stack.reshape(len(stack), -1).T, full_matrices=False)
+        u = u[:, :int(np.sum(s >= tol.threshold(s[0])))]
+        return u @ dagger(u)
+
+    perm_ops = np.array([perm_matrix_on_tensor(p, d) for p in itertools.permutations(range(n))])
+    dist_perm = frob(projector(np.array(vecs)) - projector(perm_comm))
+    dist_tensor = frob(projector(perm_ops) - projector(tensor_comm))
+    pairing = sorted(dec_perm.blocks) == sorted((m, k) for k, m in dec_tensor.blocks)
+    return {"used": used, "dist_perm": dist_perm, "dist_tensor": dist_tensor,
+            "ok": pairing and dist_perm < 1e-8 and dist_tensor < 1e-8,
+            "blocks": (dec_perm.blocks, dec_tensor.blocks),
+            "dims": (len(perm_comm), len(tensor_comm))}
+
+
+def _assert_matches_the_sample_loop(got, want):
+    assert got.haar_samples_used == want["used"]
+    assert got.ok == want["ok"]
+    assert (got.perm_blocks, got.tensor_blocks) == want["blocks"]
+    assert (got.perm_commutant_dim, got.tensor_commutant_dim) == want["dims"]
+    assert abs(got.projector_distance_perm_side - want["dist_perm"]) <= 1e-12
+    assert abs(got.projector_distance_tensor_side - want["dist_tensor"]) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3)])
+def test_schur_weyl_matches_the_per_sample_loop(d, n, seed):
+    got = schur_weyl_check(d, n, rng_seed=seed)
+    _assert_matches_the_sample_loop(got, _schur_weyl_by_samples(d, n, seed))
+    assert got.ok
+
+
+def test_schur_weyl_walks_the_prefixes_when_a_sample_repeats(monkeypatch):
+    # Sample 1 repeats sample 0, so the first r samples have rank r - 1 and
+    # the two-SVD shortcut cannot decide; the walk takes one sample more.
+    d, n = 2, 3
+    drawn = haar_unitaries(d, 64, np.random.default_rng([0, 101]))
+    forced = np.concatenate([drawn[:1], drawn[:-1]])
+    monkeypatch.setattr(linalg, "haar_unitaries", lambda d_, k, rng: forced[:k])
+    got = schur_weyl_check(d, n)
+    _assert_matches_the_sample_loop(got, _schur_weyl_by_samples(d, n, draws=iter(forced)))
+    assert got.haar_samples_used == got.perm_commutant_dim + 4
+    assert got.ok
+
+
+@pytest.mark.parametrize("call", [
+    lambda: schur_weyl_check(2.0, 2),
+    lambda: schur_weyl_check(True, 3),
+    lambda: schur_weyl_check(-2, 2),
+    lambda: schur_weyl_check(2, 0),
+    lambda: schur_weyl_check(2, 2, rng_seed=-1),
+    lambda: schur_weyl_check(2, 2, rng_seed=1.5),
+    lambda: isotypic_decompose(su2_fundamental(), -1),
+    lambda: isotypic_decompose(su2_fundamental(), 2.5),
+    lambda: isotypic_decompose(su2_fundamental(), "0"),
+], ids=["d-float", "d-bool", "d-negative", "n-zero", "sw-seed-negative", "sw-seed-float",
+        "iso-seed-negative", "iso-seed-float", "iso-seed-str"])
+def test_bad_integer_parameters_raise_invalid_parameter(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+def test_numpy_integer_parameters_are_accepted():
+    assert schur_weyl_check(np.int64(2), np.int64(2), rng_seed=np.int64(1)).ok
+    assert isotypic_decompose(su2_fundamental(), np.int64(3)).blocks == [(2, 1)]
+
+
+def _algebra_element_by_loop(rep, rng):
+    """The one-term-at-a-time sum the stacked _algebra_element replaced."""
+    if rep.flavor == "finite":
+        mats = rep.representatives()
+        a = np.zeros((rep.dim, rep.dim), dtype=complex)
+        w = rng.standard_normal(len(mats))
+        v = rng.standard_normal(len(mats))
+        for wi, vi, m in zip(w, v, mats):
+            a += wi * (m + dagger(m)) + vi * 1j * (m - dagger(m))
+        return a
+    imgs = rep.generator_images
+    words = list(imgs)
+    for i in range(len(imgs)):
+        for j in range(i, len(imgs)):
+            words.append((imgs[i] @ imgs[j] + imgs[j] @ imgs[i]) / 2)
+    w = rng.standard_normal(len(words))
+    a = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for wi, m in zip(w, words):
+        a += wi * m
+    return a
+
+
+ALGEBRA_REPS = {
+    "trivial(Z_12,1)": lambda: trivial_rep(make_cyclic(12), 1),
+    "perm3": lambda: perm_rep_qubits(3),
+    "regular-S4": lambda: left_regular_rep(make_symmetric(4)),
+    "perm5": lambda: perm_rep_qubits(5),
+    "regular-Z128": lambda: left_regular_rep(make_cyclic(128)),
+    **{f"su2x{k}": (lambda k=k: tensor_power(su2_fundamental(), k)) for k in (2, 3, 4, 5)},
+    "u3x2": lambda: tensor_power(unitary_algebra_rep(3), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(ALGEBRA_REPS))
+def test_algebra_element_matches_the_loop_bit_for_bit(name):
+    rep = ALGEBRA_REPS[name]()
+    if name in ("perm5", "regular-Z128"):  # these cross a chunk boundary
+        assert rep.group.order * rep.dim ** 2 * 16 > linalg._CHUNK_BYTES
+    for seed in (0, 1):
+        got = _algebra_element(rep, np.random.default_rng(seed))
+        want = _algebra_element_by_loop(rep, np.random.default_rng(seed))
+        assert got.tobytes() == want.tobytes()
+
+
+def _alignment_residual_by_loop(dec, ops):
+    t = dagger(dec.q) @ ops @ dec.q
+    model = np.zeros_like(t)
+    for (d_k, m_k), (a, b) in zip(dec.blocks, dec.block_offsets):
+        for c in range(a, b, d_k):
+            model[:, c:c + d_k, c:c + d_k] = t[:, a:a + d_k, a:a + d_k]
+    return max(frob(x) for x in t - model)
+
+
+@pytest.mark.parametrize("name", ["perm3", "regular-S4", "perm5", "su2x3", "u3x2"])
+def test_decomposition_residuals_match_the_loop_bit_for_bit(name):
+    rep = ALGEBRA_REPS[name]()
+    for seed in (0, 4):
+        dec = isotypic_decompose(rep, seed)
+        ops = _verification_set(rep, np.random.default_rng([seed, 17]))
+        got = decomposition_residuals(rep, dec, seed)
+        assert got["block_alignment"] == _alignment_residual_by_loop(dec, ops)
+        assert got["unitarity"] == frob(dagger(dec.q) @ dec.q - np.eye(rep.dim))
+
+
+def _find_intertwiner_by_loop(r, s):
+    """Candidate selection by one SVD per candidate, as before the batched SVD."""
+    mats = _eigenspace_kernel(r, s, DEFAULT_TOL)
+    kdim = len(mats)
+    if kdim == 0:
+        return None, "zero-only", 0
+    if r.dim == s.dim:
+        rng = np.random.default_rng(7)
+        candidates = list(mats)
+        for _ in range(4):
+            w = rng.standard_normal(kdim) + 1j * rng.standard_normal(kdim)
+            candidates.append(np.tensordot(w, mats, 1))
+        best, best_smin = None, -1.0
+        for m in candidates:
+            svals = np.linalg.svd(m, compute_uv=False)
+            smin = svals[-1] / max(svals[0], 1e-300)
+            if smin > best_smin:
+                best, best_smin = m, smin
+        if best_smin > max(DEFAULT_TOL.relative, DEFAULT_TOL.absolute):
+            return best, "equivalent", kdim
+    return mats[0], "partial", kdim
+
+
+def test_find_intertwiner_matches_the_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    su2 = su2_fundamental()
+    su2x3, perm4, s3 = tensor_power(su2, 3), perm_rep_qubits(4), dihedral_rep_s3()
+    pairs = [(su2x3, conjugated(su2x3, haar_unitary(8, rng))),
+             (perm4, conjugated(perm4, haar_unitary(16, rng))),
+             (s3, conjugated(s3, haar_unitary(2, rng))),
+             (perm4, perm4), (su2x3, su2), (tensor_power(su2, 2), su2)]
+    for r, s in pairs:
+        got = find_intertwiner(r, s)
+        phi, verdict, kdim = _find_intertwiner_by_loop(r, s)
+        assert (got.verdict, got.kernel_dim) == (verdict, kdim)
+        assert (got.phi is None) == (phi is None)
+        if phi is not None:
+            assert got.phi.tobytes() == phi.tobytes()

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from equirep import representations, serialize
+from equirep import linalg, representations, serialize
 from equirep.errors import SourceMismatchError, ValidationError
 from equirep.groups import make_cyclic, make_dihedral, make_symmetric
 from equirep.linalg import I2, X, Y, Z, comm, dagger, frob, haar_unitary, hs_inner, kron, \
@@ -421,5 +421,5 @@ def test_verify_homomorphism_equals_per_pair_loop(name, conjugate):
 
 def test_verify_homomorphism_chunks_cross_a_boundary_on_regular_z128():
     rep = _FINITE_REPS["regular-Z128"]()
-    per_chunk = representations._HOMOMORPHISM_CHUNK_BYTES // rep.representatives()[0].nbytes
+    per_chunk = linalg._CHUNK_BYTES // rep.representatives()[0].nbytes
     assert max(per_chunk, 1) < rep.group.order

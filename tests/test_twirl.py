@@ -32,7 +32,7 @@ from equirep.representations import (
     swap_rep,
     tensor_power,
 )
-from equirep import twirl as twirl_module
+from equirep import linalg
 from equirep.twirl import (
     haar_sample_unitary,
     is_cptp,
@@ -378,7 +378,7 @@ AVERAGE_CASES = {
 def test_average_twirl_matches_the_per_element_loop(name):
     rep = AVERAGE_CASES[name]()
     if name in ("perm5", "regular-Z64"):  # these cross a chunk boundary
-        assert rep.group.order * rep.dim ** 2 * 16 > twirl_module._AVERAGE_CHUNK_BYTES
+        assert rep.group.order * rep.dim ** 2 * 16 > linalg._CHUNK_BYTES
     rng = np.random.default_rng(17)
     o = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
     got = twirl_operator(twirl_context(rep, "average"), o)

@@ -569,18 +569,16 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
     each (d_k, m_k) on one side appears as (m_k, d_k) on the other.
 
     For (a), all 2r + 12 Haar samples (r the permutation commutant's
-    dimension) are drawn by one ``haar_unitaries`` call and raised to their
-    n-fold tensor powers by ``einsum``.  The samples used are those a
-    one-at-a-time rule takes, adding samples until three in a row leave the
-    rank unchanged; two SVDs, of the first r and the first r + 3 samples,
-    show when that is r + 3 (see ``_saturate``), and only otherwise are
-    the prefixes walked one by one.  Every rank is the count of singular
-    values at or above ``tol.threshold`` of the largest.  Each distance is
-    the Frobenius distance of two orthogonal projectors, taken from
-    orthonormal bases of the spans without forming the projectors (see
-    ``_span_distance``): the samples' left singular vectors against the
-    commutant stack, which is orthonormal under Tr[A^dag B] already, and
-    likewise for (b) the permutations' against the tensor commutant.
+    dimension) come from one ``haar_unitaries`` call, raised to tensor
+    powers by ``einsum``.  Samples are used as far as a one-at-a-time rule
+    would take them, until three in a row leave the rank unchanged; SVDs of
+    the first r and first r + 3 samples show when that is r + 3, and only
+    otherwise are the prefixes walked (``_saturate``).  Every rank counts
+    the singular values at or above ``tol.threshold`` of the largest.  The
+    distances of (a) and (b) compare orthonormal bases of the two spans by
+    ``_span_distance``: the samples' and the permutations' left singular
+    vectors against the commutant stacks, already orthonormal under
+    Tr[A^dag B].
     """
     _require_positive_int("d", d)
     _require_positive_int("n", n)

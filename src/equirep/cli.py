@@ -91,10 +91,15 @@ def _vlog(args, message: str):
         print(f"equirep: {message}", file=sys.stderr)
 
 
+def _json_int(text: str):
+    """A JSON integer; ``-0`` stays a negative zero, as written from ``-0.0``."""
+    return -0.0 if text == "-0" else int(text)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except FileNotFoundError as exc:
         raise ValidationError(f"no such file: {path}") from exc
     except OSError as exc:

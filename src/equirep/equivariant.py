@@ -73,7 +73,7 @@ class EquivariantGeneratorSet:
             raise IndexError(f"generator index {bad[0]} out of range 0..{self.dim - 1}")
         w, v = self.eig
         v = v[idx]
-        return (v * np.exp(-1j * thetas[:, None] * w[idx])[:, None, :]) @ v.conj().swapaxes(1, 2)
+        return (v * np.exp(-1j * thetas[:, None] * w[idx])[:, None, :]) @ linalg.dagger(v)
 
 
 def equivariant_generators(rep: Representation,
@@ -129,12 +129,7 @@ def build_qnn(gens: EquivariantGeneratorSet, layout) -> np.ndarray:
     other, only with the representation.  Each layer is built from the
     generator set's cached eigenpairs.
     """
-    return compose_layers(gens.layer_unitaries(layout), gens.rep.dim)
-
-
-def compose_layers(us: np.ndarray, dim: int) -> np.ndarray:
-    """Ordered product U_1 ... U_P of a ``(P, d, d)`` layer stack; identity if empty."""
-    return reduce(np.matmul, us, np.eye(dim, dtype=complex))
+    return reduce(np.matmul, gens.layer_unitaries(layout), np.eye(gens.rep.dim, dtype=complex))
 
 
 @dataclass

@@ -68,7 +68,8 @@ _CHUNK_BYTES = 1 << 17
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,7 +125,7 @@ def herm_eig(h: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         NotHermitianError: if ``||h - h^dag||_F > tol * ||h||_F`` for any matrix.
     """
     h = np.asarray(h, dtype=complex)
-    skew = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+    skew = np.linalg.norm(h - dagger(h), axis=(-2, -1))
     scale = np.maximum(np.linalg.norm(h, axis=(-2, -1)), 1.0)
     if np.any(skew > np.maximum(tol.absolute, tol.relative * scale)):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
@@ -140,7 +141,7 @@ def exp_unitary(h: np.ndarray, theta, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
     """
     w, v = herm_eig(h, tol)
     phases = np.exp(-1j * np.asarray(theta)[..., None] * w)
-    return (v * phases[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * phases[..., None, :]) @ dagger(v)
 
 
 def null_space(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

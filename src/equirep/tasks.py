@@ -7,11 +7,21 @@ labels exactly.  Models evaluate h(rho) = Tr[W rho^(x k) W^dag M] with an
 equivariant circuit W and equivariant measurement M, followed by a trainable
 affine readout thresholded at 0.5.
 
-Every evaluation builds W once and scores all states against the effective
-measurement W^dag M W.  Training is deliberately minimal: full-batch gradient
-descent with exact adjoint-mode gradients, one forward and one backward sweep
-over the layers per epoch (commutant generators have arbitrary spectra, so the
-two-eigenvalue parameter-shift rule does not apply).
+Datasets are built as stacks: every state of a task comes from one batched
+product, and evaluation scores all states against the effective measurement
+W^dag M W in one contraction.  Training is full-batch gradient descent with
+exact gradients (commutant generators have arbitrary spectra, so the
+two-eigenvalue parameter-shift rule does not apply).  For W = U_1 ... U_P
+with U_l = exp(-i theta_l H_l), the prefix products A_l = U_1 ... U_l give
+
+    dW / d theta_l = A_(l-1) (-i H_l) U_l U_(l+1) ... U_P = -i K_l W,
+    K_l = A_l H_l A_l^dag,
+
+because U_l commutes with H_l.  With G = sum_n c_n rho_n^(x k) and
+S = W G W^dag, the derivative of Tr[S M] is therefore Tr[K_l C] with
+C = i[M, S], the same C for every layer.  An epoch takes the P prefix
+products in one loop, which also gives W = A_P, and all P derivatives from
+one batched conjugation and one contraction.
 """
 
 from __future__ import annotations
@@ -25,7 +35,6 @@ from .equivariant import (
     EquivariantMeasurement,
     QnnCircuit,
     check_equivariance,
-    compose_layers,
     equivariant_generators,
 )
 from .errors import (
@@ -61,10 +70,10 @@ TASK_NAMES = ("bitflip1d", "purity", "swap2d", "ferro")
 # ---------------------------------------------------------------------------
 # states and small operators
 
-def ry(theta: float) -> np.ndarray:
-    """Rotation about the y axis, exp(-i theta Y / 2)."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def ry(theta) -> np.ndarray:
+    """Rotation about the y axis, exp(-i theta Y / 2); a stack for an array of angles."""
+    c, s = np.cos(np.divide(theta, 2)), np.sin(np.divide(theta, 2))
+    return np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), (0, 1), (-2, -1))
 
 
 def plus_state() -> np.ndarray:
@@ -73,9 +82,10 @@ def plus_state() -> np.ndarray:
 
 
 def bloch_state(r) -> np.ndarray:
-    """Single-qubit density matrix (1 + r . sigma) / 2."""
-    r = np.asarray(r, dtype=float)
-    return (linalg.I2 + r[0] * linalg.X + r[1] * linalg.Y + r[2] * linalg.Z) / 2
+    """Single-qubit density matrix (1 + r . sigma) / 2; a stack for an ``(n, 3)`` array."""
+    r = np.asarray(r, dtype=float)[..., None, None]
+    return (linalg.I2 + r[..., 0, :, :] * linalg.X + r[..., 1, :, :] * linalg.Y
+            + r[..., 2, :, :] * linalg.Z) / 2
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
@@ -125,8 +135,14 @@ class Dataset:
     rep: Representation                 # symmetry on the single-copy carrier
     params: dict = field(default_factory=dict)
 
-    def rhos(self) -> list[np.ndarray]:
-        return [s.rho for s in self.states]
+    def rhos(self) -> np.ndarray:
+        """``(N, d, d)`` complex stack of the state matrices."""
+        if not self.states:
+            raise InvalidParameterError("dataset has no states")
+        try:
+            return np.array([s.rho for s in self.states], dtype=complex)
+        except ValueError as exc:
+            raise DimensionMismatchError("dataset states differ in shape") from exc
 
     def labels(self) -> np.ndarray:
         return np.array([s.label for s in self.states])
@@ -165,6 +181,28 @@ _LABEL_FUNCTIONALS = {
 }
 
 
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker products a_n (x) b_n of two ``(N, ., .)`` stacks.
+
+    One broadcast product, elementwise the same multiplications as ``np.kron``.
+    """
+    n, (p, q), (r, s) = len(a), a.shape[1:], b.shape[1:]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, p * r, q * s)
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Rows of ``v`` over their norms, bit for bit as ``np.linalg.norm`` of each row."""
+    return v / np.sqrt(np.vecdot(v, v))[:, None]
+
+
+def _balanced(name: str, rhos: np.ndarray, metas, rep: Representation,
+              params: dict | None = None) -> Dataset:
+    """Dataset whose sample i is the row ``rhos[i]`` with label i % 2."""
+    states = [LabeledState(rho, float(i % 2), meta)
+              for i, (rho, meta) in enumerate(zip(rhos, metas))]
+    return Dataset(name, states, rep, params or {})
+
+
 def gen_bitflip1d(n_samples: int, seed: int = 0) -> Dataset:
     """Single-qubit states R_Y(x)|+><+|R_Y(x)^dag with mirror-symmetric labels.
 
@@ -176,18 +214,17 @@ def gen_bitflip1d(n_samples: int, seed: int = 0) -> Dataset:
     if n_samples < 1:
         raise InvalidParameterError("need at least one sample")
     rng = np.random.default_rng(seed)
-    states = []
-    plus = plus_state()
-    for i in range(n_samples):
-        if i % 2 == 0:
-            x = float(rng.uniform(-np.pi / 4, np.pi / 4))
-            label = 0.0
-        else:
-            x = float(rng.uniform(np.pi / 4, np.pi / 2)) * (1 if rng.random() < 0.5 else -1)
-            label = 1.0
-        u = ry(x)
-        states.append(LabeledState(u @ plus @ linalg.dagger(u), label, {"x": x}))
-    return Dataset("bitflip1d", states, bitflip_rep(1))
+    # Each pair of samples draws x_even, then |x_odd| and a uniform sign coin;
+    # one call with per-draw bounds keeps that stream order.
+    bounds = np.tile([[-np.pi / 4, np.pi / 4, 0.0], [np.pi / 4, np.pi / 2, 1.0]],
+                     (1, (n_samples + 1) // 2))
+    draws = rng.uniform(*bounds[:, :3 * (n_samples // 2) + n_samples % 2])
+    x = np.empty(n_samples)
+    x[0::2] = draws[0::3]
+    x[1::2] = draws[1::3] * np.where(draws[2::3] < 0.5, 1.0, -1.0)
+    u = ry(x)
+    return _balanced("bitflip1d", u @ plus_state() @ linalg.dagger(u),
+                     [{"x": v} for v in x.tolist()], bitflip_rep(1))
 
 
 def gen_purity(n_samples: int, seed: int = 0, mixed_shell=(0.2, 0.8)) -> Dataset:
@@ -202,18 +239,15 @@ def gen_purity(n_samples: int, seed: int = 0, mixed_shell=(0.2, 0.8)) -> Dataset
     if n_samples < 1:
         raise InvalidParameterError("need at least one sample")
     rng = np.random.default_rng(seed)
-    states = []
-    for i in range(n_samples):
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        if i % 2 == 0:
-            rho = bloch_state(direction)
-            states.append(LabeledState(rho, 0.0, {"r": 1.0}))
-        else:
-            r = float(rng.uniform(lo, hi))
-            states.append(LabeledState(bloch_state(r * direction), 1.0, {"r": r}))
-    return Dataset("purity", states, su2_fundamental(),
-                   params={"shell": (lo, hi)})
+    # The normal sampler takes a variable number of raw draws, so the draws
+    # stay in sample order; the states are built from them in one pass.
+    draws = [(rng.standard_normal(3), float(rng.uniform(lo, hi)) if i % 2 else 1.0)
+             for i in range(n_samples)]
+    r = np.array([m for _, m in draws])
+    directions = _unit_rows(np.array([d for d, _ in draws]))
+    return _balanced("purity", bloch_state(r[:, None] * directions),
+                     [{"r": v} for v in r.tolist()], su2_fundamental(),
+                     {"shell": (lo, hi)})
 
 
 def gen_swap2d(n_samples: int, seed: int = 0, s0: float = 0.7) -> Dataset:
@@ -226,21 +260,22 @@ def gen_swap2d(n_samples: int, seed: int = 0, s0: float = 0.7) -> Dataset:
     """
     if n_samples < 1:
         raise InvalidParameterError("need at least one sample")
+    if not 0 < s0 < 2:
+        raise InvalidParameterError("need 0 < s0 < 2, or one class is never drawn")
     rng = np.random.default_rng(seed)
-    plus2 = np.kron(plus_state(), plus_state())
-    states = []
-    for i in range(n_samples):
-        want = 0.0 if i % 2 == 0 else 1.0
-        while True:
-            x1, x2 = rng.uniform(-np.pi / 2, np.pi / 2, size=2)
-            s = np.sin(x1) + np.sin(x2)
-            label = 0.0 if abs(s) <= s0 else 1.0
-            if label == want:
-                break
-        u = np.kron(ry(x1), ry(x2))
-        states.append(LabeledState(u @ plus2 @ linalg.dagger(u), label,
-                                   {"x": (float(x1), float(x2))}))
-    return Dataset("swap2d", states, swap_rep(), params={"s0": s0})
+    # Sample i takes the first pair after sample i-1's whose label is i % 2,
+    # so the kept pairs are the starts of the runs of equal labels in the
+    # stream, counted from a virtual pair of the label last kept.  Pairs drawn
+    # past the last kept one are never read.
+    x = np.empty((0, 2))
+    while len(x) < n_samples:
+        pairs = rng.uniform(-np.pi / 2, np.pi / 2, size=(4 * n_samples + 16, 2))
+        labels = (np.abs(np.sin(pairs[:, 0]) + np.sin(pairs[:, 1])) > s0).astype(int)
+        starts = np.flatnonzero(np.diff(labels, prepend=1 - len(x) % 2))
+        x = np.concatenate([x, pairs[starts[:n_samples - len(x)]]])
+    u = _kron_rows(ry(x[:, 0]), ry(x[:, 1]))
+    return _balanced("swap2d", u @ np.kron(plus_state(), plus_state()) @ linalg.dagger(u),
+                     [{"x": tuple(v)} for v in x.tolist()], swap_rep(), {"s0": s0})
 
 
 def gen_ferro(n_samples: int, seed: int = 0, r_range=(0.2, 1.0)) -> Dataset:
@@ -256,19 +291,13 @@ def gen_ferro(n_samples: int, seed: int = 0, r_range=(0.2, 1.0)) -> Dataset:
     if n_samples < 1:
         raise InvalidParameterError("need at least one sample")
     rng = np.random.default_rng(seed)
-    states = []
-    for i in range(n_samples):
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        r = float(rng.uniform(lo, hi)) * direction
-        if i % 2 == 0:
-            rho = np.kron(bloch_state(r), bloch_state(r))
-            states.append(LabeledState(rho, 0.0, {"r": r.tolist()}))
-        else:
-            rho = np.kron(bloch_state(r), bloch_state(-r))
-            states.append(LabeledState(rho, 1.0, {"r": r.tolist()}))
-    return Dataset("ferro", states, tensor_power(su2_fundamental(), 2),
-                   params={"r_range": (lo, hi)})
+    # draws in sample order, as in gen_purity
+    draws = [(rng.standard_normal(3), float(rng.uniform(lo, hi))) for _ in range(n_samples)]
+    r = np.array([m for _, m in draws])[:, None] * _unit_rows(np.array([d for d, _ in draws]))
+    sign = np.where(np.arange(n_samples) % 2 == 1, -1.0, 1.0)[:, None]
+    return _balanced("ferro", _kron_rows(bloch_state(r), bloch_state(sign * r)),
+                     [{"r": v} for v in r.tolist()], tensor_power(su2_fundamental(), 2),
+                     {"r_range": (lo, hi)})
 
 
 def make_dataset(name: str, n_samples: int, seed: int = 0, **params) -> Dataset:
@@ -305,14 +334,13 @@ def _lifted_states(model: QmlModel, rhos) -> np.ndarray:
     """``(N, D, D)`` stack of the k-copy inputs rho^(x k), lifted all at once."""
     dim, k = model.circuit.dim, model.copies
     side = round(dim ** (1 / k))
-    if side ** k != dim or any(np.shape(rho) != (side, side) for rho in rhos):
+    single = np.asarray(rhos, dtype=complex)
+    if side ** k != dim or single.shape[1:] != (side, side):
         raise DimensionMismatchError(
             f"states do not lift to the circuit dim {dim} in {k} copies")
-    single = np.array(rhos, dtype=complex).reshape(-1, side, side)
     out = single
     for _ in range(k - 1):
-        n, a = out.shape[:2]
-        out = np.einsum("nij,nkl->nikjl", out, single).reshape(n, a * side, a * side)
+        out = _kron_rows(out, single)
     return out
 
 
@@ -323,8 +351,11 @@ def _effective_measurement(model: QmlModel) -> np.ndarray:
 
 
 def _outputs(meff: np.ndarray, lifted: np.ndarray) -> np.ndarray:
-    """Raw outputs Tr[meff x_n] of every lifted state, in one contraction."""
-    return np.einsum("ij,nji->n", meff, lifted).real
+    """Raw outputs Tr[meff x_n] of every lifted state, in one contraction.
+
+    A ``(S, D, D)`` stack of measurements gives an ``(S, N)`` array.
+    """
+    return np.einsum("...ij,nji->...n", meff, lifted).real
 
 
 def _hit_rate(scores: np.ndarray, labels: np.ndarray, threshold: float) -> float:
@@ -420,23 +451,19 @@ def _loss_slopes(scores, labels, kind) -> np.ndarray:
     return np.where(inside, ((1 - labels) / (1 - p) - labels / p) / n, 0.0)
 
 
-def _adjoint_gradient(hs, us, meff, g) -> np.ndarray:
-    """d Tr[W G W^dag M] / d theta_l for every layer l, in one backward sweep.
+def _adjoint_gradient(prefix, hs, m, g) -> np.ndarray:
+    """d Tr[W G W^dag M] / d theta_l for every layer l, from prefix products.
 
-    ``hs`` and ``us`` stack the layer generators H_l and unitaries U_l of
-    W = U_1 ... U_P, and ``meff`` is W^dag M W.  With sigma_l =
-    (U_l..U_P) G (U_l..U_P)^dag and M_l = (U_1..U_l)^dag M (U_1..U_l), the
-    derivative is Tr[sigma_l i[H_l, M_(l-1)]], which equals
-    Tr[sigma_(l+1) i[H_l, M_l]] because U_l commutes with H_l.  The sweep
-    starts from sigma_(P+1) = G and M_P = M_eff and peels one layer at a time.
+    ``prefix`` stacks A_l = U_1 ... U_l for l = 0..P, so A_0 = 1 and W = A_P,
+    and ``hs`` stacks the layer generators H_l.  Since dU_l / d theta_l =
+    -i U_l H_l, dW / d theta_l = -i K_l W with K_l = A_l H_l A_l^dag, and the
+    derivative is Tr[K_l C] with C = i[M, S], S = W G W^dag.  For Hermitian
+    K_l, M and S that is -2 Im Tr[K_l M S]: one batched conjugation and one
+    contraction for all layers.
     """
-    grad = np.zeros(len(us))
-    sigma, m = g, meff
-    for l in range(len(us) - 1, -1, -1):
-        h, u, ud = hs[l], us[l], linalg.dagger(us[l])
-        grad[l] = np.einsum("ij,ji->", sigma, 1j * (h @ m - m @ h)).real
-        sigma, m = u @ sigma @ ud, u @ m @ ud
-    return grad
+    w, a = prefix[-1], prefix[1:]
+    ms = m @ w @ g @ linalg.dagger(w)
+    return -2 * np.einsum("lij,ji->l", a @ hs @ linalg.dagger(a), ms).imag
 
 
 def train(model: QmlModel, dataset: Dataset, cfg: TrainConfig):
@@ -451,15 +478,26 @@ def train(model: QmlModel, dataset: Dataset, cfg: TrainConfig):
     lifted = _lifted_states(model, dataset.rhos())
     labels = dataset.labels()
     gens = model.circuit.gens
-    idx = [i for i, _ in model.circuit.layers]
+    idx = np.array([i for i, _ in model.circuit.layers], dtype=int)
+    if np.any((idx < 0) | (idx >= gens.dim)):
+        raise IndexError(f"generator index out of range 0..{gens.dim - 1}")
+    # H_l = V_l diag(lam_l) V_l^dag, gathered once: an epoch only rescales phases
+    lam, v = (a[idx] for a in gens.eig)
+    vh = linalg.dagger(v)
+    hs = gens.generators[idx]
     m = model.measurement.m
     n_theta = len(idx)
+    # prefix[l] = U_1 ... U_l, from prefix[0] = 1, so prefix[-1] = W
+    prefix = np.empty((n_theta + 1, gens.rep.dim, gens.rep.dim), dtype=complex)
+    prefix[0] = np.eye(gens.rep.dim)
     params = np.concatenate([model.circuit.parameters, np.array(model.readout)])
 
     trace = []
     for epoch in range(cfg.epochs + 1):
-        us = gens.layer_unitaries(zip(idx, params[:n_theta]))
-        w = compose_layers(us, gens.rep.dim)
+        us = (v * np.exp(-1j * params[:n_theta, None] * lam)[:, None, :]) @ vh
+        for l in range(n_theta):
+            np.matmul(prefix[l], us[l], out=prefix[l + 1])
+        w = prefix[-1]
         meff = linalg.dagger(w) @ m @ w
         raws = _outputs(meff, lifted)
         a, b = params[-2], params[-1]
@@ -472,8 +510,7 @@ def train(model: QmlModel, dataset: Dataset, cfg: TrainConfig):
         # rho_n^(x k); the readout has dL/da = sum_n slope_n raw_n and
         # dL/db = sum_n slope_n in closed form.
         slopes = _loss_slopes(scores, labels, cfg.loss)
-        grad = _adjoint_gradient(gens.generators[idx], us, meff,
-                                 np.tensordot(a * slopes, lifted, 1))
+        grad = _adjoint_gradient(prefix, hs, m, np.einsum("n,nij->ij", a * slopes, lifted))
         params = params - cfg.learning_rate * np.concatenate(
             [grad, [slopes @ raws, slopes.sum()]])
 
@@ -524,25 +561,25 @@ def label_invariance_check(model_or_fn, rep: Representation, dataset: Dataset,
         samples = rep.representatives()
     else:
         samples = rep.sample_elements(rng_seed, n_samples)
-    if any(s.rho.shape != (rep.dim, rep.dim) for s in dataset.states):
+    rhos = dataset.rhos()
+    if rhos.shape[1:] != (rep.dim, rep.dim):
         raise DimensionMismatchError("representation does not act on the states")
-    dev = 0.0
     if isinstance(model_or_fn, QmlModel):
         # Tr[M_eff (u rho u^dag)^(x k)] = Tr[U^dag M_eff U rho^(x k)] with U = u^(x k),
         # so each sampled u conjugates M_eff once instead of moving every state.
-        lifted = _lifted_states(model_or_fn, dataset.rhos())
+        # M_eff and all its conjugates are scored by one contraction, so a u
+        # that fixes M_eff scores exactly as the base row does.
+        uk = _lifted_states(model_or_fn, samples)
         meff = _effective_measurement(model_or_fn)
-        base = _outputs(meff, lifted)
-        for u in samples:
-            uk = model_or_fn.lifted_input(u)
-            moved = _outputs(linalg.dagger(uk) @ meff @ uk, lifted)
-            dev = max(dev, float(np.max(np.abs(moved - base), initial=0.0)))
-        return dev
+        meffs = np.concatenate([meff[None], linalg.dagger(uk) @ meff @ uk])
+        outs = _outputs(meffs, _lifted_states(model_or_fn, rhos))
+        return float(np.max(np.abs(outs[1:] - outs[0]), initial=0.0))
     fn = model_or_fn
-    for s in dataset.states:
-        base = fn(s.rho)
+    dev = 0.0
+    for rho in rhos:
+        base = fn(rho)
         for u in samples:
-            dev = max(dev, abs(fn(u @ s.rho @ linalg.dagger(u)) - base))
+            dev = max(dev, abs(fn(u @ rho @ linalg.dagger(u)) - base))
     return dev
 
 

@@ -1,8 +1,8 @@
 """Training and evaluation build each circuit once, from cached generator
-eigenpairs, and differentiate it by one adjoint sweep.  The loops below are
-the implementations this replaced and serve as the references: one
-``exp_unitary`` per layer, one trace per state, and central finite
-differences of the loss in every parameter."""
+eigenpairs, and differentiate it from its prefix products.  The loops below
+are the implementations this replaced and serve as the references: one
+``exp_unitary`` per layer, one trace per state, the per-layer backward sweep,
+and central finite differences of the loss in every parameter."""
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from equirep.tasks import (
     model_eval,
     train,
 )
+from equirep.tasks import _loss_slopes
 
 AGREE = 1e-12
 
@@ -157,6 +158,64 @@ def test_adjoint_trainer_follows_the_finite_difference_trainer():
         assert max(abs(f[1] - s[1]) for f, s in zip(fast_trace, slow_trace)) < 1e-6
 
 
+def sweep_gradient(model, ds, kind):
+    """The circuit gradient by the per-layer backward sweep that the
+    prefix-product form replaced: with sigma_l = (U_l..U_P) G (U_l..U_P)^dag
+    and M_l = (U_1..U_l)^dag M (U_1..U_l), layer l gets Tr[sigma_(l+1)
+    i[H_l, M_l]], peeling one layer at a time from sigma_(P+1) = G and
+    M_P = W^dag M W."""
+    gens, layers = model.circuit.gens, model.circuit.layers
+    us = gens.layer_unitaries(layers)
+    hs = gens.generators[[i for i, _ in layers]]
+    w = build_qnn(gens, layers)
+    meff = dagger(w) @ model.measurement.m @ w
+    lifted = np.array([kron_lift(rho, model.copies) for rho in ds.rhos()])
+    raws = np.einsum("ij,nji->n", meff, lifted).real
+    a, b = model.readout
+    sigma = np.tensordot(a * _loss_slopes(a * raws + b, ds.labels(), kind), lifted, 1)
+    m = meff
+    grad = np.zeros(len(us))
+    for l in range(len(us) - 1, -1, -1):
+        h, u, ud = hs[l], us[l], dagger(us[l])
+        grad[l] = np.einsum("ij,ji->", sigma, 1j * (h @ m - m @ h)).real
+        sigma, m = u @ sigma @ ud, u @ m @ ud
+    return grad
+
+
+def trainer_gradient(model, ds, kind):
+    """The circuit gradient that ``train`` steps along, read off one unit step."""
+    stepped, _ = train(model, ds, TrainConfig(learning_rate=1.0, epochs=1, loss=kind))
+    n = len(model.circuit.layers)
+    return model.circuit.parameters - stepped.circuit.parameters[:n]
+
+
+def assert_matches_sweep(model, ds, kind):
+    want = sweep_gradient(model, ds, kind)
+    got = trainer_gradient(model, ds, kind)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("kind,offset", [("mse", None), ("bce", 0.5), ("bce", 5.0)],
+                         ids=["mse", "bce", "bce-clipped"])
+@pytest.mark.parametrize("task,copies,passes,layers", CASES)
+def test_prefix_gradient_matches_the_backward_sweep(task, copies, passes, layers,
+                                                    kind, offset):
+    rng = np.random.default_rng(3 * layers + copies)
+    for _ in range(3):
+        seed = int(rng.integers(2 ** 31))
+        scale = float(rng.uniform(0.5, 1.5)) * (0.1 if offset == 0.5 else 1.0)
+        readout = (scale, float(rng.uniform(-0.5, 0.5)) if offset is None else offset)
+        ds, model = task_model(task, copies, passes, seed, readout)
+        assert_matches_sweep(model, ds, kind)
+
+
+@pytest.mark.parametrize("kind", ["mse", "bce"])
+def test_prefix_gradient_matches_the_sweep_on_probe_models(kind):
+    # the last probe measures a random Hermitian operator, not an equivariant one
+    for ds, model in probe_models():
+        assert_matches_sweep(model, ds, kind)
+
+
 # -- (b) circuits from cached eigenpairs ----------------------------------------
 
 @pytest.mark.parametrize("rep", [swap_rep(), tensor_power(su2_fundamental(), 2),
@@ -256,3 +315,14 @@ def test_last_trace_row_scores_the_returned_model(task, copies, epochs):
     again, trace_again = train(model, ds, cfg)
     assert trace_again == trace
     assert np.array_equal(again.circuit.parameters, trained.circuit.parameters)
+
+
+def test_circuit_without_layers_trains_its_readout():
+    ds = make_dataset("swap2d", 10, 4)
+    model = default_task_model(ds)
+    empty = QmlModel(1, QnnCircuit(model.circuit.gens, []), model.measurement, (0.3, 0.1))
+    trained, trace = train(empty, ds, TrainConfig(learning_rate=0.4, epochs=3))
+    assert trained.circuit.layers == [] and trained.readout != empty.readout
+    a, b = trained.readout
+    fresh = a * raw_loop(trained, ds.rhos()) + b
+    assert abs(trace[-1][1] - float(np.mean((fresh - ds.labels()) ** 2))) <= AGREE

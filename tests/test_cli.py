@@ -167,6 +167,19 @@ def test_rep_make_file_matches_the_list_spec(tmp_path, capsys, argv, make):
     assert path.read_text() == dumps_report(rep_to_spec(make()))
 
 
+def test_rep_file_is_byte_stable_through_load_and_write(tmp_path, capsys):
+    # su2 (x) su2 has negative zeros in its images, written as -0
+    from equirep.cli import _load_json
+    from equirep.serialize import dumps_report, rep_from_spec, rep_to_spec
+    path = tmp_path / "rep.json"
+    code, _ = run_cli(capsys, "rep", "make", "--kind", "su2-tensor", "--k", "2",
+                      "--out", str(path))
+    assert code == 0
+    text = path.read_text()
+    assert "-0," in text or "-0]" in text
+    assert dumps_report(rep_to_spec(rep_from_spec(_load_json(str(path))))) == text
+
+
 def test_task_dump_data_matches_the_list_spec(tmp_path, capsys):
     from equirep import tasks
     from equirep.serialize import dataset_to_spec, dumps_report

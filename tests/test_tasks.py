@@ -3,7 +3,12 @@ import pytest
 
 from equirep.decompose import block_diagonal_part, isotypic_decompose
 from equirep.equivariant import QnnCircuit, EquivariantMeasurement, equivariant_generators
-from equirep.errors import InvalidShellError, PrerequisiteFailedError
+from equirep.errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    InvalidShellError,
+    PrerequisiteFailedError,
+)
 from equirep.groups import LieAlgebraBasis
 from equirep.linalg import (
     I2,
@@ -30,6 +35,8 @@ from equirep.representations import (
     trivial_rep,
 )
 from equirep.tasks import (
+    Dataset,
+    LabeledState,
     QmlModel,
     TrainConfig,
     accuracy,
@@ -145,6 +152,111 @@ def test_datasets_pass_declared_label_symmetry(name):
             assert ds.relabel(u @ s.rho @ dagger(u)) == s.label
 
 
+# The per-sample generators that the stacked builds replaced, kept as
+# references: each returns the (rho, label, meta) rows of one dataset.
+
+def ry_scalar(theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def bloch_scalar(r):
+    return (I2 + r[0] * X + r[1] * Y + r[2] * Z) / 2
+
+
+def ref_bitflip1d(n, seed):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        if i % 2 == 0:
+            x, label = float(rng.uniform(-np.pi / 4, np.pi / 4)), 0.0
+        else:
+            x = float(rng.uniform(np.pi / 4, np.pi / 2)) * (1 if rng.random() < 0.5 else -1)
+            label = 1.0
+        u = ry_scalar(x)
+        rows.append((u @ plus_state() @ dagger(u), label, {"x": x}))
+    return rows
+
+
+def ref_purity(n, seed, lo=0.2, hi=0.8):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        if i % 2 == 0:
+            rows.append((bloch_scalar(direction), 0.0, {"r": 1.0}))
+        else:
+            r = float(rng.uniform(lo, hi))
+            rows.append((bloch_scalar(r * direction), 1.0, {"r": r}))
+    return rows
+
+
+def ref_swap2d(n, seed, s0=0.7):
+    rng = np.random.default_rng(seed)
+    plus2 = np.kron(plus_state(), plus_state())
+    rows = []
+    for i in range(n):
+        want = 0.0 if i % 2 == 0 else 1.0
+        while True:
+            x1, x2 = rng.uniform(-np.pi / 2, np.pi / 2, size=2)
+            label = 0.0 if abs(np.sin(x1) + np.sin(x2)) <= s0 else 1.0
+            if label == want:
+                break
+        u = np.kron(ry_scalar(x1), ry_scalar(x2))
+        rows.append((u @ plus2 @ dagger(u), label, {"x": (float(x1), float(x2))}))
+    return rows
+
+
+def ref_ferro(n, seed, lo=0.2, hi=1.0):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        r = float(rng.uniform(lo, hi)) * direction
+        other = r if i % 2 == 0 else -r
+        rows.append((np.kron(bloch_scalar(r), bloch_scalar(other)), float(i % 2),
+                     {"r": r.tolist()}))
+    return rows
+
+
+REFERENCE_GENERATORS = {"bitflip1d": ref_bitflip1d, "purity": ref_purity,
+                        "swap2d": ref_swap2d, "ferro": ref_ferro}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GENERATORS))
+def test_stacked_datasets_match_per_sample_generators(name):
+    # every task's states match the per-sample build bit for bit
+    for seed in range(12):
+        for n in (1, 2, 33):
+            ds = make_dataset(name, n, seed)
+            ref = REFERENCE_GENERATORS[name](n, seed)
+            assert [s.label for s in ds.states] == [label for _, label, _ in ref]
+            assert [s.meta for s in ds.states] == [meta for _, _, meta in ref]
+            want = np.array([rho for rho, _, _ in ref])
+            assert ds.rhos().tobytes() == want.tobytes()
+
+
+def test_empty_or_ragged_datasets_fail_at_the_stack():
+    ds = make_dataset("swap2d", 4, seed=1)
+    model = initialize_parameters(default_task_model(ds), 1)
+    empty = Dataset("swap2d", [], ds.rep, ds.params)
+    ragged = Dataset("swap2d", ds.states + [LabeledState(plus_state(), 0.0)], ds.rep, ds.params)
+    for data, error in ((empty, InvalidParameterError), (ragged, DimensionMismatchError)):
+        for call in (lambda: train(model, data, TrainConfig(epochs=1)),
+                     lambda: accuracy(model, data),
+                     lambda: label_invariance_check(model, ds.rep, data)):
+            with pytest.raises(error):
+                call()
+
+
+def test_swap2d_rejects_a_threshold_that_empties_a_class():
+    for s0 in (0.0, -1.0, 2.0, 3.5, float("nan")):
+        with pytest.raises(InvalidParameterError):
+            gen_swap2d(4, seed=0, s0=s0)
+
+
 # -- model evaluation ------------------------------------------------------------
 
 def purity_model():
@@ -253,7 +365,6 @@ def test_train_bce_loss_runs_and_improves():
 
 
 def test_train_config_validation():
-    from equirep.errors import InvalidParameterError
     with pytest.raises(InvalidParameterError):
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(InvalidParameterError):
@@ -373,7 +484,6 @@ def test_label_invariance_flags_non_equivariant_probe():
     # craft an asymmetric product state and append it to the dataset
     u = kron(ry(1.2), ry(-0.3))
     rho = u @ kron(plus_state(), plus_state()) @ dagger(u)
-    from equirep.tasks import Dataset, LabeledState
     crafted = Dataset("swap2d", ds.states + [LabeledState(rho, 0.0, {})],
                       rep, ds.params)
     assert label_invariance_check(model, rep, crafted) > 0.01

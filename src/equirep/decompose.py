@@ -533,7 +533,7 @@ def _span_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     return float(np.hypot(linalg.frob(u1 - u2 @ linalg.dagger(c)), linalg.frob(u2 - u1 @ c)))
 
 
-def _saturate(cols: np.ndarray, r: int, tol: Tolerance) -> tuple[int, np.ndarray]:
+def _saturate(cols: np.ndarray, rest, r: int, tol: Tolerance) -> tuple[int, np.ndarray]:
     """Leading columns the per-sample stall rule takes, and their span's basis.
 
     The rule adds one column at a time and stops after three additions that
@@ -542,13 +542,16 @@ def _saturate(cols: np.ndarray, r: int, tol: Tolerance) -> tuple[int, np.ndarray
     columns keep rank r even under the threshold of the first r + 3, and the
     first r + 3 have rank r even under the threshold of the first r, then
     the j-th prefix has rank j up to r and rank r from r to r + 3: the rule
-    stops at r + 3.  Otherwise the prefixes are walked one at a time.
+    stops at r + 3.  ``cols`` holds those first r + 3 columns.  Otherwise
+    ``rest()`` gives the columns that follow them, and the prefixes are
+    walked one at a time.
     """
     s_r = np.linalg.svd(cols[:, :r], compute_uv=False)
-    basis, s = _span_basis(cols[:, :r + 3], tol)
+    basis, s = _span_basis(cols, tol)
     if (np.sum(s_r >= tol.threshold(s[0])) == r
             and np.sum(s >= tol.threshold(s_r[0])) == r):
         return r + 3, basis
+    cols = np.hstack([cols, rest()])
     rank, stall, used = 0, 0, 0
     while used < cols.shape[1] and stall < 3:
         used += 1
@@ -568,12 +571,14 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
     (c) the isotypic block data of the two sides pair up transposed:
     each (d_k, m_k) on one side appears as (m_k, d_k) on the other.
 
-    For (a), all 2r + 12 Haar samples (r the permutation commutant's
-    dimension) come from one ``haar_unitaries`` call, raised to tensor
-    powers by ``einsum``.  Samples are used as far as a one-at-a-time rule
-    would take them, until three in a row leave the rank unchanged; SVDs of
-    the first r and first r + 3 samples show when that is r + 3, and only
-    otherwise are the prefixes walked (``_saturate``).  Every rank counts
+    For (a), Haar samples are used as far as a one-at-a-time rule would
+    take them, at most 2r + 12 (r the permutation commutant's dimension),
+    until three in a row leave the rank unchanged.  The first r + 3 come
+    from one ``haar_unitaries`` call, raised to tensor powers by
+    ``linalg.tensor_powers``; SVDs of the first r and first r + 3 show when
+    the rule stops at r + 3, and only otherwise are the other r + 9 drawn
+    from the same generator and the prefixes walked (``_saturate``).  A
+    split draw equals one draw of all 2r + 12.  Every rank counts
     the singular values at or above ``tol.threshold`` of the largest.  The
     distances of (a) and (b) compare orthonormal bases of the two spans by
     ``_span_distance``: the samples' and the permutations' left singular
@@ -595,13 +600,12 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
 
     # (a) saturate span{U^(x n)} with Haar samples.
     r = len(perm_comm)
-    cap = 2 * r + 12
-    us = linalg.haar_unitaries(d, cap, np.random.default_rng([rng_seed, 101]))
-    powers = us
-    for _ in range(n - 1):
-        powers = np.einsum("sij,skl->sikjl", powers, us).reshape(cap, powers.shape[1] * d, -1)
-    cols = powers.reshape(cap, -1).T  # column s is vec(U_s^(x n))
-    used, samples = _saturate(cols, r, tol)
+    rng = np.random.default_rng([rng_seed, 101])
+
+    def columns(count):  # column s is vec(U_s^(x n))
+        return linalg.tensor_powers(linalg.haar_unitaries(d, count, rng), n).reshape(count, -1).T
+
+    used, samples = _saturate(columns(r + 3), lambda: columns(r + 9), r, tol)
     dist_perm = _span_distance(samples, perm_comm.reshape(r, -1).T)
 
     # (b) commutant of the tensor action against the permutation span.

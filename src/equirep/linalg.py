@@ -27,8 +27,8 @@ __all__ = [
     "is_hermitian", "is_unitary", "is_psd", "is_trace_one",
     "herm_eig", "exp_unitary", "null_space", "partial_trace", "hs_inner",
     "vectorize", "devectorize", "conjugation_superoperator",
-    "commutator_superoperator", "random_hermitian", "haar_unitary", "haar_unitaries",
-    "hvec", "orthonormalize_hermitian",
+    "commutator_superoperator", "conjugation_sum", "random_hermitian",
+    "haar_unitary", "haar_unitaries", "tensor_powers", "hvec", "orthonormalize_hermitian",
 ]
 
 I2 = np.eye(2, dtype=complex)
@@ -61,9 +61,10 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 # Bytes of (n, d, d) operands per step wherever a stack is processed in
-# chunks (average twirl, homomorphism check, splitting element, intertwiner
-# candidates): each chunk's temporaries stay cache-sized and below the
-# allocator's trim threshold, and a large stack is never copied whole.
+# chunks (average and Monte Carlo twirls, homomorphism check, splitting
+# element, intertwiner candidates): each chunk's temporaries stay
+# cache-sized and below the allocator's trim threshold, and a large stack
+# is never copied whole.
 _CHUNK_BYTES = 1 << 17
 
 
@@ -226,6 +227,20 @@ def commutator_superoperator(h: np.ndarray) -> np.ndarray:
     return np.kron(h, eye) - np.kron(eye, h.T)
 
 
+def conjugation_sum(stack: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Sum of A_n o A_n^dag over an ``(n, d, d)`` stack, by two GEMMs.
+
+    The stack is copied once as B = [A_1 | A_2 | ...] with rows j and
+    columns (n, k); one GEMM gives the rows of A_n o in the same layout and
+    a second contracts them with B^dag over (n, k).  Callers pass stacks in
+    chunks of ``_CHUNK_BYTES``, so the copy stays cache-sized.
+    """
+    d = o.shape[0]
+    b = np.ascontiguousarray(stack.transpose(1, 0, 2))
+    ro = b.reshape(-1, d) @ o
+    return ro.reshape(d, -1) @ b.reshape(d, -1).conj().T
+
+
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Hermitian matrix with iid Gaussian entries, for tests and probes."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -251,6 +266,20 @@ def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-distributed d x d unitary: ``haar_unitaries(d, 1, rng)[0]``."""
     return haar_unitaries(d, 1, rng)[0]
+
+
+def tensor_powers(us: np.ndarray, k: int) -> np.ndarray:
+    """``(n, d^k, d^k)`` stack of the k-fold tensor powers of an ``(n, d, d)`` stack.
+
+    Factors are multiplied in from the left, one ``einsum`` outer product
+    each; power i depends on ``us[i]`` alone, so splitting the stack into
+    chunks keeps every bit.
+    """
+    n, d = us.shape[0], us.shape[-1]
+    out = us
+    for _ in range(k - 1):
+        out = np.einsum("nij,nkl->nikjl", out, us).reshape(n, out.shape[1] * d, -1)
+    return out
 
 
 def hvec(m: np.ndarray) -> np.ndarray:

@@ -328,13 +328,16 @@ def tensor_power(r: Representation, k: int) -> Representation:
     if r.flavor == "finite":
         images = [linalg.kron_all(*([m] * k)) for m in r.generator_images]
     else:
-        eye = np.eye(r.dim, dtype=complex)
-        images = np.zeros((len(r.generator_images), r.dim ** k, r.dim ** k), dtype=complex)
-        for total, h in zip(images, r.generator_images):
-            for slot in range(k):
-                factors = [eye] * k
-                factors[slot] = h
-                total += linalg.kron_all(*factors)
+        # Slot s adds 1_(d^s) x h x 1_(d^(k-1-s)) to every image at once, as a
+        # broadcast product on the (left, d, right) index split of each side.
+        d, g = r.dim, len(r.generator_images)
+        images = np.zeros((g, d ** k, d ** k), dtype=complex)
+        for slot in range(k):
+            left, right = d ** slot, d ** (k - 1 - slot)
+            view = images.reshape(g, left, d, right, left, d, right)
+            view += (r.generator_images[:, None, :, None, None, :, None]
+                     * np.eye(left)[:, None, None, :, None, None]
+                     * np.eye(right)[None, None, :, None, None, :])
     return Representation(r.source, r.flavor, r.dim ** k, f"{r.name}^x{k}", images)
 
 

@@ -5,11 +5,13 @@ Finite groups are twirled by exact averaging over all elements.  Compact
 twirl equals the orthogonal projection onto the commutant, which is computed
 exactly.  The unitary-group k-fold twirl additionally has the closed
 permutation form from Schur-Weyl duality, solved through the permutation
-Gram system.
+Gram system.  The group average and its Monte Carlo counterpart share one
+kernel, ``linalg.conjugation_sum``, fed in chunks of ``linalg._CHUNK_BYTES``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,9 +35,6 @@ __all__ = [
     "k_design_twirl", "haar_sample_unitary", "monte_carlo_k_design_twirl",
     "choi_matrix", "is_cptp",
 ]
-
-_MC_BATCH = 512  # Monte Carlo samples drawn and accumulated per batch
-
 
 @dataclass
 class TwirlContext:
@@ -68,13 +67,11 @@ def twirl_operator(ctx: TwirlContext, o: np.ndarray) -> np.ndarray:
     """Twirl an operator; the output commutes with every representative.
 
     Average mode reads the ``representatives()`` stack in element chunks of
-    ``linalg._CHUNK_BYTES``.  Each chunk is copied once as B = [R(g_1) |
-    R(g_2) | ...] with rows j and columns (g, k); one GEMM gives the rows of
-    R(g) o in the same layout and a second contracts them with B^dag over
-    (g, k).  Projection mode reads the commutant stack as an ``(n, d^2)``
-    matrix C and takes two matrix-vector products: the coefficients
-    Tr[b^dag o] = conj(C vec(conj o)), which needs no conjugate copy of C,
-    then their combination of the rows of C.
+    ``linalg._CHUNK_BYTES`` and sums R(g) o R(g)^dag over each chunk with
+    ``linalg.conjugation_sum`` (two GEMMs).  Projection mode reads the
+    commutant stack as an ``(n, d^2)`` matrix C and takes two matrix-vector
+    products: the coefficients Tr[b^dag o] = conj(C vec(conj o)), which
+    needs no conjugate copy of C, then their combination of the rows of C.
     """
     o = np.asarray(o, dtype=complex)
     d = ctx.rep.dim
@@ -86,9 +83,7 @@ def twirl_operator(ctx: TwirlContext, o: np.ndarray) -> np.ndarray:
         chunk = max(1, linalg._CHUNK_BYTES // reps[0].nbytes)
         acc = np.zeros_like(o)
         for start in range(0, len(reps), chunk):
-            b = np.ascontiguousarray(reps[start:start + chunk].transpose(1, 0, 2))
-            ro = b.reshape(-1, d) @ o
-            acc += ro.reshape(d, -1) @ b.reshape(d, -1).conj().T
+            acc += linalg.conjugation_sum(reps[start:start + chunk], o)
         return acc / len(reps)
     basis = ctx.commutant.basis.reshape(-1, d * d)
     coeffs = np.dot(basis, o.reshape(-1).conj()).conj()
@@ -141,13 +136,29 @@ def twirl_channel(rep_in: Representation, rep_out: Representation,
     return acc / g.order
 
 
+@functools.lru_cache(maxsize=None)
+def _permutation_gram(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k! vectorised index permutations and the pseudo-inverse of their Gram.
+
+    Both are read-only; the cap of ``k_design_twirl`` keeps the cache to a
+    few dozen small entries.
+    """
+    perms = np.array([perm_matrix_on_tensor(p, d).reshape(-1)
+                      for p in itertools.permutations(range(k))])
+    gram_pinv = np.linalg.pinv(perms.conj() @ perms.T, rcond=1e-10)
+    perms.setflags(write=False)
+    gram_pinv.setflags(write=False)
+    return perms, gram_pinv
+
+
 def k_design_twirl(d: int, k: int, o: np.ndarray) -> np.ndarray:
     """Exact Haar twirl of an operator on (C^d)^(x k) over U(d).
 
     By Schur-Weyl the image is the span of the k! index permutations, so the
     twirl is the orthogonal projection solved from the permutation Gram
     system G c = b with G[pi, sigma] = Tr[P_pi^dag P_sigma].  A pseudo-inverse
-    with cutoff 1e-10 sigma_max handles the linear dependence at d < k.
+    with cutoff 1e-10 sigma_max handles the linear dependence at d < k; it
+    and the permutations are built once per (d, k).
     """
     if k > 4 or d ** k > 64:
         raise DimensionTooLargeError("k_design_twirl capped at k <= 4, d^k <= 64")
@@ -155,10 +166,8 @@ def k_design_twirl(d: int, k: int, o: np.ndarray) -> np.ndarray:
     dim = d ** k
     if o.shape != (dim, dim):
         raise DimensionMismatchError(f"operator shape {o.shape}, expected {(dim, dim)}")
-    perms = np.array([perm_matrix_on_tensor(p, d).reshape(-1)
-                      for p in itertools.permutations(range(k))])
-    gram = perms.conj() @ perms.T
-    coeff = np.linalg.pinv(gram, rcond=1e-10) @ (perms.conj() @ o.reshape(-1))
+    perms, gram_pinv = _permutation_gram(d, k)
+    coeff = gram_pinv @ (perms.conj() @ o.reshape(-1))
     return (coeff @ perms).reshape(dim, dim)
 
 
@@ -174,9 +183,10 @@ def monte_carlo_k_design_twirl(d: int, k: int, o: np.ndarray, n_samples: int,
 
     Used to cross-check the exact permutation-projection route; the error
     scale is O(1/sqrt(n_samples)).  Deterministic per seed.  Samples come in
-    batches of ``_MC_BATCH``: each batch is one ``linalg.haar_unitaries``
-    draw (one batched QR), its k-fold tensor powers are built by ``einsum``,
-    and one ``einsum`` adds the batch's sum of U^k o U^k dag.
+    chunks sized by ``linalg._CHUNK_BYTES`` (512 at d^k = 4): each chunk is
+    one ``linalg.haar_unitaries`` draw (one batched QR), raised to k-fold
+    tensor powers by ``linalg.tensor_powers`` and summed by
+    ``linalg.conjugation_sum``, the kernel of the average twirl.
     """
     for name, value in (("d", d), ("k", k), ("n_samples", n_samples)):
         _require_positive_int(name, value)
@@ -185,14 +195,9 @@ def monte_carlo_k_design_twirl(d: int, k: int, o: np.ndarray, n_samples: int,
     if o.shape != (dim, dim):
         raise DimensionMismatchError(f"operator shape {o.shape}, expected {(dim, dim)}")
     rng = np.random.default_rng(rng_seed)
+    chunk = max(1, linalg._CHUNK_BYTES // (dim * dim * 16))
     acc = np.zeros((dim, dim), dtype=complex)
-    done = 0
-    while done < n_samples:
-        nb = min(_MC_BATCH, n_samples - done)
-        us = linalg.haar_unitaries(d, nb, rng)
-        uk = us
-        for _ in range(k - 1):
-            uk = np.einsum("nij,nkl->nikjl", uk, us).reshape(nb, uk.shape[1] * d, -1)
-        acc += np.einsum("nij,jk,nlk->il", uk, o, uk.conj())
-        done += nb
+    for start in range(0, n_samples, chunk):
+        us = linalg.haar_unitaries(d, min(chunk, n_samples - start), rng)
+        acc += linalg.conjugation_sum(linalg.tensor_powers(us, k), o)
     return acc / n_samples

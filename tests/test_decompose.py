@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 import equirep.decompose
 from equirep import linalg
 from equirep.decompose import (
+    SchurWeylReport,
     _algebra_element,
     _block_commutant,
     _eigenspace_kernel,
+    _span_basis,
+    _span_distance,
     _verification_set,
     block_diagonal_part,
     block_projectors,
@@ -662,11 +665,63 @@ def test_schur_weyl_walks_the_prefixes_when_a_sample_repeats(monkeypatch):
     d, n = 2, 3
     drawn = haar_unitaries(d, 64, np.random.default_rng([0, 101]))
     forced = np.concatenate([drawn[:1], drawn[:-1]])
-    monkeypatch.setattr(linalg, "haar_unitaries", lambda d_, k, rng: forced[:k])
+    served = [0]
+
+    def draw(d_, count, rng):  # successive calls read on along the forced stream
+        served[0] += count
+        return forced[served[0] - count:served[0]]
+
+    monkeypatch.setattr(linalg, "haar_unitaries", draw)
     got = schur_weyl_check(d, n)
+    assert served[0] == 2 * got.perm_commutant_dim + 12  # the walk drew the rest
     _assert_matches_the_sample_loop(got, _schur_weyl_by_samples(d, n, draws=iter(forced)))
     assert got.haar_samples_used == got.perm_commutant_dim + 4
     assert got.ok
+    served[0] = 0
+    assert got == _schur_weyl_in_one_draw(d, n)
+
+
+def _schur_weyl_in_one_draw(d, n, rng_seed=0, tol=DEFAULT_TOL):
+    """The single-draw Schur-Weyl check: all 2r + 12 Haar samples from one
+    ``haar_unitaries`` call and one power loop, then the stall rule on them."""
+    dec_perm = isotypic_decompose(perm_rep_tensor(n, d), rng_seed, tol)
+    dec_tensor = isotypic_decompose(tensor_power(unitary_algebra_rep(d), n), rng_seed, tol)
+    perm_comm, tensor_comm = _block_commutant(dec_perm), _block_commutant(dec_tensor)
+    r = len(perm_comm)
+    cap = 2 * r + 12
+    us = linalg.haar_unitaries(d, cap, np.random.default_rng([rng_seed, 101]))
+    powers = us
+    for _ in range(n - 1):
+        powers = np.einsum("sij,skl->sikjl", powers, us).reshape(cap, powers.shape[1] * d, -1)
+    cols = powers.reshape(cap, -1).T
+    s_r = np.linalg.svd(cols[:, :r], compute_uv=False)
+    samples, s = _span_basis(cols[:, :r + 3], tol)
+    used = r + 3
+    if not (np.sum(s_r >= tol.threshold(s[0])) == r
+            and np.sum(s >= tol.threshold(s_r[0])) == r):
+        rank, stall, used = 0, 0, 0
+        while used < cap and stall < 3:
+            used += 1
+            s = np.linalg.svd(cols[:, :used], compute_uv=False)
+            new_rank = int(np.sum(s >= tol.threshold(s[0])))
+            stall = stall + 1 if new_rank == rank else 0
+            rank = new_rank
+        samples = _span_basis(cols[:, :used], tol)[0]
+    perm_ops = np.array([perm_matrix_on_tensor(p, d) for p in itertools.permutations(range(n))])
+    perm_span, _ = _span_basis(perm_ops.reshape(len(perm_ops), -1).T, tol)
+    dist_perm = _span_distance(samples, perm_comm.reshape(r, -1).T)
+    dist_tensor = _span_distance(perm_span, tensor_comm.reshape(len(tensor_comm), -1).T)
+    return SchurWeylReport(
+        d, n, r, len(tensor_comm), dist_perm, dist_tensor, dec_perm.blocks, dec_tensor.blocks,
+        sorted(dec_perm.blocks) == sorted((m, k) for k, m in dec_tensor.blocks), used,
+        residuals={"perm_projector_distance": dist_perm,
+                   "tensor_projector_distance": dist_tensor})
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3), (4, 2)])
+def test_schur_weyl_report_equals_the_single_draw_check(d, n):
+    # Drawing the first r + 3 samples, and the rest only for the walk, keeps every bit.
+    assert schur_weyl_check(d, n) == _schur_weyl_in_one_draw(d, n)
 
 
 @pytest.mark.parametrize("call", [

@@ -146,6 +146,28 @@ def test_tensor_power_lie_images():
     assert verify_homomorphism(t2) < 1e-10
 
 
+def _kron_chain_lie_images(r, k):
+    """Slot-by-slot Lie images: sum over slots of 1 x .. x h x .. x 1 by kron chains."""
+    eye = np.eye(r.dim, dtype=complex)
+    images = np.zeros((len(r.generator_images), r.dim ** k, r.dim ** k), dtype=complex)
+    for total, h in zip(images, r.generator_images):
+        for slot in range(k):
+            factors = [eye] * k
+            factors[slot] = h
+            total += linalg.kron_all(*factors)
+    return images
+
+
+def test_tensor_power_lie_images_keep_the_kron_chain_bits():
+    u = haar_unitary(3, np.random.default_rng(14))
+    u3 = unitary_algebra_rep(3)
+    dense = representations.Representation(
+        u3.source, "lie", 3, "u3~haar", [u @ h @ dagger(u) for h in u3.generator_images])
+    for rep, k in [(su2_fundamental(), k) for k in (2, 3, 4, 5)] + [(dense, 2), (dense, 3)]:
+        got = tensor_power(rep, k).generator_images
+        assert got.tobytes() == _kron_chain_lie_images(rep, k).tobytes()
+
+
 def test_tensor_power_k1_is_same_rep():
     rep = su2_fundamental()
     assert tensor_power(rep, 1) is rep

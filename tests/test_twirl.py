@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -26,6 +28,7 @@ from equirep.representations import (
     bitflip_rep,
     finite_rep_from_images,
     left_regular_rep,
+    perm_matrix_on_tensor,
     perm_rep_qubits,
     su2_fundamental,
     swap_matrix,
@@ -290,29 +293,69 @@ def _reference_haar(d, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def _reference_monte_carlo_twirl(d, k, o, n_samples, rng_seed, batch=512):
-    """Per-sample sampling loop, accumulated in the same batches."""
+def _reference_monte_carlo_twirl(d, k, o, n_samples, rng_seed):
+    """Per-sample sampling loop, summed in chunks of the same size by the kernel."""
     rng = np.random.default_rng(rng_seed)
+    chunk = max(1, linalg._CHUNK_BYTES // (d ** k * d ** k * 16))
     acc = np.zeros((d ** k, d ** k), dtype=complex)
     done = 0
     while done < n_samples:
-        nb = min(batch, n_samples - done)
+        nb = min(chunk, n_samples - done)
         us = np.stack([_reference_haar(d, rng) for _ in range(nb)])
         uk = us
         for _ in range(k - 1):
             uk = np.einsum("nij,nkl->nikjl", uk, us).reshape(nb, uk.shape[1] * d, -1)
-        acc += np.einsum("nij,jk,nlk->il", uk, o, uk.conj())
+        acc += linalg.conjugation_sum(uk, o)
         done += nb
     return acc / n_samples
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (4, 1), (2, 3)])
 def test_monte_carlo_twirl_is_bit_identical_to_per_sample_sampling(d, k):
+    # chunks of 512 at (2, 2) and (4, 1), 128 at (2, 3): 1100 crosses chunk boundaries
     rng = np.random.default_rng(31)
     o = random_hermitian(d ** k, rng)
-    got = monte_carlo_k_design_twirl(d, k, o, 1100, rng_seed=5)
-    np.testing.assert_array_equal(got, _reference_monte_carlo_twirl(d, k, o, 1100, 5))
+    for n_samples in (1, 100, 1100):
+        got = monte_carlo_k_design_twirl(d, k, o, n_samples, rng_seed=5)
+        np.testing.assert_array_equal(got, _reference_monte_carlo_twirl(d, k, o, n_samples, 5))
 
+
+@pytest.mark.parametrize("d,k", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (4, 1)])
+def test_conjugation_sum_matches_the_loop_and_the_einsum(d, k):
+    rng = np.random.default_rng(50 + 10 * d + k)
+    stack = linalg.tensor_powers(haar_unitaries(d, 300, rng), k)
+    o = rng.standard_normal((d ** k, d ** k)) + 1j * rng.standard_normal((d ** k, d ** k))
+    got = linalg.conjugation_sum(stack, o)
+    loop = sum(a @ o @ dagger(a) for a in stack)
+    einsum = np.einsum("nij,jk,nlk->il", stack, o, stack.conj())
+    # the sum grows with the stack, so its mean (the twirl) carries the bound
+    bound = 1e-12 * max(1.0, frob(o)) * len(stack)
+    assert np.abs(got - loop).max() <= bound
+    assert np.abs(got - einsum).max() <= bound
+
+
+def test_tensor_powers_match_kron_chains():
+    us = haar_unitaries(3, 20, np.random.default_rng(51))
+    for k in (1, 2, 3):
+        want = np.stack([linalg.kron_all(*([u] * k)) for u in us])
+        assert np.abs(linalg.tensor_powers(us, k) - want).max() <= 1e-15
+
+
+def _uncached_k_design_twirl(d, k, o):
+    """The permutation-Gram solve, with its constants rebuilt on every call."""
+    perms = np.array([perm_matrix_on_tensor(p, d).reshape(-1)
+                      for p in itertools.permutations(range(k))])
+    gram = perms.conj() @ perms.T
+    coeff = np.linalg.pinv(gram, rcond=1e-10) @ (perms.conj() @ o.reshape(-1))
+    return (coeff @ perms).reshape(d ** k, d ** k)
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_k_design_twirl_with_cached_constants_keeps_every_bit(d, k):
+    rng = np.random.default_rng(52)
+    for _ in range(3):
+        o = rng.standard_normal((d ** k, d ** k)) + 1j * rng.standard_normal((d ** k, d ** k))
+        assert k_design_twirl(d, k, o).tobytes() == _uncached_k_design_twirl(d, k, o).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 7, 512])

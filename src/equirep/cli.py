@@ -256,7 +256,7 @@ def _cmd_twirl(args, tol):
 def _cmd_equivariant(args, tol):
     rep = serialize.rep_from_spec(_load_json(args.rep))
     gens = equivariant_generators(rep, tol)
-    residual = max(check_equivariance(h, rep, 0) for h in gens.generators)
+    residual = check_equivariance(gens.generators, rep, 0)
     report = _header(args, "equivariant")
     report.update({
         "rep": rep.name,

@@ -19,7 +19,7 @@ from . import linalg
 from .decompose import commutant_basis
 from .errors import DimensionMismatchError, NumericalError
 from .linalg import DEFAULT_TOL, Tolerance
-from .representations import Representation
+from .representations import Representation, _max_frob
 
 __all__ = [
     "EquivariantGeneratorSet", "QnnCircuit", "EquivariantMeasurement",
@@ -166,22 +166,28 @@ def check_equivariance(w: np.ndarray, rep: Representation, n_samples: int = 20,
                        rng_seed: int = 0) -> float:
     """Max commutator residual ||[w, K]||_F of an operator against the representation.
 
+    ``w`` is one ``(d, d)`` operator or an ``(n, d, d)`` stack of them.
     Finite flavor: exact over the group generators.  Lie flavor: over the
     algebra images (sufficient for the connected component) plus
     ``n_samples`` sampled group elements as a smoke test.  With
     ``n_samples=0`` this is the commutation check against the generator
-    images alone, for either flavor.
+    images alone, for either flavor.  The commutators of a chunk of
+    operators with every K are formed as one stack, and each norm has the
+    bits of ``linalg.frob`` of that commutator.
     """
     w = np.asarray(w, dtype=complex)
-    if w.shape != (rep.dim, rep.dim):
+    if w.ndim not in (2, 3) or w.shape[-2:] != (rep.dim, rep.dim):
         raise DimensionMismatchError(
             f"operator shape {w.shape} does not match carrier dim {rep.dim}")
-    res = 0.0
-    for k in rep.generator_images:
-        res = max(res, linalg.frob(linalg.comm(w, k)))
+    ws = w.reshape(-1, rep.dim, rep.dim)
+    ks = rep.generator_images
     if rep.flavor == "lie" and n_samples > 0:
-        for u in rep.sample_elements(rng_seed, n_samples):
-            res = max(res, linalg.frob(linalg.comm(w, u)))
+        ks = np.concatenate((ks, rep.sample_elements(rng_seed, n_samples)))
+    per = max(1, linalg._CHUNK_BYTES // max(ks.nbytes, 1))
+    res = 0.0
+    for start in range(0, len(ws), per):
+        chunk = ws[start:start + per, None]
+        res = max(res, _max_frob((chunk @ ks - ks @ chunk).reshape(-1, rep.dim, rep.dim)))
     return res
 
 

@@ -406,13 +406,14 @@ def _max_frob(stack: np.ndarray) -> float:
 def verify_homomorphism(r: Representation) -> float:
     """Max homomorphism residual.
 
-    Finite flavor: max over pairs of ||R(gh) - R(g)R(h)||_F (all pairs up to
-    order 64, generator x element beyond, which is equivalent by induction),
-    and over generators of the distance between each generator image and the
-    word product that represents its element.  For each first element g the
-    pairs are taken as stacks: R(gh) for a chunk of h by one fancy index of
-    ``representatives()``, less R(g) times that chunk's stack by one batched
-    matmul.  Chunks hold ``linalg._CHUNK_BYTES`` of representatives.
+    Finite flavor: max over generators s and elements h of
+    ||R(sh) - R(s)R(h)||_F, which implies R(gh) = R(g)R(h) for all pairs by
+    induction on the word of g, and over generators of the distance between
+    each generator image and the word product that represents its element.
+    For each generator s the pairs are taken as stacks: R(sh) for a chunk of
+    h by one fancy index of ``representatives()``, less R(s) times that
+    chunk's stack by one batched matmul.  Chunks hold
+    ``linalg._CHUNK_BYTES`` of representatives.
     Lie flavor: max over basis pairs of ||r([X,Y]) - [r(X), r(Y)]||_F with the
     left side expanded through the source's structure constants.
     """
@@ -420,9 +421,8 @@ def verify_homomorphism(r: Representation) -> float:
         g = r.group
         mats = r.representatives()
         chunk = max(1, linalg._CHUNK_BYTES // max(mats[0].nbytes, 1))
-        firsts = range(g.order) if g.order <= EAGER_ORDER else g.generators
         res = 0.0
-        for a in firsts:
+        for a in g.generators:
             for start in range(0, g.order, chunk):
                 stop = start + chunk
                 res = max(res, _max_frob(mats[g.mul[a, start:stop]]

@@ -3,12 +3,20 @@
 Complex matrices are nested arrays of [re, im] pairs (never strings).
 Floats are emitted with 17 significant digits, which round-trips IEEE
 doubles bit-exactly and keeps reports byte-identical across runs.
+
+The floats of an ndarray in a report are formatted in bulk by a numpy
+kernel that writes the exact text of Python's ``"%.17g"``, after the fast
+path with an exact fallback of Loitsch (2010) in its fixed-precision form
+(Adams 2019): a double-double product gives the 17 digits and the decimal
+exponent, and the few values whose rounding it cannot decide (near-ties,
+magnitudes outside 1e-250..1e250) are formatted by ``"%.17g"`` itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .errors import InvalidParameterError, ValidationError
 from .groups import FiniteGroup, LieAlgebraBasis, group_from_table, make_cyclic, \
     make_dihedral, make_symmetric, verify_group_axioms
@@ -70,15 +78,236 @@ def _fmt(x) -> str:
     raise ValidationError(f"unsupported scalar {type(x)}")
 
 
-def _template(shape: tuple[int, ...], indent: int) -> str:
-    """``%``-template of a ``(*shape, 2)`` array as ``_write`` lays out its lists."""
-    if not shape:
-        return "[%.17g, %.17g]"
+# ---------------------------------------------------------------------------
+# report arrays: the exact "%.17g" text of many floats at once
+
+_WIDTH = 24                    # longest "%.17g" text: "-1.2345678901234567e-308"
+_FAST_MIN, _FAST_MAX = 1e-250, 1e250    # every product below stays a normal double
+_TIE_MARGIN = 1e-6             # far wider than the ~1e-14 error of the products
+_SPLIT = 134217729.0           # 2**27 + 1: Veltkamp's splitting constant
+_E16, _E17 = 10 ** 16, 10 ** 17
+_POW_OFFSET = 300
+# 10**k as a double-double in column k + _POW_OFFSET: the high and low halves
+# of its head, then its tail; each column is built when first needed
+_POW10 = np.full((3, 2 * _POW_OFFSET + 1), np.nan)
+# the four ASCII digits of 0..9999 as one uint32 each, and their trailing zeros
+_DIGITS4 = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_TRAILING_ZEROS4 = sum(np.arange(10_000) % 10 ** j == 0 for j in range(1, 5)).astype(np.int8)
+
+# Columns of the per-value source rows: 17 digits, then the characters the
+# layouts below place around them.
+_POINT, _ZERO, _EXP, _EXP_SIGN, _EXP_DIGITS, _NUL, _SOURCE = 17, 18, 19, 20, 21, 24, 25
+
+
+def _layouts() -> np.ndarray:
+    """Source column of each output byte for every ``%g`` layout of a nonzero value.
+
+    Rows 0-20 are fixed notation for decimal exponents -4..16, row 21
+    exponent notation with two exponent digits and row 22 with three.
+    """
+    digits = list(range(17))
+    rows = [[_ZERO, _POINT] + [_ZERO] * (-x - 1) + digits if x < 0
+            else digits[:x + 1] + [_POINT] + digits[x + 1:] for x in range(-4, 17)]
+    for skip in (1, 0):
+        rows.append([0, _POINT] + digits[1:] + [_EXP, _EXP_SIGN]
+                    + list(range(_EXP_DIGITS + skip, _EXP_DIGITS + 3)))
+    table = np.full((len(rows), _WIDTH - 1), _NUL, dtype=np.intp)
+    for i, row in enumerate(rows):
+        table[i, :len(row)] = row
+    return table
+
+
+_LAYOUT = _layouts()
+
+
+def _pow10(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Double-double 10**k: the high and low halves of its head, and its tail."""
+    col = k + _POW_OFFSET
+    if np.isnan(_POW10[0].take(col)).any():
+        for j in np.unique(col).tolist():
+            e = j - _POW_OFFSET
+            if e >= 0:
+                head = float(10 ** e)
+                tail = float(10 ** e - int(head))
+            else:
+                den = 10 ** -e
+                head = 1 / den                  # int division rounds correctly
+                num, two = head.as_integer_ratio()
+                tail = (two - num * den) / (two * den)
+            c = _SPLIT * head
+            high = c - (c - head)
+            _POW10[:, j] = high, head - high, tail
+    return _POW10[0].take(col), _POW10[1].take(col), _POW10[2].take(col)
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**k`` rounded to the nearest int64, and what it was rounded by.
+
+    The product is a double-double (Dekker's exact product of ``a`` and the
+    head of 10**k, plus ``a`` times the tail), accurate to about 1e-14 when
+    it lies near 1e16..1e17, where its head is an even integer.
+    """
+    high, low, tail = _pow10(k)
+    c = _SPLIT * a
+    a_high = c - (c - a)
+    a_low = a - a_high
+    head = a * (high + low)
+    err = ((a_high * high - head) + a_high * low + a_low * high) + a_low * low
+    rest = err + a * tail
+    step = np.rint(rest)
+    return head.astype(np.int64) + step.astype(np.int64), rest - step
+
+
+def _ascii4(quads: np.ndarray) -> np.ndarray:
+    """``(4, n)`` ASCII digits of integers in 0..9999, zero padded, one column each."""
+    return _DIGITS4.take(quads).view(np.uint8).reshape(-1, 4).T
+
+
+def _digit_text(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``%.17g`` text of positive ``a`` within the fast range, one column per value.
+
+    Returns ``(text, order, unsure)``: column i of the NUL-padded ``(23, n)``
+    ``text`` is the text of ``a[order[i]]``, and ``unsure[i]`` marks a
+    column whose rounding the products cannot decide, whose text must come
+    from ``"%.17g"`` instead.  The values are sorted by layout, so that each
+    layout is written by one gather of whole source rows.
+    """
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    digits, frac = _scaled(a, k)
+    # log10 may miss the decimal exponent by one next to a power of ten
+    up = (digits < _E16) | ((digits == _E16) & (frac < 0))
+    down = digits > _E17
+    redo = np.flatnonzero(up | down)
+    if redo.size:
+        k[redo] += up[redo].astype(np.int64) - down[redo]
+        digits[redo], frac[redo] = _scaled(a[redo], k[redo])
+    unsure = (np.abs(frac) > 0.5 - _TIE_MARGIN) | (digits < _E16) | (digits > _E17)
+    carry = digits == _E17
+    digits[carry] = _E16
+    x = 16 - k + carry                          # decimal exponent of the leading digit
+    fixed = (x >= -4) & (x < 17)
+    layout = np.where(fixed, x + 4, 21 + (np.abs(x) >= 100)).astype(np.int8)
+    order = np.argsort(layout, kind="stable")
+    layout, digits, x, fixed = layout[order], digits[order], x[order], fixed[order]
+
+    src = np.empty((_SOURCE, len(a)), dtype=np.uint8)
+    lead = digits // _E16
+    rest = digits - lead * _E16
+    top = rest // 10 ** 8
+    bottom = rest - top * 10 ** 8
+    src[0] = lead + ord("0")                  # then four groups of four digits
+    # %g strips trailing zeros after the point, and the point if nothing follows
+    count = np.full(len(a), 17)               # digits up to the last nonzero one
+    run = np.ones(len(a), dtype=bool)         # every later quad is zero
+    for row, part in ((9, bottom), (1, top)):
+        high = part // 10 ** 4
+        low = part - high * 10 ** 4
+        src[row:row + 4] = _ascii4(high)
+        src[row + 4:row + 8] = _ascii4(low)
+        for quad in (low, high):
+            count -= run * _TRAILING_ZEROS4.take(quad)
+            run &= quad == 0
+    whole = np.where(fixed, np.maximum(x, -1), 0)   # index of the last digit before the point
+    keep = np.maximum(count, whole + 1)
+    src[:17] *= np.arange(17)[:, None] < keep
+    src[_POINT] = np.where(count - 1 > whole, ord("."), 0)
+    src[_ZERO] = ord("0")
+    src[_EXP] = ord("e")
+    src[_EXP_SIGN] = np.where(x < 0, ord("-"), ord("+"))
+    src[_EXP_DIGITS:_EXP_DIGITS + 3] = _ascii4(np.abs(x))[1:]
+    src[_NUL] = 0
+    text = np.empty((_WIDTH - 1, len(a)), dtype=np.uint8)
+    bounds = np.searchsorted(layout, np.arange(len(_LAYOUT) + 1))
+    for i in np.flatnonzero(np.diff(bounds)).tolist():
+        text[:, bounds[i]:bounds[i + 1]] = src[_LAYOUT[i], bounds[i]:bounds[i + 1]]
+    return text, order, unsure[order]
+
+
+def _float_rows(v: np.ndarray, width: int) -> np.ndarray:
+    """``(n, width)`` rows with the ``"%.17g"`` text of each finite ``v``, NUL padded.
+
+    Zeros need no arithmetic; values outside the fast range, and the rare
+    ones whose rounding :func:`_digit_text` cannot decide, are formatted by
+    ``"%.17g"`` one at a time.
+    """
+    rows = np.zeros((len(v), width), dtype=np.uint8)
+    rows[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    a = np.abs(v)
+    rows[a == 0, 1] = ord("0")
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    slow = np.flatnonzero(~fast & (a != 0))
+    fast = np.flatnonzero(fast)
+    if fast.size:
+        text, order, unsure = _digit_text(a[fast])
+        fast = fast[order]
+        rows[fast, 1:_WIDTH] = text.T
+        slow = np.concatenate((slow, fast[unsure]))
+    for i in slow.tolist():
+        text = b"%.17g" % v[i]
+        rows[i, :_WIDTH] = 0
+        rows[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return rows
+
+
+def _separators(depth: int, indent: int) -> tuple[str, np.ndarray]:
+    """The text before the first pair, and the text after each pair.
+
+    Row m of the table, NUL padded, follows a pair whose last m indices are
+    at their last value: it closes the pair and m lists, and unless
+    m = ``depth`` (the end of the array) opens as many again and the next pair.
+    """
+    def pad(level):
+        return "  " * (indent + level)
+    opens = ["[\n" + pad(level) for level in range(1, depth + 1)]
+    closes = ["\n" + pad(level - 1) + "]" for level in range(depth, 0, -1)]
+    texts = ["]" + "".join(closes[:m])
+             + (",\n" + pad(depth - m) + "".join(opens[depth - m:]) + "[" if m < depth else "")
+             for m in range(depth + 1)]
+    table = np.zeros((depth + 1, max(map(len, texts))), dtype=np.uint8)
+    for row, text in zip(table, texts):
+        row[:len(text)] = np.frombuffer(text.encode(), dtype=np.uint8)
+    return "".join(opens) + "[", table
+
+
+def _empty_text(shape: tuple[int, ...], indent: int) -> str:
+    """The nested lists of an array with no entries."""
     if shape[0] == 0:
         return "[]"
     pad = "  " * indent
-    item = pad + "  " + _template(shape[1:], indent + 1)
+    item = pad + "  " + _empty_text(shape[1:], indent + 1)
     return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
+
+
+def _chunk_text(values: np.ndarray, after: np.ndarray) -> str:
+    """The text of consecutive ``(re, im)`` values, with ``after[i]`` after pair i."""
+    cell = _WIDTH + 2
+    rows = _float_rows(values, cell)
+    rows[0::2, _WIDTH:] = np.frombuffer(b", ", dtype=np.uint8)
+    buf = np.concatenate((rows.reshape(len(after), 2 * cell), after), axis=1)
+    return buf[buf != 0].tobytes().decode("ascii")
+
+
+def _array_text(pairs: np.ndarray, indent: int) -> str:
+    """The nested ``[re, im]`` lists of a finite ``(*shape, 2)`` float array."""
+    shape = pairs.shape[:-1]
+    if pairs.size == 0:
+        return _empty_text(shape, indent)
+    depth = len(shape)
+    prefix, table = _separators(depth, indent)
+    # which separator follows each pair: the count of its trailing last indices
+    ends = np.zeros(shape, dtype=np.intp)
+    for m in range(1, depth + 1):
+        ends[(slice(None),) * (depth - m) + tuple(s - 1 for s in shape[depth - m:])] += 1
+    ends = ends.ravel()
+    flat = pairs.reshape(-1)
+    cell = _WIDTH + 2                       # one value and ", " or NUL NUL
+    chunk = max(1, linalg._CHUNK_BYTES // (2 * cell + table.shape[1]))
+    out = [prefix]
+    for start in range(0, len(ends), chunk):
+        stop = min(start + chunk, len(ends))
+        out.append(_chunk_text(flat[2 * start:2 * stop], table[ends[start:stop]]))
+    return "".join(out)
 
 
 def _write(obj, out: list[str], indent: int):
@@ -87,7 +316,7 @@ def _write(obj, out: list[str], indent: int):
         pairs = _pair_array(obj)
         if not np.all(np.isfinite(pairs)):
             raise ValidationError("non-finite float in report")
-        out.append(_template(pairs.shape[:-1], indent) % tuple(pairs.ravel().tolist()))
+        out.append(_array_text(pairs, indent))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -128,9 +357,12 @@ def dumps_report(obj) -> str:
 
     Dicts, lists, strings and scalars are written one by one.  An
     ``np.ndarray`` is written as a complex array, byte for byte as its
-    :func:`mat_to_json` would be, but in bulk: one ``"%.17g"`` template
-    built from its shape and indent is filled with all its floats by one
-    ``%`` operation.  A non-finite float anywhere raises ``ValidationError``.
+    :func:`mat_to_json` would be, but in bulk: chunks of ``(re, im)`` pairs
+    of about ``linalg._CHUNK_BYTES`` of text rows are formatted by the
+    vectorised ``"%.17g"`` kernel into NUL-padded byte rows, followed by the
+    brackets, commas and indentation that the array's shape and indent fix,
+    and one boolean index drops the padding.  Zeros skip the arithmetic.
+    A non-finite float anywhere raises ``ValidationError``.
     """
     out: list[str] = []
     _write(obj, out, 0)

@@ -144,6 +144,21 @@ def test_check_equivariance_swap_is_zero():
     assert check_equivariance(swap_matrix(), swap_rep()) < 1e-14
 
 
+@pytest.mark.parametrize("rep", [perm_rep_qubits(3), tensor_power(su2_fundamental(), 3)],
+                         ids=["perm3", "su2x3"])
+def test_check_equivariance_of_a_stack_has_the_bits_of_per_pair_norms(rep, monkeypatch):
+    rng = np.random.default_rng(4)
+    ops = np.array([random_hermitian(rep.dim, rng) for _ in range(7)])
+    ops[2] = equivariant_generators(rep).generators[1]
+    want = max(frob(comm(w, k)) for w in ops for k in rep.generator_images)
+    assert check_equivariance(ops, rep, 0) == want
+    assert max(check_equivariance(w, rep, 0) for w in ops) == want
+    monkeypatch.setattr("equirep.linalg._CHUNK_BYTES", 1)   # one operator per chunk
+    assert check_equivariance(ops, rep, 0) == want
+    with pytest.raises(DimensionMismatchError):
+        check_equivariance(ops[None], rep, 0)
+
+
 def test_measurement_block_coefficients():
     rep = tensor_power(su2_fundamental(), 2)
     dec = isotypic_decompose(rep, 0)

@@ -134,6 +134,31 @@ def test_corrupted_table_fails_associativity():
                       g.element_labels, "corrupt")
     report = verify_group_axioms(bad)
     assert len(report.associativity_violations) >= 1
+    assert report.associativity_violations == _cubic_scan(mul)
+
+
+def _cubic_scan(mul) -> list[tuple[int, int, int]]:
+    """Every triple (a, b, c) with (a*b)*c != a*(b*c), in scan order."""
+    n = len(mul)
+    return [(a, b, c) for a in range(n) for b in range(n) for c in range(n)
+            if mul[mul[a, b], c] != mul[a, mul[b, c]]]
+
+
+def test_broken_table_lists_the_violations_of_the_cubic_scan():
+    # a Latin square with identity 0 and every element its own inverse: a
+    # loop of order 5 that is not a group
+    loop = group_from_table([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], [1, 2], name="loop5")
+    report = verify_group_axioms(loop)
+    assert report.identity_ok and report.inverses_ok and not report.ok
+    assert report.associativity_violations == _cubic_scan(loop.mul)
+    assert len(report.associativity_violations) == 36
+
+
+@pytest.mark.parametrize("group", [make_cyclic(7), make_dihedral(5), make_symmetric(4)])
+def test_light_test_passes_exactly_the_associative_tables(group):
+    assert _cubic_scan(group.mul) == []
+    assert verify_group_axioms(group).associativity_violations == []
 
 
 # -- identification ---------------------------------------------------------

@@ -408,10 +408,9 @@ def test_rep_spec_malformed_payloads_raise_validation_error(corrupt):
 
 
 def _homomorphism_by_pairs(r):
-    """Per-pair reference: one ``frob`` for each pair of elements."""
+    """Per-pair reference: one ``frob`` for each generator and element."""
     g, mats, res = r.group, r.representatives(), 0.0
-    firsts = range(g.order) if g.order <= representations.EAGER_ORDER else g.generators
-    for a in firsts:
+    for a in g.generators:
         for b in range(g.order):
             res = max(res, frob(mats[g.multiply(a, b)] - mats[a] @ mats[b]))
     for gi, img in zip(g.generators, r.generator_images):

@@ -91,9 +91,10 @@ _POW_OFFSET = 300
 # of its head, then its tail; each column is built when first needed
 _POW10 = np.full((3, 2 * _POW_OFFSET + 1), np.nan)
 # the four ASCII digits of 0..9999 as one uint32 each, and their trailing zeros
-_DIGITS4 = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
+_QUADS = np.arange(10_000, dtype=np.int16)
+_DIGITS4 = (_QUADS[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10
             + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_TRAILING_ZEROS4 = sum(np.arange(10_000) % 10 ** j == 0 for j in range(1, 5)).astype(np.int8)
+_TRAILING_ZEROS4 = sum(_QUADS % 10 ** j == 0 for j in range(1, 5)).astype(np.int8)
 
 # Columns of the per-value source rows: 17 digits, then the characters the
 # layouts below place around them.
@@ -199,7 +200,7 @@ def _digit_text(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     src[0] = lead + ord("0")                  # then four groups of four digits
     # %g strips trailing zeros after the point, and the point if nothing follows
     count = np.full(len(a), 17)               # digits up to the last nonzero one
-    run = np.ones(len(a), dtype=bool)         # every later quad is zero
+    run = np.ones(len(a), dtype=bool)         # every later group is zero
     for row, part in ((9, bottom), (1, top)):
         high = part // 10 ** 4
         low = part - high * 10 ** 4
@@ -285,14 +286,15 @@ def _chunk_text(values: np.ndarray, after: np.ndarray) -> str:
     rows = _float_rows(values, cell)
     rows[0::2, _WIDTH:] = np.frombuffer(b", ", dtype=np.uint8)
     buf = np.concatenate((rows.reshape(len(after), 2 * cell), after), axis=1)
-    return buf[buf != 0].tobytes().decode("ascii")
+    return str(memoryview(buf[buf != 0]), "ascii")
 
 
-def _array_text(pairs: np.ndarray, indent: int) -> str:
-    """The nested ``[re, im]`` lists of a finite ``(*shape, 2)`` float array."""
+def _write_array(pairs: np.ndarray, out: list[str], indent: int):
+    """Append the nested ``[re, im]`` lists of a finite ``(*shape, 2)`` float array."""
     shape = pairs.shape[:-1]
     if pairs.size == 0:
-        return _empty_text(shape, indent)
+        out.append(_empty_text(shape, indent))
+        return
     depth = len(shape)
     prefix, table = _separators(depth, indent)
     # which separator follows each pair: the count of its trailing last indices
@@ -303,11 +305,10 @@ def _array_text(pairs: np.ndarray, indent: int) -> str:
     flat = pairs.reshape(-1)
     cell = _WIDTH + 2                       # one value and ", " or NUL NUL
     chunk = max(1, linalg._CHUNK_BYTES // (2 * cell + table.shape[1]))
-    out = [prefix]
+    out.append(prefix)
     for start in range(0, len(ends), chunk):
         stop = min(start + chunk, len(ends))
         out.append(_chunk_text(flat[2 * start:2 * stop], table[ends[start:stop]]))
-    return "".join(out)
 
 
 def _write(obj, out: list[str], indent: int):
@@ -316,7 +317,7 @@ def _write(obj, out: list[str], indent: int):
         pairs = _pair_array(obj)
         if not np.all(np.isfinite(pairs)):
             raise ValidationError("non-finite float in report")
-        out.append(_array_text(pairs, indent))
+        _write_array(pairs, out, indent)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")

@@ -82,6 +82,7 @@ def _fmt(x) -> str:
 # report arrays: the exact "%.17g" text of many floats at once
 
 _WIDTH = 24                    # longest "%.17g" text: "-1.2345678901234567e-308"
+_CELL = _WIDTH + 2             # one value's text, then ", " or two NULs
 _FAST_MIN, _FAST_MAX = 1e-250, 1e250    # every product below stays a normal double
 _TIE_MARGIN = 1e-6             # far wider than the ~1e-14 error of the products
 _SPLIT = 134217729.0           # 2**27 + 1: Veltkamp's splitting constant
@@ -225,14 +226,14 @@ def _digit_text(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return text, order, unsure[order]
 
 
-def _float_rows(v: np.ndarray, width: int) -> np.ndarray:
-    """``(n, width)`` rows with the ``"%.17g"`` text of each finite ``v``, NUL padded.
+def _float_rows(v: np.ndarray) -> np.ndarray:
+    """``(n, _CELL)`` rows with the ``"%.17g"`` text of each finite ``v``, NUL padded.
 
     Zeros need no arithmetic; values outside the fast range, and the rare
     ones whose rounding :func:`_digit_text` cannot decide, are formatted by
     ``"%.17g"`` one at a time.
     """
-    rows = np.zeros((len(v), width), dtype=np.uint8)
+    rows = np.zeros((len(v), _CELL), dtype=np.uint8)
     rows[:, 0] = np.signbit(v) * np.uint8(ord("-"))
     a = np.abs(v)
     rows[a == 0, 1] = ord("0")
@@ -282,10 +283,9 @@ def _empty_text(shape: tuple[int, ...], indent: int) -> str:
 
 def _chunk_text(values: np.ndarray, after: np.ndarray) -> str:
     """The text of consecutive ``(re, im)`` values, with ``after[i]`` after pair i."""
-    cell = _WIDTH + 2
-    rows = _float_rows(values, cell)
+    rows = _float_rows(values)
     rows[0::2, _WIDTH:] = np.frombuffer(b", ", dtype=np.uint8)
-    buf = np.concatenate((rows.reshape(len(after), 2 * cell), after), axis=1)
+    buf = np.concatenate((rows.reshape(len(after), 2 * _CELL), after), axis=1)
     return str(memoryview(buf[buf != 0]), "ascii")
 
 
@@ -303,8 +303,7 @@ def _write_array(pairs: np.ndarray, out: list[str], indent: int):
         ends[(slice(None),) * (depth - m) + tuple(s - 1 for s in shape[depth - m:])] += 1
     ends = ends.ravel()
     flat = pairs.reshape(-1)
-    cell = _WIDTH + 2                       # one value and ", " or NUL NUL
-    chunk = max(1, linalg._CHUNK_BYTES // (2 * cell + table.shape[1]))
+    chunk = max(1, linalg._CHUNK_BYTES // (2 * _CELL + table.shape[1]))
     out.append(prefix)
     for start in range(0, len(ends), chunk):
         stop = min(start + chunk, len(ends))

@@ -144,18 +144,21 @@ def _cubic_scan(mul) -> list[tuple[int, int, int]]:
             if mul[mul[a, b], c] != mul[a, mul[b, c]]]
 
 
-def test_broken_table_lists_the_violations_of_the_cubic_scan():
+@pytest.mark.parametrize("generators", [[1, 2], None])
+def test_broken_table_lists_the_violations_of_the_cubic_scan(generators):
     # a Latin square with identity 0 and every element its own inverse: a
     # loop of order 5 that is not a group
     loop = group_from_table([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
-                             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], [1, 2], name="loop5")
+                             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]], generators, name="loop5")
     report = verify_group_axioms(loop)
     assert report.identity_ok and report.inverses_ok and not report.ok
     assert report.associativity_violations == _cubic_scan(loop.mul)
     assert len(report.associativity_violations) == 36
 
 
-@pytest.mark.parametrize("group", [make_cyclic(7), make_dihedral(5), make_symmetric(4)])
+@pytest.mark.parametrize("group", [make_cyclic(7), make_dihedral(5), make_symmetric(4),
+                                   group_from_table(make_dihedral(6).mul)],  # every element listed
+                         ids=["Z7", "D5", "S4", "D6-all"])
 def test_light_test_passes_exactly_the_associative_tables(group):
     assert _cubic_scan(group.mul) == []
     assert verify_group_axioms(group).associativity_violations == []

@@ -4,6 +4,7 @@ import pytest
 from equirep import linalg, serialize
 from equirep.errors import InvalidParameterError, NotHermitianError
 from equirep.groups import (
+    FiniteGroup,
     group_from_table,
     group_from_unitaries,
     identify_small_group,
@@ -154,6 +155,20 @@ def test_broken_table_lists_the_violations_of_the_cubic_scan(generators):
     assert report.identity_ok and report.inverses_ok and not report.ok
     assert report.associativity_violations == _cubic_scan(loop.mul)
     assert len(report.associativity_violations) == 36
+
+
+@pytest.mark.parametrize("mul, identity, generators", [
+    # the generator passes Light's test but reaches only the identity
+    ([[0, 0, 0], [0, 1, 2], [1, 2, 0]], 1, [1]),
+    # the generator reaches every element, but from an element that is no identity
+    ([[0, 0, 0], [0, 0, 0], [0, 1, 0]], 2, [1]),
+], ids=["not-generating", "false-identity"])
+def test_light_test_alone_does_not_certify_a_table(mul, identity, generators):
+    mul = np.array(mul)
+    table = FiniteGroup(3, mul, identity, np.zeros(3, dtype=np.int64), generators,
+                        ["a", "b", "c"], "magma")
+    violations = verify_group_axioms(table).associativity_violations
+    assert violations and violations == _cubic_scan(mul)
 
 
 @pytest.mark.parametrize("group", [make_cyclic(7), make_dihedral(5), make_symmetric(4),

@@ -19,13 +19,14 @@ Schur's lemma then gives the commutant without any linear solve: it is
 q(sum_k M_k x 1_{d_k})q^dag, so a Hermitian orthonormal basis of every
 m_k x m_k block, sent through the certified q, spans it.
 
-Intertwiners come from a kernel solver.  Any phi with phi R(g) = S(g) phi
-also satisfies phi A_R = A_S phi for algebra elements taken with the same
-coefficients on both sides, so in the eigenbases of A_R and A_S phi only
-connects eigenspaces with equal eigenvalues, and the generator constraints
-are solved for those entries alone (the route of RepLAB).  Both routes need
-the algebra to be closed under the adjoint, so they reject non-unitary
-representations.
+Intertwiners come from the same decomposition.  Hom(R, S) is the S-R
+corner of the commutant of R (+) S, so the direct sum is decomposed once.
+In block k the projector onto R's carrier is q(G_k x 1)q^dag, with
+G_k[a, b] = Tr(r_a^dag r_b)/d_k and r_a the R rows of copy a; one eigh of
+G_k rotates the copies into m_k^R copies inside R and m_k^S inside S, and
+the products s_b r_a^dag / sqrt(d_k) are an orthonormal basis of Hom(R, S)
+(the route of RepLAB).  Every route here needs the algebra to be closed
+under the adjoint, so non-unitary representations are rejected.
 
 The Schur-Weyl check compares spans, never dense projectors.  Its Haar
 samples are drawn in one batch; with r the dimension of the permutation
@@ -48,14 +49,17 @@ from . import linalg
 from .errors import (
     DecompositionFailedError,
     DimensionTooLargeError,
+    NumericalError,
     SourceMismatchError,
     _require_positive_int,
     _require_seed,
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .representations import (
+    EAGER_ORDER,
     Representation,
     _max_frob,
+    direct_sum,
     perm_matrix_on_tensor,
     perm_rep_tensor,
     require_unitary,
@@ -76,13 +80,14 @@ MAX_REDRAWS = 8
 # spectral scale, share a cluster.  The cut sits far above eigh's rounding,
 # so a true eigenspace is never split, and far below the gaps of a generic
 # element; a draw that merges two eigenspaces is caught and redrawn by
-# _attempt_decomposition, and in the kernel solver it only enlarges the
-# search space.
+# _attempt_decomposition.
 _CLUSTER_GAP = 1e-6
 # Largest relative spread of the singular values of a K block that still
 # counts as a multiple of a unitary; rounding leaves under 1e-12.
 _POLAR_SPREAD = 1e-6
-_KERNEL_SEED = 2210
+# Largest distance of an eigenvalue of a copy Gram G_k from 0 or 1: a
+# certified decomposition of R (+) S leaves rounding far below it.
+_PURITY_GAP = 1e-8
 
 
 @dataclass
@@ -148,10 +153,6 @@ class IsotypicDecomposition:
     q: np.ndarray
     blocks: list[tuple[int, int]]          # (irrep dim d_k, multiplicity m_k)
     block_offsets: list[tuple[int, int]]   # column ranges in q, copy-major
-
-    def block_slice(self, k: int) -> slice:
-        a, b = self.block_offsets[k]
-        return slice(a, b)
 
 
 @dataclass
@@ -233,55 +234,6 @@ def _cluster_labels(w: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _eigenspace_kernel(r: Representation, s: Representation,
-                       tol: Tolerance) -> np.ndarray:
-    """Every phi with phi R(g) = S(g) phi, as an orthonormal (k, d_s, d_r) stack.
-
-    Diagonalize A_R = v_r diag(a) v_r^dag and A_S = v_s diag(b) v_s^dag, two
-    algebra elements with the same coefficients; X = v_s^dag phi v_r then
-    obeys X diag(a) = diag(b) X and is found by _matched_kernel.
-    Orthonormality under Tr[A^dag B] holds because the rotation back to phi
-    is unitary on both sides.
-    """
-    require_unitary(r)
-    if s is not r:
-        require_unitary(s)
-    w_r, v_r = np.linalg.eigh(_algebra_element(r, np.random.default_rng(_KERNEL_SEED)))
-    w_s, v_s = (w_r, v_r) if s is r else np.linalg.eigh(
-        _algebra_element(s, np.random.default_rng(_KERNEL_SEED)))
-    k_r = linalg.dagger(v_r) @ r.generator_images @ v_r
-    k_s = linalg.dagger(v_s) @ s.generator_images @ v_s
-    x = _matched_kernel(k_r, w_r, k_s, w_s, tol)
-    return v_s @ x @ linalg.dagger(v_r)
-
-
-def _matched_kernel(k_r: np.ndarray, w_r: np.ndarray, k_s: np.ndarray,
-                    w_s: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal (k, d_s, d_r) basis of X with X K_r = K_s X for stacked K.
-
-    The caller guarantees X diag(w_r) = diag(w_s) X for every solution, so
-    only entries X[p, q] with w_s[p] and w_r[q] in one eigenvalue cluster
-    are unknowns, and the constraints are solved for those entries alone.
-    """
-    d_s, d_r = len(w_s), len(w_r)
-    # Cluster both spectra together; equal labels mark allowed entries.
-    labels = _cluster_labels(np.concatenate([w_s, w_r]))
-    p, q = np.nonzero(labels[:d_s, None] == labels[None, d_s:])
-    n = p.size
-    if n == 0:
-        return np.zeros((0, d_s, d_r), dtype=complex)
-    # Column t of the constraint matrix is E_pq K_r - K_s E_pq for every
-    # generator, with (p, q) the t-th unknown entry.
-    e_p = np.eye(d_s)[p]
-    e_q = np.eye(d_r)[q]
-    rows = np.einsum("ti,gtj->gijt", e_p, k_r[:, q, :])
-    rows -= np.einsum("git,tj->gijt", k_s[:, :, p], e_q)
-    ker = linalg.null_space(rows.reshape(-1, n), tol)
-    x = np.zeros((ker.shape[1], d_s, d_r), dtype=complex)
-    x[:, p, q] = ker.T
-    return x
-
-
 class _Genericity(Exception):
     """Internal: the random draw was degenerate, redraw."""
 
@@ -291,7 +243,7 @@ def _verification_set(rep: Representation, rng: np.random.Generator) -> np.ndarr
     imgs = rep.generator_images
     if rep.flavor == "finite":
         g = rep.group
-        if g.order <= 64:
+        if g.order <= EAGER_ORDER:
             return rep.representatives()
         extra = [rep.representative(int(rng.integers(g.order))) for _ in range(20)]
         return np.concatenate([imgs, extra])
@@ -457,38 +409,61 @@ def irrep_blocks(rep: Representation, dec: IsotypicDecomposition) -> list[Repres
     return out
 
 
+def _split_copies(r: Representation, s: Representation,
+                  tol: Tolerance) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The copies of every block of R (+) S, split into those inside R and S.
+
+    One eigh of the copy Gram G_k (see the module docstring) rotates the
+    copies of block k, whose entry holds d_k, the R rows ``(m_k^R, d_r, d_k)``
+    of the copies inside R and the S rows ``(m_k^S, d_s, d_k)`` of those in S.
+
+    Raises:
+        NumericalError: if G_k has an eigenvalue farther than _PURITY_GAP from
+            both 0 and 1, i.e. the copies do not split into R and S.
+    """
+    dec = isotypic_decompose(direct_sum(r, s), 0, tol)
+    out = []
+    for (d_k, m_k), (a, b) in zip(dec.blocks, dec.block_offsets):
+        copies = dec.q[:, a:b].reshape(-1, m_k, d_k).transpose(1, 0, 2)
+        rows = copies[:, :r.dim]
+        w, v = np.linalg.eigh(np.einsum("aij,bij->ab", rows.conj(), rows) / d_k)
+        off = np.minimum(np.abs(w), np.abs(w - 1)).max()
+        if off > _PURITY_GAP:
+            raise NumericalError(
+                f"block {len(out)} of the direct sum mixes R and S copies "
+                f"(Gram eigenvalue {off:.3e} away from 0 and 1)")
+        pure = np.tensordot(v, copies, (0, 0))
+        in_r = w > 0.5
+        out.append((d_k, pure[in_r, :r.dim], pure[~in_r, r.dim:]))
+    return out
+
+
 def find_intertwiner(r: Representation, s: Representation,
                      tol: Tolerance = DEFAULT_TOL) -> Intertwiner:
     """Solve phi R(g) = S(g) phi over generators; classify per Schur.
 
-    Uses the eigenspace-reduced kernel solver (see the module docstring), so
-    both representations must be unitary.  "equivalent" requires an
-    invertible kernel element (smallest singular value above tolerance);
-    between irreducibles the verdict is never "partial".
+    Read off one decomposition of R (+) S (see the module docstring), so
+    both representations must be unitary.  The kernel has dimension
+    sum_k m_k^R m_k^S.  "equivalent" holds exactly when the censuses of R
+    and S match, and phi = sum_a s_a r_a^dag is then unitary; otherwise a
+    non-empty kernel is "partial", with phi the first basis element
+    s_b r_a^dag / sqrt(d_k).  Between irreducibles the verdict is never
+    "partial".
+
+    Raises:
+        NumericalError: if the copies of a block do not split into R and S.
     """
     if not sources_match(r, s):
         raise SourceMismatchError("intertwiner needs a common group or algebra")
-    mats = _eigenspace_kernel(r, s, tol)
-    kdim = len(mats)
+    blocks = _split_copies(r, s, tol)
+    kdim = sum(len(rc) * len(sc) for _, rc, sc in blocks)
     if kdim == 0:
         return Intertwiner(None, "zero-only", 0)
-    if r.dim == s.dim:
-        rng = np.random.default_rng(7)
-        mixes = []
-        for _ in range(4):
-            w = rng.standard_normal(kdim) + 1j * rng.standard_normal(kdim)
-            mixes.append(np.tensordot(w, mats, 1))
-        # Singular values of the kernel basis a chunk at a time, then of the
-        # mixes; the first best-conditioned candidate wins.
-        step = max(1, linalg._CHUNK_BYTES // mats[0].nbytes)
-        chunks = [mats[a:a + step] for a in range(0, kdim, step)] + [np.array(mixes)]
-        svals = np.concatenate([np.linalg.svd(c, compute_uv=False) for c in chunks])
-        smin = svals[:, -1] / np.maximum(svals[:, 0], 1e-300)
-        best = int(np.argmax(smin))
-        if smin[best] > max(tol.relative, tol.absolute):
-            phi = mats[best] if best < kdim else mixes[best - kdim]
-            return Intertwiner(phi, "equivalent", kdim)
-    return Intertwiner(mats[0], "partial", kdim)
+    if all(len(rc) == len(sc) for _, rc, sc in blocks):
+        phi = sum(np.tensordot(sc, rc.conj(), ((0, 2), (0, 2))) for _, rc, sc in blocks)
+        return Intertwiner(phi, "equivalent", kdim)
+    d_k, rc, sc = next(b for b in blocks if len(b[1]) and len(b[2]))
+    return Intertwiner(sc[0] @ linalg.dagger(rc[0]) / np.sqrt(d_k), "partial", kdim)
 
 
 # ---------------------------------------------------------------------------

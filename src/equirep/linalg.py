@@ -25,7 +25,7 @@ __all__ = [
     "Tolerance", "DEFAULT_TOL",
     "dagger", "comm", "frob", "kron", "kron_all",
     "is_hermitian", "is_unitary", "is_psd", "is_trace_one",
-    "herm_eig", "exp_unitary", "null_space", "partial_trace", "hs_inner",
+    "herm_eig", "exp_unitary", "partial_trace", "hs_inner",
     "vectorize", "devectorize", "conjugation_superoperator",
     "commutator_superoperator", "conjugation_sum", "random_hermitian",
     "haar_unitary", "haar_unitaries", "tensor_powers", "hvec", "orthonormalize_hermitian",
@@ -62,9 +62,8 @@ DEFAULT_TOL = Tolerance()
 
 # Bytes of (n, d, d) operands per step wherever a stack is processed in
 # chunks (average and Monte Carlo twirls, homomorphism check, splitting
-# element, intertwiner candidates): each chunk's temporaries stay
-# cache-sized and below the allocator's trim threshold, and a large stack
-# is never copied whole.
+# element): each chunk's temporaries stay cache-sized and below the
+# allocator's trim threshold, and a large stack is never copied whole.
 _CHUNK_BYTES = 1 << 17
 
 
@@ -143,22 +142,6 @@ def exp_unitary(h: np.ndarray, theta, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
     w, v = herm_eig(h, tol)
     phases = np.exp(-1j * np.asarray(theta)[..., None] * w)
     return (v * phases[..., None, :]) @ dagger(v)
-
-
-def null_space(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the kernel of ``m`` as matrix columns.
-
-    Singular values below ``max(tol.absolute, tol.relative * sigma_max)`` are
-    classified as zero.  The returned array has shape ``(cols, k)`` and may
-    have ``k = 0``.  Tall inputs take the thin SVD, whose square ``vh``
-    already spans the row space; wide inputs need the full ``vh``.
-    """
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    smax = s[0] if s.size else 0.0
-    cutoff = tol.threshold(smax)
-    rank = int(np.sum(s >= cutoff))
-    return dagger(vh[rank:])
 
 
 def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:

@@ -441,7 +441,7 @@ def require_unitary(r: Representation) -> None:
     Finite flavor: every generator image is a square unitary.  Lie flavor:
     every image is Hermitian, so its exponentials are unitary.  Either way
     the algebra the images generate is closed under the adjoint, which the
-    commutant and intertwiner solvers rely on.
+    decomposition, and the commutants and intertwiners built from it, rely on.
     """
     for i, m in enumerate(r.generator_images):
         if r.flavor == "lie":

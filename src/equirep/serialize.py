@@ -397,6 +397,16 @@ _GROUP_MAKERS = {"cyclic": make_cyclic, "symmetric": make_symmetric,
 
 
 def group_from_spec(spec: dict) -> FiniteGroup:
+    g = _build_group(spec)
+    # explicit tables are verified on load, up to the order where
+    # _build_group starts to demand that they be declared trusted
+    if spec["kind"] == "table" and g.order <= 512 and not verify_group_axioms(g).ok:
+        raise ValidationError("explicit table fails the group axioms")
+    return g
+
+
+def _build_group(spec: dict) -> FiniteGroup:
+    """The group a spec describes, with an explicit table not yet verified."""
     kind = _object(spec).get("kind")
     if kind in _GROUP_MAKERS:
         n = _field(spec, "n")
@@ -410,12 +420,8 @@ def group_from_spec(spec: dict) -> FiniteGroup:
                              spec.get("generators"),
                              spec.get("labels"),
                              spec.get("name", "group"))
-        # explicit tables are verified on load; larger ones (where the cubic
-        # associativity scan is off the table) must be declared trusted
-        if g.order <= 512:
-            if not verify_group_axioms(g).ok:
-                raise ValidationError("explicit table fails the group axioms")
-        elif not spec.get("trusted", False):
+        # the cubic associativity scan is off the table above order 512
+        if g.order > 512 and not spec.get("trusted", False):
             raise ValidationError(
                 "tables above order 512 must carry \"trusted\": true")
         return g

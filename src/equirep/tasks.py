@@ -45,6 +45,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .representations import (
+    EAGER_ORDER,
     Representation,
     bitflip_rep,
     su2_fundamental,
@@ -642,7 +643,7 @@ def eigenspace_invariance_check(h: np.ndarray, rep: Representation,
 
     if rep.flavor == "lie":
         actions = rep.sample_elements(rng_seed, n_samples)
-    elif rep.group.order <= 64:
+    elif rep.group.order <= EAGER_ORDER:
         actions = rep.representatives()
     else:
         actions = rep.generator_images

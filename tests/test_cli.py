@@ -7,7 +7,7 @@ import pytest
 from equirep import cli
 from equirep import representations as reps
 from equirep.errors import DecompositionFailedError
-from equirep.groups import make_cyclic
+from equirep.groups import group_from_table, make_cyclic, verify_group_axioms
 from equirep.serialize import mat_from_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -37,6 +37,29 @@ def test_group_make_verify_identify(tmp_path, capsys):
     code, out = run_cli(capsys, "group", "identify", "--in", str(path))
     assert code == 0
     assert json.loads(out)["name"] == "D_4"
+
+
+# A loop of order 5 (a Latin square with an identity) that is not a group.
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_group_verify_reports_the_violations_of_a_non_group_table(tmp_path, capsys):
+    path = tmp_path / "loop5.json"
+    path.write_text(json.dumps({"kind": "table", "mul": LOOP5, "generators": [1, 2]}))
+    code, out = run_cli(capsys, "group", "verify", "--in", str(path))
+    assert code == 0
+    report = json.loads(out)
+    want = verify_group_axioms(group_from_table(LOOP5, [1, 2]))
+    assert len(want.associativity_violations) == 36
+    assert report["associativity_violations"] == [list(v) for v in want.associativity_violations]
+    assert report["ok"] is False
+    # Every other command still refuses to load the table.
+    for argv in (["group", "identify", "--in", str(path)],
+                 ["rep", "make", "--kind", "left-regular", "--group", str(path)]):
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: explicit table fails the group axioms\n"
 
 
 def test_rep_make_and_verify(tmp_path, capsys):

@@ -12,9 +12,9 @@ from equirep.decompose import (
     SchurWeylReport,
     _algebra_element,
     _block_commutant,
-    _eigenspace_kernel,
     _span_basis,
     _span_distance,
+    _split_copies,
     _verification_set,
     block_diagonal_part,
     block_projectors,
@@ -31,6 +31,7 @@ from equirep.errors import (
     DimensionTooLargeError,
     InvalidParameterError,
     NotHermitianError,
+    NumericalError,
     SourceMismatchError,
     ValidationError,
 )
@@ -49,7 +50,6 @@ from equirep.linalg import (
     haar_unitary,
     hs_inner,
     kron,
-    null_space,
     vectorize,
 )
 from equirep.groups import make_dihedral
@@ -71,6 +71,7 @@ from equirep.representations import (
     trivial_rep,
     unitary_algebra_rep,
 )
+from kernel_oracle import eigenspace_kernel, null_space
 
 SIGMA_MINUS = (X + 1j * Y) / 2
 SIGMA_PLUS = (X - 1j * Y) / 2
@@ -204,7 +205,7 @@ def test_eigenspace_kernel_matches_superoperator_oracle():
     rng = np.random.default_rng(12)
     su2 = su2_fundamental()
     for rep in oracle_reps(rng):
-        got = _eigenspace_kernel(rep, rep, DEFAULT_TOL)
+        got = eigenspace_kernel(rep, rep, DEFAULT_TOL)
         oracle = superoperator_kernel(rep, rep)
         assert got.shape == (oracle.shape[1], rep.dim, rep.dim), rep.name
         assert span_distance(got, oracle) <= 1e-10, rep.name
@@ -217,7 +218,7 @@ def test_eigenspace_kernel_matches_superoperator_oracle():
         oracle = superoperator_kernel(r, s)
         it = find_intertwiner(r, s)
         assert (it.verdict, it.kernel_dim, oracle.shape[1]) == (verdict, kdim, kdim)
-        got = _eigenspace_kernel(r, s, DEFAULT_TOL)
+        got = eigenspace_kernel(r, s, DEFAULT_TOL)
         assert got.shape == (kdim, s.dim, r.dim)
         if kdim:
             assert span_distance(got, oracle) <= 1e-10
@@ -227,7 +228,7 @@ def test_commutant_matches_the_kernel_solver_oracle():
     # The commutant built from the decomposition spans what the kernel
     # solver finds; both spans are complex spans of orthonormal stacks.
     for rep in oracle_reps(np.random.default_rng(13)):
-        kernel = _eigenspace_kernel(rep, rep, DEFAULT_TOL)
+        kernel = eigenspace_kernel(rep, rep, DEFAULT_TOL)
         basis = commutant_basis(rep).basis
         assert len(basis) == len(kernel), rep.name
         assert span_distance(basis, kernel.reshape(len(kernel), -1).T) <= 1e-10, rep.name
@@ -252,27 +253,51 @@ def s3_irreps():
             dihedral_rep_s3()]
 
 
+def census_rep(irreps, mults, seed):
+    """Haar-conjugated direct sum with mults[i] copies of irreps[i]."""
+    summands = [irrep for irrep, m in zip(irreps, mults) for _ in range(m)]
+    rep = summands[0]
+    for extra in summands[1:]:
+        rep = direct_sum(rep, extra)
+    return conjugated(rep, haar_unitary(rep.dim, np.random.default_rng(seed)))
+
+
+MULTS = st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any)
+
+
 @settings(max_examples=25, deadline=None)
-@given(flavor=st.sampled_from(["finite", "lie"]),
-       mults=st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_commutant_dim_of_conjugated_direct_sums_is_the_census(flavor, mults, seed):
+@given(flavor=st.sampled_from(["finite", "lie"]), mults=MULTS,
+       seed=st.integers(0, 2 ** 32 - 1), other_mults=MULTS, same=st.booleans(),
+       other_seed=st.integers(0, 2 ** 32 - 1))
+def test_commutant_dim_of_conjugated_direct_sums_is_the_census(
+        flavor, mults, seed, other_mults, same, other_seed):
     if flavor == "finite":
         irreps = s3_irreps()
     else:
         source = su2_fundamental().source
         irreps = [spin_rep(source, twice_j) for twice_j in (0, 1, 2)]
-    summands = [irrep for irrep, m in zip(irreps, mults) for _ in range(m)]
-    rep = summands[0]
-    for extra in summands[1:]:
-        rep = direct_sum(rep, extra)
-    rep = conjugated(rep, haar_unitary(rep.dim, np.random.default_rng(seed)))
+    rep = census_rep(irreps, mults, seed)
     basis = commutant_basis(rep).basis
     assert len(basis) == sum(m * m for m in mults)
     assert sorted(isotypic_decompose(rep, 0).blocks) == sorted(
         (irrep.dim, m) for irrep, m in zip(irreps, mults) if m)
-    kernel = _eigenspace_kernel(rep, rep, DEFAULT_TOL)
+    kernel = eigenspace_kernel(rep, rep, DEFAULT_TOL)
     assert span_distance(basis, kernel.reshape(len(kernel), -1).T) <= 1e-10
+
+    # Hom(R, S) between two independently conjugated sums is fixed by the censuses.
+    if same:
+        other_mults = mults
+    other = census_rep(irreps, other_mults, other_seed)
+    it = find_intertwiner(rep, other)
+    assert it.kernel_dim == sum(m * n for m, n in zip(mults, other_mults))
+    assert (it.verdict == "equivalent") == (mults == other_mults)
+    if it.kernel_dim == 0:
+        assert (it.verdict, it.phi) == ("zero-only", None)
+        return
+    for kr, ks in zip(rep.generator_images, other.generator_images):
+        assert frob(it.phi @ kr - ks @ it.phi) <= 1e-9 * max(1.0, frob(kr))
+    if it.verdict == "equivalent":
+        assert frob(dagger(it.phi) @ it.phi - np.eye(rep.dim)) <= 1e-10
 
 
 def test_commutant_rejects_non_unitary_finite_images():
@@ -506,7 +531,6 @@ def test_twirl_image_is_adjoint_fixed_point_space():
     rep = swap_rep()
     ad = adjoint_action(rep)
     fixed = np.eye(16) - ad.representative(1)  # identity element contributes 0
-    from equirep.linalg import null_space
     kernel = null_space(fixed)
     assert kernel.shape[1] == commutant_basis(rep).dim == 10
 
@@ -810,41 +834,83 @@ def test_decomposition_residuals_match_the_loop_bit_for_bit(name):
         assert got["unitarity"] == frob(dagger(dec.q) @ dec.q - np.eye(rep.dim))
 
 
-def _find_intertwiner_by_loop(r, s):
-    """Candidate selection by one SVD per candidate, as before the batched SVD."""
-    mats = _eigenspace_kernel(r, s, DEFAULT_TOL)
+def _intertwiner_by_kernel(r, s):
+    """Verdict and kernel stack of the kernel solver and its conditioning rule.
+
+    This is how find_intertwiner chose before it read the census of R (+) S:
+    "equivalent" when the kernel basis or one of four random mixes has a
+    smallest relative singular value above tolerance.
+    """
+    mats = eigenspace_kernel(r, s, DEFAULT_TOL)
     kdim = len(mats)
     if kdim == 0:
-        return None, "zero-only", 0
+        return "zero-only", mats
     if r.dim == s.dim:
         rng = np.random.default_rng(7)
         candidates = list(mats)
         for _ in range(4):
             w = rng.standard_normal(kdim) + 1j * rng.standard_normal(kdim)
             candidates.append(np.tensordot(w, mats, 1))
-        best, best_smin = None, -1.0
-        for m in candidates:
-            svals = np.linalg.svd(m, compute_uv=False)
-            smin = svals[-1] / max(svals[0], 1e-300)
-            if smin > best_smin:
-                best, best_smin = m, smin
-        if best_smin > max(DEFAULT_TOL.relative, DEFAULT_TOL.absolute):
-            return best, "equivalent", kdim
-    return mats[0], "partial", kdim
+        svals = np.array([np.linalg.svd(m, compute_uv=False) for m in candidates])
+        if (svals[:, -1] / np.maximum(svals[:, 0], 1e-300)).max() > \
+                max(DEFAULT_TOL.relative, DEFAULT_TOL.absolute):
+            return "equivalent", mats
+    return "partial", mats
 
 
-def test_find_intertwiner_matches_the_loop_bit_for_bit():
+def hom_basis(r, s):
+    """The basis s_b r_a^dag / sqrt(d_k) of Hom(R, S) built from the split copies."""
+    out = [sb @ dagger(ra) / np.sqrt(d_k)
+           for d_k, rc, sc in _split_copies(r, s, DEFAULT_TOL) for ra in rc for sb in sc]
+    return np.array(out).reshape(-1, s.dim, r.dim)
+
+
+def test_find_intertwiner_matches_the_kernel_oracle():
     rng = np.random.default_rng(21)
     su2 = su2_fundamental()
     su2x3, perm4, s3 = tensor_power(su2, 3), perm_rep_qubits(4), dihedral_rep_s3()
     pairs = [(su2x3, conjugated(su2x3, haar_unitary(8, rng))),
              (perm4, conjugated(perm4, haar_unitary(16, rng))),
              (s3, conjugated(s3, haar_unitary(2, rng))),
-             (perm4, perm4), (su2x3, su2), (tensor_power(su2, 2), su2)]
+             (perm4, perm4), (su2x3, su2), (tensor_power(su2, 2), su2),
+             (tensor_power(su2, 5), su2x3), (adjoint_action(su2), tensor_power(su2, 2))]
+    pairs += [(rep, rep) for rep in oracle_reps(rng)]
     for r, s in pairs:
         got = find_intertwiner(r, s)
-        phi, verdict, kdim = _find_intertwiner_by_loop(r, s)
-        assert (got.verdict, got.kernel_dim) == (verdict, kdim)
-        assert (got.phi is None) == (phi is None)
-        if phi is not None:
-            assert got.phi.tobytes() == phi.tobytes()
+        verdict, kernel = _intertwiner_by_kernel(r, s)
+        assert (got.verdict, got.kernel_dim) == (verdict, len(kernel)), (r.name, s.name)
+        basis = hom_basis(r, s)
+        assert len(basis) == len(kernel)
+        if not len(kernel):
+            assert got.phi is None
+            continue
+        assert span_distance(basis, kernel.reshape(len(kernel), -1).T) <= 1e-10
+        gram = np.einsum("aij,bij->ab", basis.conj(), basis)
+        assert frob(gram - np.eye(len(basis))) <= 1e-10
+        if verdict == "equivalent":
+            assert frob(dagger(got.phi) @ got.phi - np.eye(r.dim)) <= 1e-10
+        else:
+            assert np.array_equal(got.phi, basis[0])
+
+
+def test_find_intertwiner_rejects_copies_that_mix_r_and_s(monkeypatch):
+    # Rotating an R row into an S row keeps q unitary but moves the copy
+    # Gram G_k of the one block of su2 (+) su2 off its 0/1 spectrum.
+    su2 = su2_fundamental()
+    mix = np.eye(4, dtype=complex)
+    mix[np.ix_([0, 2], [0, 2])] = [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
+    decompose = equirep.decompose.isotypic_decompose
+
+    def corrupted(rep, rng_seed=0, tol=DEFAULT_TOL):
+        dec = decompose(rep, rng_seed, tol)
+        dec.q = mix @ dec.q
+        return dec
+
+    dec = corrupted(direct_sum(su2, su2))
+    assert dec.blocks == [(2, 2)]
+    rows = dec.q.reshape(-1, 2, 2).transpose(1, 0, 2)[:, :2]
+    w = np.linalg.eigvalsh(np.einsum("aij,bij->ab", rows.conj(), rows) / 2)
+    assert np.all((w > 0.01) & (w < 0.99))
+    monkeypatch.setattr(equirep.decompose, "isotypic_decompose", corrupted)
+    with pytest.raises(NumericalError, match="mixes R and S"):
+        find_intertwiner(su2, su2)

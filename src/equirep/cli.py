@@ -130,6 +130,8 @@ def _make_group(args):
 def _make_rep(args):
     kind = args.kind
     if kind == "trivial":
+        if args.dim == 0:  # negative dims are refused by trivial_rep
+            raise ValidationError("--dim 0 gives a zero-dimensional carrier")
         return trivial_rep(make_cyclic(max(args.n, 1)), args.dim)
     if kind == "perm-qubits":
         return perm_rep_qubits(args.n)

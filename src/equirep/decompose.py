@@ -142,8 +142,8 @@ def _block_commutant(dec: IsotypicDecomposition) -> np.ndarray:
 
 
 def is_irreducible(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Schur test: irreducible iff the commutant is spanned by the identity."""
-    return commutant_basis(rep, tol).dim == 1
+    """Schur test: irreducible iff the census is one block of multiplicity 1."""
+    return [m for _, m in isotypic_decompose(rep, 0, tol).blocks] == [1]
 
 
 @dataclass
@@ -363,10 +363,11 @@ def isotypic_decompose(rep: Representation, rng_seed: int = 0,
     by ascending splitting eigenvalue.
 
     Raises:
-        ValidationError: if the representation is not unitary, or the seed
-            is not a non-negative integer.
+        ValidationError: if the carrier is zero-dimensional or not unitary,
+            or the seed is not a non-negative integer.
     """
     _require_seed("rng_seed", rng_seed)
+    _require_positive_int("carrier dimension", rep.dim)
     require_unitary(rep)
     reasons = []
     for attempt in range(MAX_REDRAWS):

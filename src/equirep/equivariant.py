@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .decompose import commutant_basis
-from .errors import DimensionMismatchError, NumericalError
+from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOL, Tolerance
 from .representations import Representation, _max_frob
 
@@ -32,8 +32,8 @@ __all__ = [
 class EquivariantGeneratorSet:
     """Hermitian orthonormal basis of the commutant, identity direction first.
 
-    ``generators`` is an ``(n, d, d)`` complex128 stack whose element 0 is
-    the normalized identity, so ``includes_identity`` is always true.
+    ``generators`` is an ``(n, d, d)`` complex128 stack in the commutant's order
+    whose element 0 is the normalized identity, so ``includes_identity`` is true.
     """
 
     rep: Representation
@@ -50,9 +50,13 @@ class EquivariantGeneratorSet:
         return self.generators[1:]
 
     def project(self, h: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of an operator onto the generator span."""
+        """Orthogonal projection of a ``(d, d)`` operator onto the generator span."""
         b = self.generators
-        return np.tensordot(np.tensordot(b.conj(), np.asarray(h, dtype=complex), 2), b, 1)
+        h = np.asarray(h, dtype=complex)
+        if h.shape != b.shape[1:]:
+            raise DimensionMismatchError(
+                f"operator shape {h.shape} does not match carrier dim {self.rep.dim}")
+        return np.tensordot(np.tensordot(b.conj(), h, 2), b, 1)
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -80,19 +84,17 @@ def equivariant_generators(rep: Representation,
                            tol: Tolerance = DEFAULT_TOL) -> EquivariantGeneratorSet:
     """All Hermitian generators commuting with the representation.
 
-    The identity direction (always present) is isolated as element 0 so the
-    traceless sub-basis is directly available.
+    The commutant basis B in its own order, with the identity direction made
+    element 0 by one Householder reflection: u_n = Tr[B_n]/sqrt(d) is the unit
+    coefficient vector of 1/sqrt(d) (u_0 = sqrt(d_0/d) > 0), and with v = u + e_0
+    the stack B - 2 v (v.B)/(v.v) stays orthonormal, with elements 1.. traceless.
     """
-    comm = commutant_basis(rep, tol)
+    basis = commutant_basis(rep, tol).basis
     d = rep.dim
-    ident = np.eye(d, dtype=complex) / np.sqrt(d)
-    c = np.einsum("nii->n", comm.basis).real / np.sqrt(d)  # Tr[ident^dag b], real
-    rest = linalg.orthonormalize_hermitian(comm.basis - c[:, None, None] * ident, tol)
-    basis = np.concatenate([ident[None], rest])
-    if len(basis) != comm.dim:
-        raise NumericalError(
-            "isolating the identity direction changed the commutant rank; "
-            "the tolerance sits on a rank threshold")
+    v = np.einsum("nii->n", basis).real / np.sqrt(d)
+    v[0] += 1.0
+    basis -= (2 / (v @ v)) * v[:, None, None] * np.tensordot(v, basis, 1)
+    basis[0] = np.eye(d) / np.sqrt(d)
     return EquivariantGeneratorSet(rep, basis)
 
 
@@ -134,14 +136,9 @@ def build_qnn(gens: EquivariantGeneratorSet, layout) -> np.ndarray:
 
 @dataclass
 class EquivariantMeasurement:
-    """Hermitian measurement m = sum_i c_i B_i commuting with every representative.
-
-    ``basis`` is the ``(n, d, d)`` stack of the B_i.
-    """
+    """Hermitian measurement m = sum_i c_i B_i commuting with every representative."""
 
     m: np.ndarray
-    coefficients: np.ndarray
-    basis: np.ndarray
 
 
 def equivariant_measurement(rep: Representation, coefficients, basis=None,
@@ -159,7 +156,7 @@ def equivariant_measurement(rep: Representation, coefficients, basis=None,
     if coefficients.shape != (len(basis),):
         raise DimensionMismatchError(
             f"{len(basis)} coefficients required, got {coefficients.shape}")
-    return EquivariantMeasurement(np.tensordot(coefficients, basis, 1), coefficients, basis)
+    return EquivariantMeasurement(np.tensordot(coefficients, basis, 1))
 
 
 def check_equivariance(w: np.ndarray, rep: Representation, n_samples: int = 20,

@@ -400,7 +400,7 @@ def default_task_model(dataset: Dataset, copies: int = 1, n_layer_passes: int = 
         # fall back to a projected random Hermitian probe
         rng = np.random.default_rng(11)
         m = gens.project(linalg.random_hermitian(dim, rng))
-    measurement = EquivariantMeasurement(m, np.array([]), gens.generators)
+    measurement = EquivariantMeasurement(m)
     return QmlModel(copies, circuit, measurement)
 
 

@@ -91,7 +91,7 @@ def test_criterion_02_purity_closed_form_and_conventional_limit():
     swap = swap_matrix()
     gens2 = equivariant_generators(tensor_power(su2_fundamental(), 2))
     circuit = QnnCircuit(gens2, [])  # W = 1
-    meas = EquivariantMeasurement((np.eye(4) - swap) / 2, np.array([]), [])
+    meas = EquivariantMeasurement((np.eye(4) - swap) / 2)
     model = QmlModel(2, circuit, meas)
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -106,7 +106,7 @@ def test_criterion_02_purity_closed_form_and_conventional_limit():
     # is provably constant and classifies at chance
     gens1 = equivariant_generators(su2_fundamental())
     assert gens1.dim == 1
-    meas1 = EquivariantMeasurement(gens1.generators[0], np.array([]), [])
+    meas1 = EquivariantMeasurement(gens1.generators[0])
     conv = QmlModel(1, QnnCircuit(gens1, []), meas1)
     ds = make_dataset("purity", 100, seed=1)
     outs = [model_eval(conv, s.rho) for s in ds.states]
@@ -339,8 +339,7 @@ def test_criterion_10_gradient_fidelity():
         rep, gens = reps[pick], gens_cache[pick]
         layout = [(int(rng.integers(gens.dim)), float(rng.uniform(-2, 2)))
                   for _ in range(int(rng.integers(1, 5)))]
-        meas = EquivariantMeasurement(
-            gens.project(random_hermitian(rep.dim, rng)), np.array([]), [])
+        meas = EquivariantMeasurement(gens.project(random_hermitian(rep.dim, rng)))
         model = QmlModel(1, QnnCircuit(gens, layout), meas)
         a = random_hermitian(rep.dim, rng)
         rho = a @ dagger(a)

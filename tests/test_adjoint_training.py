@@ -259,7 +259,7 @@ def probe_models():
     ds = make_dataset("swap2d", 16, 42)
     gens = equivariant_generators(ds.rep)
     circuit = QnnCircuit(gens, [(i, float(rng.uniform(-2, 2))) for i in range(1, gens.dim)])
-    probe = EquivariantMeasurement(random_hermitian(4, rng), np.array([]), [])
+    probe = EquivariantMeasurement(random_hermitian(4, rng))
     out.append((ds, QmlModel(1, circuit, probe, (1.0, 0.2))))
     return out
 

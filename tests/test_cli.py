@@ -178,7 +178,7 @@ def test_task_dump_data_round_trip(tmp_path, capsys):
     (("--kind", "su2-tensor", "--k", "2"), lambda: reps.tensor_power(reps.su2_fundamental(), 2)),
     (("--kind", "su2-fundamental"), reps.su2_fundamental),
     (("--kind", "left-regular", "--n", "5"), lambda: reps.left_regular_rep(make_cyclic(5))),
-    (("--kind", "trivial", "--dim", "0"), lambda: reps.trivial_rep(make_cyclic(2), 0)),
+    (("--kind", "trivial", "--dim", "3"), lambda: reps.trivial_rep(make_cyclic(2), 3)),
 ])
 def test_rep_make_file_matches_the_list_spec(tmp_path, capsys, argv, make):
     # the CLI writes the image stacks as ndarrays; the bytes are those of
@@ -296,7 +296,8 @@ def _malformed_files(tmp_path):
     group order, (g) a spec, group or algebra that is a JSON list, and (h)
     table group specs with a ragged, string or fractional table, or with a
     non-integer or out-of-range generator; then (i) a finite S_3 spec whose
-    two images are 2x2 and 3x3."""
+    two images are 2x2 and 3x3; then su2 (x) su2 (x) su2, whose 8 dims do
+    not fit the 4-dim swap preset."""
     from equirep.representations import dihedral_rep_s3, perm_rep_qubits, su2_fundamental
     from equirep.serialize import rep_to_spec
     spec = rep_to_spec(perm_rep_qubits(3))
@@ -322,6 +323,8 @@ def _malformed_files(tmp_path):
     s3["matrices"][1] = [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(3)]
                          for i in range(3)]
     (tmp_path / "i.json").write_text(json.dumps(s3))
+    (tmp_path / "su2x3.json").write_text(json.dumps(rep_to_spec(
+        reps.tensor_power(su2_fundamental(), 3))))
     (tmp_path / "dir.json").mkdir()
     (tmp_path / "latin1.json").write_bytes('{"name": "\u00e9"}'.encode("latin-1"))
     return tmp_path
@@ -356,6 +359,10 @@ def _malformed_files(tmp_path):
     (("decompose", "--rep", str(PRESETS / "su2-tensor2.json"), "--seed", "-1"),
      "non-negative integer"),
     (("--seed", "-2", "task", "run", "--name", "purity"), "non-negative integer"),
+    (("equivariant", "--rep", "su2x3.json", "--preset", "paper-swap-six"),
+     "does not match carrier dim 8"),
+    (("rep", "make", "--kind", "trivial", "--dim", "0", "--out", "t0.json"),
+     "zero-dimensional carrier"),
 ])
 def test_malformed_input_exits_one(tmp_path, capsys, argv, reason):
     work = _malformed_files(tmp_path)
@@ -366,3 +373,4 @@ def test_malformed_input_exits_one(tmp_path, capsys, argv, reason):
     assert captured.out == ""
     assert captured.err.startswith("error:") and reason in captured.err
     assert "Traceback" not in captured.err
+    assert not (work / "t0.json").exists()

@@ -326,6 +326,11 @@ def test_is_irreducible():
     assert is_irreducible(dihedral_rep_s3())
 
 
+def test_is_irreducible_agrees_with_the_commutant_dimension():
+    for rep in oracle_reps(np.random.default_rng(16)):
+        assert is_irreducible(rep) == (commutant_basis(rep).dim == 1), rep.name
+
+
 # -- isotypic decomposition ---------------------------------------------------
 
 def test_isotypic_su2_tensor2_blocks():

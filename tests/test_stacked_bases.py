@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from equirep.decompose import commutant_basis
-from equirep.equivariant import equivariant_generators, equivariant_measurement
-from equirep.errors import DimensionMismatchError
-from equirep.groups import LieAlgebraBasis, lie_closure, make_dihedral
+from equirep.equivariant import check_equivariance, equivariant_generators, equivariant_measurement
+from equirep.errors import DimensionMismatchError, ValidationError
+from equirep.groups import LieAlgebraBasis, lie_closure, make_cyclic, make_dihedral
 from equirep.linalg import (
     X,
     Y,
@@ -32,7 +32,10 @@ from equirep.representations import (
     perm_matrix_on_tensor,
     perm_rep_qubits,
     su2_fundamental,
+    swap_rep,
     tensor_power,
+    translation_rep,
+    trivial_rep,
     unitary_algebra_rep,
     verify_homomorphism,
 )
@@ -132,6 +135,16 @@ def loop_orthonormalize_hermitian(mats, tol_rel=1e-9, tol_abs=1e-10):
     return out
 
 
+def svd_generators(rep):
+    """The SVD route: the commutant with its identity direction subtracted,
+    orthonormalised again by one SVD, behind the normalized identity."""
+    basis = commutant_basis(rep).basis
+    ident = np.eye(rep.dim, dtype=complex) / np.sqrt(rep.dim)
+    c = np.einsum("nii->n", basis).real / np.sqrt(rep.dim)
+    rest = orthonormalize_hermitian(basis - c[:, None, None] * ident)
+    return np.concatenate([ident[None], rest])
+
+
 # -- contractions against loops ------------------------------------------------
 
 def test_projection_twirl_and_generator_projection_match_loops():
@@ -184,6 +197,32 @@ def test_orthonormalize_hermitian_matches_row_loop():
     assert_stack(orthonormalize_hermitian(np.array(mats)), 5, 4)
 
 
+def generator_reps():
+    """``projection_reps``, one block of multiplicity 3, an irrep and SWAP (x) SWAP."""
+    return projection_reps() + [
+        translation_rep(3), trivial_rep(make_cyclic(1), 3), su2_fundamental(),
+        tensor_power(swap_rep(), 2)]
+
+
+def test_generator_set_matches_the_svd_oracle():
+    for rep in generator_reps():
+        d = rep.dim
+        got = equivariant_generators(rep).generators
+        assert_stack(got, commutant_basis(rep).dim, d)
+        assert np.array_equal(got[0], np.eye(d) / np.sqrt(d)), rep.name
+        assert frob(np.einsum("aij,bij->ab", got.conj(), got) - np.eye(len(got))) <= AGREE
+        assert np.abs(np.einsum("nii->n", got[1:])).max(initial=0.0) <= AGREE, rep.name
+        assert check_equivariance(got, rep, 0) <= AGREE, rep.name
+        if d <= 16:  # keeps the (n, 2 d^2) SVD of the oracle small
+            a, b = hvec(got), hvec(svd_generators(rep))
+            assert frob(a.T @ a - b.T @ b) <= AGREE, rep.name
+
+
+def test_generator_set_of_a_zero_dimensional_carrier_is_refused():
+    with pytest.raises(ValidationError, match="carrier dimension"):
+        equivariant_generators(trivial_rep(make_cyclic(1), 0))
+
+
 def test_measurement_matches_combination_loop():
     rep = perm_rep_qubits(3)
     gens = equivariant_generators(rep)
@@ -193,7 +232,6 @@ def test_measurement_matches_combination_loop():
     for c, b in zip(coeffs, gens.generators):
         ref += c * b
     assert frob(meas.m - ref) <= AGREE
-    assert_stack(meas.basis, gens.dim, rep.dim)
 
 
 # -- the stack format ----------------------------------------------------------

@@ -285,7 +285,7 @@ def test_identity_measurement_gives_one():
     rep = swap_rep()
     gens = equivariant_generators(rep)
     circuit = QnnCircuit(gens, [])
-    meas = EquivariantMeasurement(np.eye(4, dtype=complex), np.array([]), [])
+    meas = EquivariantMeasurement(np.eye(4, dtype=complex))
     model = QmlModel(1, circuit, meas)
     rng = np.random.default_rng(11)
     a = random_hermitian(4, rng)
@@ -300,7 +300,7 @@ def test_conventional_su2_model_is_constant():
     rep = ds.rep
     gens = equivariant_generators(rep)
     assert gens.dim == 1
-    m = EquivariantMeasurement(gens.generators[0], np.array([1.0]), gens.generators)
+    m = EquivariantMeasurement(gens.generators[0])
     model = QmlModel(1, QnnCircuit(gens, []), m)
     outputs = [model_eval(model, s.rho) for s in ds.states]
     assert np.ptp(outputs) < 1e-12
@@ -422,7 +422,7 @@ def test_gradient_single_layer_matches_spec_form():
         idx = int(rng.integers(1, gens.dim))
         circuit = QnnCircuit(gens, [(idx, theta)])
         m = random_hermitian(4, rng)
-        meas = EquivariantMeasurement(gens.project(m), np.array([]), [])
+        meas = EquivariantMeasurement(gens.project(m))
         model = QmlModel(1, circuit, meas)
         a = random_hermitian(4, rng)
         rho = a @ dagger(a)
@@ -447,8 +447,7 @@ def test_gradient_oracle_100_random_configurations():
         layout = [(int(rng.integers(gens.dim)), float(rng.uniform(-2, 2)))
                   for _ in range(n_layers)]
         circuit = QnnCircuit(gens, layout)
-        meas = EquivariantMeasurement(
-            gens.project(random_hermitian(rep.dim, rng)), np.array([]), [])
+        meas = EquivariantMeasurement(gens.project(random_hermitian(rep.dim, rng)))
         model = QmlModel(1, circuit, meas)
         a = random_hermitian(rep.dim, rng)
         rho = a @ dagger(a)
@@ -479,7 +478,7 @@ def test_label_invariance_flags_non_equivariant_probe():
     ds = gen_swap2d(10, seed=21)
     rep = ds.rep
     gens = equivariant_generators(rep)
-    probe = EquivariantMeasurement(kron(Z, I2), np.array([]), [])  # not equivariant
+    probe = EquivariantMeasurement(kron(Z, I2))  # not equivariant
     model = QmlModel(1, QnnCircuit(gens, []), probe)
     # craft an asymmetric product state and append it to the dataset
     u = kron(ry(1.2), ry(-0.3))

@@ -550,7 +550,8 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
     For (a), Haar samples are used as far as a one-at-a-time rule would
     take them, at most 2r + 12 (r the permutation commutant's dimension),
     until three in a row leave the rank unchanged.  The first r + 3 come
-    from one ``haar_unitaries`` call, raised to tensor powers by
+    from one ``haar_unitaries`` call (batched Gram-Schmidt on one Gaussian
+    stack, no LAPACK QR), raised to tensor powers by
     ``linalg.tensor_powers``; SVDs of the first r and first r + 3 show when
     the rule stops at r + 3, and only otherwise are the other r + 9 drawn
     from the same generator and the prefixes walked (``_saturate``).  A

@@ -233,21 +233,32 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """``(n, d, d)`` stack of Haar-distributed unitaries (Mezzadri 2007).
 
-    One ``(n, 2, d, d)`` Gaussian draw (real then imaginary part of each
-    sample, the order one sample at a time would draw them in), one batched
-    QR and a batched diagonal-phase correction, which makes the QR output
-    distribution exactly left- and right-invariant rather than merely
-    column-orthonormal.  Sample i is bit-identical to the i-th of n
-    successive single draws from the same generator.
+    One ``(n, 2, d, d)`` complex Gaussian draw Z (real then imaginary part
+    of each sample, the order one sample at a time would draw them in),
+    orthonormalised in place by classical Gram-Schmidt with one
+    reorthogonalisation pass (CGS2): one loop over the d columns, each step
+    projecting the earlier columns out twice with batched ``matmul`` over
+    the whole stack, then normalising.  That gives the Q of the QR whose R
+    has a positive real diagonal, the factor Mezzadri's phase correction
+    selects, so the stack is exactly left- and right-invariant with no
+    phase fix.  Sample i is bit-identical to the i-th of n successive
+    single draws from the same generator.
     """
     g = rng.standard_normal((n, 2, d, d))
-    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
+    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
+    for j in range(d):
+        v, q = z[:, :, j:j + 1], z[:, :, :j]
+        if j:
+            v -= q @ (dagger(q) @ v)
+            v -= q @ (dagger(q) @ v)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return z
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed d x d unitary: ``haar_unitaries(d, 1, rng)[0]``."""
+    """One Haar-distributed d x d unitary, by the same Gram-Schmidt draw:
+    ``haar_unitaries(d, 1, rng)[0]``.
+    """
     return haar_unitaries(d, 1, rng)[0]
 
 

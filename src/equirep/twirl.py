@@ -25,7 +25,9 @@ from .errors import (
     InvalidParameterError,
     NotCPTPError,
     SourceMismatchError,
+    ValidationError,
     _require_positive_int,
+    _require_seed,
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .representations import Representation, perm_matrix_on_tensor, sources_match
@@ -136,6 +138,19 @@ def twirl_channel(rep_in: Representation, rep_out: Representation,
     return acc / g.order
 
 
+def _tensor_operator(o, dim: int) -> np.ndarray:
+    """``o`` as a finite complex ``(dim, dim)`` array; anything else is a ValidationError."""
+    try:
+        o = np.asarray(o, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"operator is not numeric: {exc}") from exc
+    if o.shape != (dim, dim):
+        raise DimensionMismatchError(f"operator shape {o.shape}, expected {(dim, dim)}")
+    if not np.isfinite(o).all():
+        raise ValidationError("operator has a non-finite entry")
+    return o
+
+
 @functools.lru_cache(maxsize=None)
 def _permutation_gram(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k! vectorised index permutations and the pseudo-inverse of their Gram.
@@ -160,12 +175,12 @@ def k_design_twirl(d: int, k: int, o: np.ndarray) -> np.ndarray:
     with cutoff 1e-10 sigma_max handles the linear dependence at d < k; it
     and the permutations are built once per (d, k).
     """
+    _require_positive_int("d", d)
+    _require_positive_int("k", k)
     if k > 4 or d ** k > 64:
         raise DimensionTooLargeError("k_design_twirl capped at k <= 4, d^k <= 64")
-    o = np.asarray(o, dtype=complex)
     dim = d ** k
-    if o.shape != (dim, dim):
-        raise DimensionMismatchError(f"operator shape {o.shape}, expected {(dim, dim)}")
+    o = _tensor_operator(o, dim)
     perms, gram_pinv = _permutation_gram(d, k)
     coeff = gram_pinv @ (perms.conj() @ o.reshape(-1))
     return (coeff @ perms).reshape(dim, dim)
@@ -174,6 +189,7 @@ def k_design_twirl(d: int, k: int, o: np.ndarray) -> np.ndarray:
 def haar_sample_unitary(d: int, rng_seed: int) -> np.ndarray:
     """Haar-distributed d x d unitary, deterministic per seed."""
     _require_positive_int("d", d)
+    _require_seed("rng_seed", rng_seed)
     return linalg.haar_unitary(d, np.random.default_rng(rng_seed))
 
 
@@ -184,16 +200,15 @@ def monte_carlo_k_design_twirl(d: int, k: int, o: np.ndarray, n_samples: int,
     Used to cross-check the exact permutation-projection route; the error
     scale is O(1/sqrt(n_samples)).  Deterministic per seed.  Samples come in
     chunks sized by ``linalg._CHUNK_BYTES`` (512 at d^k = 4): each chunk is
-    one ``linalg.haar_unitaries`` draw (one batched QR), raised to k-fold
-    tensor powers by ``linalg.tensor_powers`` and summed by
-    ``linalg.conjugation_sum``, the kernel of the average twirl.
+    one ``linalg.haar_unitaries`` draw (batched Gram-Schmidt on one Gaussian
+    stack), raised to k-fold tensor powers by ``linalg.tensor_powers`` and
+    summed by ``linalg.conjugation_sum``, the kernel of the average twirl.
     """
     for name, value in (("d", d), ("k", k), ("n_samples", n_samples)):
         _require_positive_int(name, value)
-    o = np.asarray(o, dtype=complex)
+    _require_seed("rng_seed", rng_seed)
     dim = d ** k
-    if o.shape != (dim, dim):
-        raise DimensionMismatchError(f"operator shape {o.shape}, expected {(dim, dim)}")
+    o = _tensor_operator(o, dim)
     rng = np.random.default_rng(rng_seed)
     chunk = max(1, linalg._CHUNK_BYTES // (dim * dim * 16))
     acc = np.zeros((dim, dim), dtype=complex)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from equirep.errors import (
     DimensionTooLargeError,
     InvalidParameterError,
     NotCPTPError,
+    ValidationError,
 )
 from equirep.linalg import (
     I2,
@@ -286,22 +288,30 @@ def test_haar_left_invariance_ks():
         assert pvalue > 0.01
 
 
+def _gaussian(d, rng):
+    """The complex Gaussian one Haar draw starts from, in the sampler's rng order."""
+    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+
+
 def _reference_haar(d, rng):
-    """Per-sample Haar draw: QR of a complex Gaussian with phase fixing."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
+    """Per-sample Haar draw by the LAPACK route: QR of a complex Gaussian with
+    Mezzadri's phase fix, so R's diagonal is made positive real."""
+    q, r = np.linalg.qr(_gaussian(d, rng))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def _reference_monte_carlo_twirl(d, k, o, n_samples, rng_seed):
-    """Per-sample sampling loop, summed in chunks of the same size by the kernel."""
+def _reference_monte_carlo_twirl(d, k, o, n_samples, rng_seed, draw=haar_unitary):
+    """Per-sample sampling loop, summed in chunks of the same size by the kernel.
+
+    ``draw(d, rng)`` makes one unitary: ``haar_unitary`` for the bit-identity
+    check, ``_reference_haar`` for the LAPACK-route tolerance check."""
     rng = np.random.default_rng(rng_seed)
     chunk = max(1, linalg._CHUNK_BYTES // (d ** k * d ** k * 16))
     acc = np.zeros((d ** k, d ** k), dtype=complex)
     done = 0
     while done < n_samples:
         nb = min(chunk, n_samples - done)
-        us = np.stack([_reference_haar(d, rng) for _ in range(nb)])
+        us = np.stack([draw(d, rng) for _ in range(nb)])
         uk = us
         for _ in range(k - 1):
             uk = np.einsum("nij,nkl->nikjl", uk, us).reshape(nb, uk.shape[1] * d, -1)
@@ -318,6 +328,16 @@ def test_monte_carlo_twirl_is_bit_identical_to_per_sample_sampling(d, k):
     for n_samples in (1, 100, 1100):
         got = monte_carlo_k_design_twirl(d, k, o, n_samples, rng_seed=5)
         np.testing.assert_array_equal(got, _reference_monte_carlo_twirl(d, k, o, n_samples, 5))
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (4, 1), (2, 3)])
+def test_monte_carlo_twirl_matches_the_lapack_route(d, k):
+    # the same Gaussian draws orthonormalised by LAPACK's Householder QR
+    rng = np.random.default_rng(32)
+    o = random_hermitian(d ** k, rng)
+    got = monte_carlo_k_design_twirl(d, k, o, 1100, rng_seed=5)
+    want = _reference_monte_carlo_twirl(d, k, o, 1100, 5, draw=_reference_haar)
+    assert frob(got - want) <= 1e-13 * max(1.0, frob(o))
 
 
 @pytest.mark.parametrize("d,k", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (4, 1)])
@@ -358,26 +378,54 @@ def test_k_design_twirl_with_cached_constants_keeps_every_bit(d, k):
         assert k_design_twirl(d, k, o).tobytes() == _uncached_k_design_twirl(d, k, o).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 7, 512])
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 7, 512, 1100])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
 def test_haar_unitaries_are_bit_identical_to_successive_draws(d, n):
+    # 1100 crosses the 512-sample chunk boundary of the Monte Carlo twirl at d^k = 4
     got = haar_unitaries(d, n, np.random.default_rng(40 + d))
     assert got.shape == (n, d, d) and got.dtype == np.complex128
-    rng = np.random.default_rng(40 + d)
-    ref = np.stack([_reference_haar(d, rng) for _ in range(n)])
-    assert got.tobytes() == ref.tobytes()
     rng = np.random.default_rng(40 + d)
     assert got.tobytes() == np.stack([haar_unitary(d, rng) for _ in range(n)]).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_haar_unitaries_match_the_lapack_route(d):
+    n = 300
+    got = haar_unitaries(d, n, np.random.default_rng(60 + d))
+    rng = np.random.default_rng(60 + d)
+    zs = np.stack([_gaussian(d, rng) for _ in range(n)])
+    rng = np.random.default_rng(60 + d)
+    want = np.stack([_reference_haar(d, rng) for _ in range(n)])
+    err = np.linalg.norm(got - want, axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.maximum(1.0, np.linalg.cond(zs)))
+    gram_err = np.linalg.norm(dagger(got) @ got - np.eye(d), axis=(1, 2))
+    assert gram_err.max() <= 1e-14 * d
+
+
+def test_haar_trace_moments_are_diaconis_shahshahani():
+    # E|Tr U|^(2j) = j! for j <= d on U(d) (Diaconis & Shahshahani 1994), a
+    # property of the Haar measure that no particular QR enters
+    n = 10 ** 5
+    for d in (1, 2, 3, 4):
+        t = np.abs(np.trace(haar_unitaries(d, n, np.random.default_rng(70 + d)),
+                            axis1=1, axis2=2)) ** 2
+        for j in range(1, min(d, 3) + 1):
+            x = t ** j
+            stderr = x.std(ddof=1) / np.sqrt(n)
+            # the rounding floor covers d = 1, where |Tr U|^2 = 1 and stderr ~ 0
+            assert abs(x.mean() - math.factorial(j)) <= 5 * stderr + 1e-12, (d, j)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"n_samples": -3}, {"n_samples": 0}, {"n_samples": 5.5}, {"d": 0}, {"k": 0},
+    {"rng_seed": -1}, {"rng_seed": 1.5},
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_monte_carlo_twirl_rejects_bad_integers(kwargs):
-    args = {"d": 2, "k": 1, "n_samples": 10, **kwargs}
+    args = {"d": 2, "k": 1, "n_samples": 10, "rng_seed": 0, **kwargs}
     o = np.eye(max(args["d"], 1) ** max(args["k"], 1), dtype=complex)
     with pytest.raises(InvalidParameterError):
-        monte_carlo_k_design_twirl(args["d"], args["k"], o, args["n_samples"])
+        monte_carlo_k_design_twirl(args["d"], args["k"], o, args["n_samples"],
+                                   rng_seed=args["rng_seed"])
 
 
 def test_monte_carlo_twirl_rejects_wrong_operator_shape():
@@ -389,6 +437,39 @@ def test_monte_carlo_twirl_rejects_wrong_operator_shape():
 def test_haar_sample_unitary_rejects_bad_dimension(d):
     with pytest.raises(InvalidParameterError):
         haar_sample_unitary(d, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_haar_sample_unitary_rejects_bad_seed(seed):
+    with pytest.raises(InvalidParameterError):
+        haar_sample_unitary(2, seed)
+
+
+@pytest.mark.parametrize("d,k", [(2, 0), (-2, 1), (2.0, 1), (2, -1), (0, 2)],
+                         ids=["k=0", "d=-2", "d=2.0", "k=-1", "d=0"])
+def test_k_design_twirl_rejects_bad_integers(d, k):
+    with pytest.raises(InvalidParameterError):
+        k_design_twirl(d, k, np.eye(2))
+
+
+_BAD_OPERATORS = {
+    "nan": lambda dim: np.full((dim, dim), np.nan),
+    "inf": lambda dim: np.diag([np.inf] + [0.0] * (dim - 1)),
+    "text": lambda dim: "abc",
+    "object": lambda dim: [[None] * dim] * dim,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_OPERATORS))
+def test_k_design_twirl_rejects_bad_operators(name):
+    with pytest.raises(ValidationError):
+        k_design_twirl(2, 2, _BAD_OPERATORS[name](4))
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_OPERATORS))
+def test_monte_carlo_twirl_rejects_bad_operators(name):
+    with pytest.raises(ValidationError):
+        monte_carlo_k_design_twirl(2, 2, _BAD_OPERATORS[name](4), 10)
 
 
 # -- average twirl against the per-element loop ----------------------------------

@@ -63,7 +63,6 @@ from .groups import (
 from .linalg import DEFAULT_TOL, Tolerance
 from .representations import (
     Representation,
-    RepOnOperators,
     adjoint_action,
     bitflip_rep,
     dihedral_rep_s3,
@@ -76,6 +75,7 @@ from .representations import (
     su2_fundamental,
     swap_rep,
     tensor_power,
+    tensor_product,
     translation_rep,
     trivial_rep,
     unitary_algebra_rep,

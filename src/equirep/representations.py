@@ -14,6 +14,8 @@ leftmost factors.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import linalg
@@ -28,10 +30,10 @@ from .groups import FiniteGroup, LieAlgebraBasis, _bracket_residual, make_cyclic
 from .linalg import Tolerance
 
 __all__ = [
-    "Representation", "RepOnOperators",
+    "Representation",
     "finite_rep_from_images", "trivial_rep", "perm_rep_qubits", "perm_rep_tensor",
     "bitflip_rep", "swap_rep", "dihedral_rep_s3", "su2_fundamental",
-    "unitary_algebra_rep", "tensor_power", "direct_sum", "dual",
+    "unitary_algebra_rep", "tensor_product", "tensor_power", "direct_sum", "dual",
     "adjoint_action", "left_regular_rep", "translation_rep",
     "verify_homomorphism", "require_unitary", "sources_match",
     "perm_matrix_on_tensor", "swap_matrix",
@@ -173,17 +175,6 @@ def _image_stack(images) -> np.ndarray:
         raise DimensionMismatchError(f"images do not form one stack: {exc}") from exc
 
 
-class RepOnOperators(Representation):
-    """Conjugation action lifted to the vectorized operator space (dim d^2)."""
-
-    def __init__(self, base: Representation):
-        self.base = base
-        lift = (linalg.conjugation_superoperator if base.flavor == "finite"
-                else linalg.commutator_superoperator)
-        super().__init__(base.source, base.flavor, base.dim ** 2, f"ad[{base.name}]",
-                         [lift(m) for m in base.generator_images])
-
-
 def sources_match(r: Representation, s: Representation) -> bool:
     if r.flavor != s.flavor:
         return False
@@ -315,30 +306,41 @@ def unitary_algebra_rep(d: int) -> Representation:
     return Representation(alg, "lie", d, f"u{d}-fundamental", alg.generators)
 
 
+def tensor_product(r: Representation, s: Representation) -> Representation:
+    """Tensor product of two representations of one source.
+
+    Finite images are a x b, lie images 0 + a x 1 + 1 x b (the product rule,
+    summed from zeros so that every zero entry is +0): broadcast products on
+    the (g, p, q, p, q) index split.
+    """
+    if not sources_match(r, s):
+        raise SourceMismatchError("tensor product requires the same group or algebra")
+    p, q = r.dim, s.dim
+    a = r.generator_images[:, :, None, :, None]
+    b = s.generator_images[:, None, :, None, :]
+    if r.flavor == "finite":
+        images = a * b
+    else:
+        images = np.zeros((len(a), p, q, p, q), dtype=complex)
+        images += a * np.eye(q)[:, None, :]
+        images += np.eye(p)[:, None, :, None] * b
+    return Representation(r.source, r.flavor, p * q, f"{r.name}(x){s.name}",
+                          images.reshape(len(a), p * q, p * q))
+
+
 def tensor_power(r: Representation, k: int) -> Representation:
-    """k-fold tensor representation.
+    """k-fold tensor representation: ``tensor_product`` of k copies, left first.
 
     Finite flavor: g -> R(g)^(x k).  Lie flavor: X -> sum over slots of
-    1 x .. x r(X) x .. x 1 (the derivative of the product rule).
+    1 x .. x r(X) x .. x 1, with the bits of the slots' kron chains summed in order.
     """
     if k < 1:
         raise InvalidParameterError("need k >= 1")
     if k == 1:
         return r
-    if r.flavor == "finite":
-        images = [linalg.kron_all(*([m] * k)) for m in r.generator_images]
-    else:
-        # Slot s adds 1_(d^s) x h x 1_(d^(k-1-s)) to every image at once, as a
-        # broadcast product on the (left, d, right) index split of each side.
-        d, g = r.dim, len(r.generator_images)
-        images = np.zeros((g, d ** k, d ** k), dtype=complex)
-        for slot in range(k):
-            left, right = d ** slot, d ** (k - 1 - slot)
-            view = images.reshape(g, left, d, right, left, d, right)
-            view += (r.generator_images[:, None, :, None, None, :, None]
-                     * np.eye(left)[:, None, None, :, None, None]
-                     * np.eye(right)[None, None, :, None, None, :])
-    return Representation(r.source, r.flavor, r.dim ** k, f"{r.name}^x{k}", images)
+    out = functools.reduce(tensor_product, [r] * k)
+    out.name = f"{r.name}^x{k}"
+    return out
 
 
 def direct_sum(r1: Representation, r2: Representation) -> Representation:
@@ -362,9 +364,15 @@ def dual(r: Representation) -> Representation:
     return Representation(r.source, r.flavor, r.dim, f"dual[{r.name}]", images)
 
 
-def adjoint_action(r: Representation) -> RepOnOperators:
-    """Conjugation action A -> R(g) A R(g)^dag on vectorized operators."""
-    return RepOnOperators(r)
+def adjoint_action(r: Representation) -> Representation:
+    """Conjugation A -> R(g) A R(g)^-1 on row-major vectorized operators: r x dual(r).
+
+    For unitary r its images are ``linalg.conjugation_superoperator`` (finite)
+    or ``linalg.commutator_superoperator`` (lie) of r's generator images.
+    """
+    out = tensor_product(r, dual(r))
+    out.name = f"ad[{r.name}]"
+    return out
 
 
 def left_regular_rep(group: FiniteGroup) -> Representation:

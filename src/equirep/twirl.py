@@ -2,11 +2,11 @@
 
 Finite groups are twirled by exact averaging over all elements.  Compact
 (Lie) symmetries never touch quadrature over the group manifold: their Haar
-twirl equals the orthogonal projection onto the commutant, which is computed
-exactly.  The unitary-group k-fold twirl additionally has the closed
-permutation form from Schur-Weyl duality, solved through the permutation
-Gram system.  The group average and its Monte Carlo counterpart share one
-kernel, ``linalg.conjugation_sum``, fed in chunks of ``linalg._CHUNK_BYTES``.
+twirl equals the orthogonal projection onto the commutant, computed exactly.
+A channel is twirled as its Choi matrix under dual(R_in) x R_out.  The U(d)
+k-fold twirl has the closed permutation form from Schur-Weyl duality, solved
+through the permutation Gram system.  The group average and its Monte Carlo
+counterpart share ``linalg.conjugation_sum``, fed in ``linalg._CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from .errors import (
     DimensionTooLargeError,
     InvalidParameterError,
     NotCPTPError,
-    SourceMismatchError,
     ValidationError,
     _require_positive_int,
     _require_seed,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .representations import Representation, perm_matrix_on_tensor, sources_match
+from .representations import (Representation, dual, perm_matrix_on_tensor, require_unitary,
+                              tensor_product)
 
 __all__ = [
     "TwirlContext", "twirl_context", "twirl_operator", "twirl_channel",
@@ -93,8 +93,11 @@ def twirl_operator(ctx: TwirlContext, o: np.ndarray) -> np.ndarray:
 
 
 def choi_matrix(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    """Choi matrix of a superoperator on row-major vectorized operators."""
-    c = superop.reshape(dim_out, dim_out, dim_in, dim_in)
+    """Choi matrix sum_ij |i><j| x phi(|i><j|) of a row-major superoperator phi."""
+    shape = (dim_out * dim_out, dim_in * dim_in)
+    if np.shape(superop) != shape:
+        raise DimensionMismatchError(f"superoperator shape {np.shape(superop)}, expected {shape}")
+    c = np.reshape(superop, (dim_out, dim_out, dim_in, dim_in))
     return c.transpose(2, 0, 3, 1).reshape(dim_in * dim_out, dim_in * dim_out)
 
 
@@ -109,43 +112,32 @@ def is_cptp(superop: np.ndarray, dim_in: int, dim_out: int,
 
 def twirl_channel(rep_in: Representation, rep_out: Representation,
                   phi: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Average a channel into an equivariant one over a finite group.
+    """Average a CPTP superoperator ``phi`` into an equivariant one, finite or compact.
 
-    ``phi`` is a superoperator matrix on row-major vectorized operators,
-    CPTP within tolerance.  The twirl conjugates the input side by rep_in and
-    the output side by rep_out over every group element; twirling a physical
-    map yields a physical map.
+    The twirled map's Choi matrix is the operator twirl of phi's under
+    g -> conj(R_in(g)) x R_out(g), the rep ``tensor_product(dual(rep_in),
+    rep_out)`` when both are unitary (others are rejected).  So
+    ``twirl_operator`` averages it (finite) or projects it (compact).
     """
-    if rep_in.flavor != "finite" or rep_out.flavor != "finite":
-        raise InvalidParameterError(
-            "channel twirl is defined over finite groups; compact-group "
-            "channel twirls reduce to twirl_operator on the operator carrier")
-    if not sources_match(rep_in, rep_out):
-        raise SourceMismatchError("input and output reps must share the group")
-    phi = np.asarray(phi, dtype=complex)
+    require_unitary(rep_in)
+    require_unitary(rep_out)
+    rep = tensor_product(dual(rep_in), rep_out)
     din, dout = rep_in.dim, rep_out.dim
-    if phi.shape != (dout * dout, din * din):
-        raise DimensionMismatchError(
-            f"superoperator shape {phi.shape}, expected {(dout * dout, din * din)}")
+    phi = _tensor_operator(phi, (dout * dout, din * din))
     if not is_cptp(phi, din, dout, tol):
         raise NotCPTPError("input channel is not CPTP within tolerance")
-    g = rep_in.group
-    acc = np.zeros_like(phi)
-    for i in range(g.order):
-        cu = linalg.conjugation_superoperator(rep_in.representative(i))
-        cv = linalg.conjugation_superoperator(rep_out.representative(i))
-        acc += linalg.dagger(cv) @ phi @ cu
-    return acc / g.order
+    j = twirl_operator(twirl_context(rep, tol=tol), choi_matrix(phi, din, dout))
+    return j.reshape(din, dout, din, dout).transpose(1, 3, 0, 2).reshape(dout * dout, din * din)
 
 
-def _tensor_operator(o, dim: int) -> np.ndarray:
-    """``o`` as a finite complex ``(dim, dim)`` array; anything else is a ValidationError."""
+def _tensor_operator(o, shape: tuple[int, int]) -> np.ndarray:
+    """``o`` as a finite complex array of ``shape``; anything else is a ValidationError."""
     try:
         o = np.asarray(o, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"operator is not numeric: {exc}") from exc
-    if o.shape != (dim, dim):
-        raise DimensionMismatchError(f"operator shape {o.shape}, expected {(dim, dim)}")
+    if o.shape != shape:
+        raise DimensionMismatchError(f"operator shape {o.shape}, expected {shape}")
     if not np.isfinite(o).all():
         raise ValidationError("operator has a non-finite entry")
     return o
@@ -180,7 +172,7 @@ def k_design_twirl(d: int, k: int, o: np.ndarray) -> np.ndarray:
     if k > 4 or d ** k > 64:
         raise DimensionTooLargeError("k_design_twirl capped at k <= 4, d^k <= 64")
     dim = d ** k
-    o = _tensor_operator(o, dim)
+    o = _tensor_operator(o, (dim, dim))
     perms, gram_pinv = _permutation_gram(d, k)
     coeff = gram_pinv @ (perms.conj() @ o.reshape(-1))
     return (coeff @ perms).reshape(dim, dim)
@@ -208,7 +200,7 @@ def monte_carlo_k_design_twirl(d: int, k: int, o: np.ndarray, n_samples: int,
         _require_positive_int(name, value)
     _require_seed("rng_seed", rng_seed)
     dim = d ** k
-    o = _tensor_operator(o, dim)
+    o = _tensor_operator(o, (dim, dim))
     rng = np.random.default_rng(rng_seed)
     chunk = max(1, linalg._CHUNK_BYTES // (dim * dim * 16))
     acc = np.zeros((dim, dim), dtype=complex)

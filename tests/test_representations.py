@@ -10,7 +10,6 @@ from equirep.groups import make_cyclic, make_dihedral, make_symmetric
 from equirep.linalg import I2, X, Y, Z, comm, dagger, frob, haar_unitary, hs_inner, kron, \
     vectorize
 from equirep.representations import (
-    RepOnOperators,
     adjoint_action,
     bitflip_rep,
     dihedral_rep_s3,
@@ -23,6 +22,7 @@ from equirep.representations import (
     swap_matrix,
     swap_rep,
     tensor_power,
+    tensor_product,
     translation_rep,
     trivial_rep,
     unitary_algebra_rep,
@@ -260,6 +260,51 @@ def test_adjoint_action_preserves_hs_inner():
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         lhs = hs_inner(u @ a @ dagger(u), u @ b @ dagger(u))
         assert abs(lhs - hs_inner(a, b)) < 1e-9
+
+
+def test_tensor_product_lie_leibniz_on_vectors():
+    rng = np.random.default_rng(3)
+    su2 = su2_fundamental()
+    for r, s in [(su2, tensor_power(su2, 2)), (dual(su2), su2)]:
+        t = tensor_product(r, s)
+        assert (t.dim, t.name) == (r.dim * s.dim, f"{r.name}(x){s.name}")
+        for h, a, b in zip(t.generator_images, r.generator_images, s.generator_images):
+            v = rng.standard_normal(r.dim) + 1j * rng.standard_normal(r.dim)
+            w = rng.standard_normal(s.dim) + 1j * rng.standard_normal(s.dim)
+            want = np.kron(a @ v, w) + np.kron(v, b @ w)
+            assert np.linalg.norm(h @ np.kron(v, w) - want) < 1e-12
+
+
+def test_tensor_product_finite_representatives_are_krons():
+    # the same abstract S_3 through two constructors: dims 2 and 8
+    for r, s in [(dihedral_rep_s3(), perm_rep_qubits(3)), (bitflip_rep(1), swap_rep())]:
+        t = tensor_product(r, s)
+        for g in range(r.group.order):
+            assert frob(t.representative(g)
+                        - np.kron(r.representative(g), s.representative(g))) < 1e-12
+
+
+@pytest.mark.parametrize("r,s", [(bitflip_rep(1), perm_rep_qubits(3)),
+                                 (su2_fundamental(), swap_rep()),
+                                 (su2_fundamental(), unitary_algebra_rep(2))],
+                         ids=["z2-s3", "lie-finite", "su2-u2"])
+def test_tensor_product_source_mismatch(r, s):
+    with pytest.raises(SourceMismatchError):
+        tensor_product(r, s)
+
+
+@pytest.mark.parametrize("rep", [su2_fundamental(), tensor_power(su2_fundamental(), 2),
+                                 swap_rep(), dihedral_rep_s3(), perm_rep_qubits(3)],
+                         ids=["su2", "su2x2", "swap", "dihedral-s3", "perm3"])
+def test_adjoint_action_images_equal_the_superoperators(rep):
+    # tensor_product(r, dual(r)) against the superoperators it replaced; the
+    # signs of some zeros differ, so values are compared, not bytes
+    lift = (linalg.conjugation_superoperator if rep.flavor == "finite"
+            else linalg.commutator_superoperator)
+    ad = adjoint_action(rep)
+    assert ad.name == f"ad[{rep.name}]"
+    assert np.array_equal(ad.generator_images,
+                          np.array([lift(m) for m in rep.generator_images]))
 
 
 def test_left_regular_z2_is_x():

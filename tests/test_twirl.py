@@ -10,6 +10,8 @@ from equirep.errors import (
     DimensionTooLargeError,
     InvalidParameterError,
     NotCPTPError,
+    NotHermitianError,
+    SourceMismatchError,
     ValidationError,
 )
 from equirep.linalg import (
@@ -27,6 +29,7 @@ from equirep.linalg import (
 )
 from equirep.groups import make_cyclic, make_dihedral, make_symmetric
 from equirep.representations import (
+    Representation,
     bitflip_rep,
     finite_rep_from_images,
     left_regular_rep,
@@ -39,6 +42,7 @@ from equirep.representations import (
 )
 from equirep import linalg
 from equirep.twirl import (
+    choi_matrix,
     haar_sample_unitary,
     is_cptp,
     k_design_twirl,
@@ -191,6 +195,124 @@ def test_channel_twirl_fixes_depolarizing():
 def test_channel_twirl_rejects_non_cptp():
     with pytest.raises(NotCPTPError):
         twirl_channel(bitflip_rep(2), swap_rep(), 2.0 * np.eye(16, dtype=complex))
+
+
+def _loop_twirl_channel(rep_in, rep_out, phi):
+    """The per-element channel twirl: sum_g Conj(R_out(g))^dag phi Conj(R_in(g)) / |G|."""
+    acc = np.zeros_like(phi)
+    for i in range(rep_in.group.order):
+        cu = conjugation_superoperator(rep_in.representative(i))
+        cv = conjugation_superoperator(rep_out.representative(i))
+        acc += dagger(cv) @ phi @ cu
+    return acc / rep_in.group.order
+
+
+def _random_channel(din, dout, n_kraus, seed):
+    """Superoperator of a random CPTP map with n_kraus Kraus operators."""
+    rng = np.random.default_rng(seed)
+    ks = rng.standard_normal((n_kraus, dout, din)) + 1j * rng.standard_normal((n_kraus, dout, din))
+    w, v = np.linalg.eigh(np.einsum("kji,kjl->il", ks.conj(), ks))
+    ks = ks @ (v / np.sqrt(w)) @ dagger(v)   # sum_k K^dag K = 1
+    return sum(np.kron(k, k.conj()) for k in ks)
+
+
+def _swap_mixture():
+    return (np.eye(16) + conjugation_superoperator(swap_matrix())) / 2
+
+
+def _depolarizing(d):
+    eye = np.eye(d, dtype=complex)
+    return np.outer(eye.reshape(-1), eye.reshape(-1).conj()) / d
+
+
+# din != dout in the bitflip(1) cases, so an index-order slip cannot cancel
+CHANNEL_CASES = {
+    "bitflip2->swap identity": (lambda: bitflip_rep(2), swap_rep, lambda: np.eye(16, dtype=complex)),
+    "swap->swap mixture": (swap_rep, swap_rep, _swap_mixture),
+    "bitflip2->swap depolarizing": (lambda: bitflip_rep(2), swap_rep, lambda: _depolarizing(4)),
+    "bitflip1->swap kraus": (lambda: bitflip_rep(1), swap_rep, lambda: _random_channel(2, 4, 3, 41)),
+    "swap->bitflip1 kraus": (swap_rep, lambda: bitflip_rep(1), lambda: _random_channel(4, 2, 3, 42)),
+    "perm3 kraus": (lambda: perm_rep_qubits(3), lambda: perm_rep_qubits(3),
+                    lambda: _random_channel(8, 8, 3, 43)),
+    "perm4 kraus": (lambda: perm_rep_qubits(4), lambda: perm_rep_qubits(4),
+                    lambda: _random_channel(16, 16, 3, 44)),
+}
+
+
+@pytest.mark.parametrize("case", list(CHANNEL_CASES))
+def test_channel_twirl_matches_the_element_loop(case):
+    rin, rout, phi = (make() for make in CHANNEL_CASES[case])
+    assert is_cptp(phi, rin.dim, rout.dim)
+    got = twirl_channel(rin, rout, phi)
+    assert frob(got - _loop_twirl_channel(rin, rout, phi)) <= 1e-12 * max(1.0, frob(phi))
+
+
+@pytest.mark.parametrize("k_in,k_out", [(2, 2), (1, 2)], ids=["su2x2->su2x2", "su2->su2x2"])
+def test_compact_channel_twirl(k_in, k_out):
+    su2 = su2_fundamental()
+    rin, rout = tensor_power(su2, k_in), tensor_power(su2, k_out)
+    din, dout = rin.dim, rout.dim
+    phi = _random_channel(din, dout, 3, 45 + k_in)
+    out = twirl_channel(rin, rout, phi)
+    assert is_cptp(out, din, dout)
+    assert frob(twirl_channel(rin, rout, out) - out) <= 1e-10
+    # the same seed draws the same SU(2) element in both reps
+    for u, v in zip(rin.sample_elements(17, 20), rout.sample_elements(17, 20)):
+        residual = frob(conjugation_superoperator(v) @ out - out @ conjugation_superoperator(u))
+        assert residual <= 1e-10
+    # Haar average over U(2), whose global phase cancels in each conjugation.
+    # Every entry of a sampled V^dag phi(U . U^dag) V superoperator has modulus
+    # at most 1, so each entry of the mean lies within 5 standard errors.
+    n = 4000
+    us = haar_unitaries(2, n, np.random.default_rng(46))
+    u_in, u_out = linalg.tensor_powers(us, k_in), linalg.tensor_powers(us, k_out)
+    cu = np.einsum("nij,nkl->nikjl", u_in, u_in.conj()).reshape(n, din * din, din * din)
+    cv = np.einsum("nij,nkl->nikjl", u_out, u_out.conj()).reshape(n, dout * dout, dout * dout)
+    mc = (dagger(cv) @ phi @ cu).mean(axis=0)
+    assert np.abs(mc - out).max() <= 5 / np.sqrt(n)
+
+
+def _non_unitary_z2():
+    # A^2 = 1, so this is a representation of Z_2, but A is not unitary
+    return finite_rep_from_images(make_cyclic(2), [[[1, 1], [0, -1]]], "shear")
+
+
+def _non_hermitian_su2():
+    su2 = su2_fundamental()
+    return Representation(su2.source, "lie", 2, "su2-skew", 1j * su2.generator_images)
+
+
+_NAN_CHANNEL = np.full((16, 16), np.nan)
+
+CHANNEL_INPUT_ERRORS = {
+    "text": (lambda: twirl_channel(swap_rep(), swap_rep(), "abc"), ValidationError, "numeric"),
+    "nan": (lambda: twirl_channel(swap_rep(), swap_rep(), _NAN_CHANNEL), ValidationError,
+            "non-finite"),
+    "inf": (lambda: twirl_channel(swap_rep(), swap_rep(), np.diag([np.inf] + [0.0] * 15)),
+            ValidationError, "non-finite"),
+    "phi shape": (lambda: twirl_channel(bitflip_rep(1), swap_rep(), np.eye(16)),
+                  DimensionMismatchError, r"\(16, 4\)"),
+    "sources": (lambda: twirl_channel(bitflip_rep(1), perm_rep_qubits(3), np.eye(16)),
+                SourceMismatchError, "same group"),
+    "flavors": (lambda: twirl_channel(su2_fundamental(), swap_rep(), np.eye(16)),
+                SourceMismatchError, "same group"),
+    "non-unitary": (lambda: twirl_channel(_non_unitary_z2(), swap_rep(), np.eye(16)),
+                    ValidationError, "not unitary"),
+    "non-hermitian": (lambda: twirl_channel(su2_fundamental(), _non_hermitian_su2(), np.eye(16)),
+                      NotHermitianError, "Hermitian"),
+    "choi shape": (lambda: choi_matrix(np.eye(16), 2, 4), DimensionMismatchError,
+                   "superoperator shape"),
+    "is_cptp shape": (lambda: is_cptp(np.eye(15), 2, 2), DimensionMismatchError,
+                      "superoperator shape"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHANNEL_INPUT_ERRORS))
+def test_channel_twirl_rejects_bad_input_at_the_boundary(case):
+    call, error, match = CHANNEL_INPUT_ERRORS[case]
+    with pytest.raises(error, match=match) as info:
+        call()
+    assert not isinstance(info.value, NotCPTPError)
 
 
 # -- k-design twirl --------------------------------------------------------------

@@ -28,7 +28,8 @@ __all__ = [
     "herm_eig", "exp_unitary", "partial_trace", "hs_inner",
     "vectorize", "devectorize", "conjugation_superoperator",
     "commutator_superoperator", "conjugation_sum", "random_hermitian",
-    "haar_unitary", "haar_unitaries", "tensor_powers", "hvec", "orthonormalize_hermitian",
+    "haar_unitary", "haar_unitaries", "kron_rows", "tensor_powers", "hvec",
+    "orthonormalize_hermitian",
 ]
 
 I2 = np.eye(2, dtype=complex)
@@ -262,17 +263,27 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitaries(d, 1, rng)[0]
 
 
+def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker products a_n (x) b_n of two ``(n, ., .)`` stacks.
+
+    One broadcast product on the ``(n, p, r, q, s)`` index split, elementwise
+    the same multiplications as ``np.kron``, so row n is bit-equal to
+    ``np.kron(a[n], b[n])``.
+    """
+    n, (p, q), (r, s) = len(a), a.shape[1:], b.shape[1:]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, p * r, q * s)
+
+
 def tensor_powers(us: np.ndarray, k: int) -> np.ndarray:
     """``(n, d^k, d^k)`` stack of the k-fold tensor powers of an ``(n, d, d)`` stack.
 
-    Factors are multiplied in from the left, one ``einsum`` outer product
-    each; power i depends on ``us[i]`` alone, so splitting the stack into
-    chunks keeps every bit.
+    Factors are multiplied in from the right by ``kron_rows``, so power i
+    is bit-equal to ``kron_all(*[us[i]] * k)`` and depends on ``us[i]``
+    alone: splitting the stack into chunks keeps every bit.
     """
-    n, d = us.shape[0], us.shape[-1]
     out = us
     for _ in range(k - 1):
-        out = np.einsum("nij,nkl->nikjl", out, us).reshape(n, out.shape[1] * d, -1)
+        out = kron_rows(out, us)
     return out
 
 

@@ -182,15 +182,6 @@ _LABEL_FUNCTIONALS = {
 }
 
 
-def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Kronecker products a_n (x) b_n of two ``(N, ., .)`` stacks.
-
-    One broadcast product, elementwise the same multiplications as ``np.kron``.
-    """
-    n, (p, q), (r, s) = len(a), a.shape[1:], b.shape[1:]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, p * r, q * s)
-
-
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     """Rows of ``v`` over their norms, bit for bit as ``np.linalg.norm`` of each row."""
     return v / np.sqrt(np.vecdot(v, v))[:, None]
@@ -274,7 +265,7 @@ def gen_swap2d(n_samples: int, seed: int = 0, s0: float = 0.7) -> Dataset:
         labels = (np.abs(np.sin(pairs[:, 0]) + np.sin(pairs[:, 1])) > s0).astype(int)
         starts = np.flatnonzero(np.diff(labels, prepend=1 - len(x) % 2))
         x = np.concatenate([x, pairs[starts[:n_samples - len(x)]]])
-    u = _kron_rows(ry(x[:, 0]), ry(x[:, 1]))
+    u = linalg.kron_rows(ry(x[:, 0]), ry(x[:, 1]))
     return _balanced("swap2d", u @ np.kron(plus_state(), plus_state()) @ linalg.dagger(u),
                      [{"x": tuple(v)} for v in x.tolist()], swap_rep(), {"s0": s0})
 
@@ -296,7 +287,7 @@ def gen_ferro(n_samples: int, seed: int = 0, r_range=(0.2, 1.0)) -> Dataset:
     draws = [(rng.standard_normal(3), float(rng.uniform(lo, hi))) for _ in range(n_samples)]
     r = np.array([m for _, m in draws])[:, None] * _unit_rows(np.array([d for d, _ in draws]))
     sign = np.where(np.arange(n_samples) % 2 == 1, -1.0, 1.0)[:, None]
-    return _balanced("ferro", _kron_rows(bloch_state(r), bloch_state(sign * r)),
+    return _balanced("ferro", linalg.kron_rows(bloch_state(r), bloch_state(sign * r)),
                      [{"r": v} for v in r.tolist()], tensor_power(su2_fundamental(), 2),
                      {"r_range": (lo, hi)})
 
@@ -339,10 +330,7 @@ def _lifted_states(model: QmlModel, rhos) -> np.ndarray:
     if side ** k != dim or single.shape[1:] != (side, side):
         raise DimensionMismatchError(
             f"states do not lift to the circuit dim {dim} in {k} copies")
-    out = single
-    for _ in range(k - 1):
-        out = _kron_rows(out, single)
-    return out
+    return linalg.tensor_powers(single, k)
 
 
 def _effective_measurement(model: QmlModel) -> np.ndarray:

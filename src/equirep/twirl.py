@@ -1,12 +1,18 @@
 """Projection onto invariant operators: group averages and Haar twirls.
 
-Finite groups are twirled by exact averaging over all elements.  Compact
-(Lie) symmetries never touch quadrature over the group manifold: their Haar
-twirl equals the orthogonal projection onto the commutant, computed exactly.
-A channel is twirled as its Choi matrix under dual(R_in) x R_out.  The U(d)
-k-fold twirl has the closed permutation form from Schur-Weyl duality, solved
-through the permutation Gram system.  The group average and its Monte Carlo
-counterpart share ``linalg.conjugation_sum``, fed in ``linalg._CHUNK_BYTES``.
+Finite groups are twirled by exact averaging over all elements.  When every
+generator image is a permutation matrix, the commutant is spanned by the
+orbital matrices of the group acting on index pairs, so the average is the
+mean of the operator's entries over each orbit of pairs: O(d^2) work and no
+element stack, for any group order.  Other finite representations sum over
+the representatives with ``linalg.conjugation_sum``, fed in
+``linalg._CHUNK_BYTES``.  Compact (Lie) symmetries never touch quadrature
+over the group manifold: their Haar twirl equals the orthogonal projection
+onto the commutant, computed exactly.  A channel is twirled as its Choi
+matrix under dual(R_in) x R_out, which is again a permutation representation
+when R_in and R_out are.  The U(d) k-fold twirl has the closed permutation
+form from Schur-Weyl duality, solved through the permutation Gram system.
+The Monte Carlo twirl shares ``linalg.conjugation_sum`` with the average.
 """
 
 from __future__ import annotations
@@ -38,18 +44,36 @@ __all__ = [
     "choi_matrix", "is_cptp",
 ]
 
+
+@dataclass(frozen=True)
+class PairOrbits:
+    """The orbits of the index pairs (i, j), numbered by their smallest row-major pair.
+
+    ``orbit`` is the ``(d^2,)`` orbit number of each pair, ``order`` lists
+    the pairs orbit by orbit, and orbit k fills ``order[starts[k]:][:sizes[k]]``.
+    """
+
+    orbit: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
 @dataclass
 class TwirlContext:
     """How to twirl against a representation.
 
-    mode "average" sums R(g) o R(g)^dag over the whole finite group; mode
+    mode "average" averages R(g) o R(g)^dag over the whole finite group; mode
     "projection" projects onto an orthonormal commutant basis (exact for
-    compact groups, also valid for finite ones).
+    compact groups, also valid for finite ones).  ``orbits`` is set in
+    average mode when every generator image is a permutation matrix; the
+    average is then the mean over each orbit of index pairs.
     """
 
     rep: Representation
     mode: str
     commutant: CommutantBasis | None = None
+    orbits: PairOrbits | None = None
 
 
 def twirl_context(rep: Representation, mode: str | None = None,
@@ -59,36 +83,76 @@ def twirl_context(rep: Representation, mode: str | None = None,
     if mode == "average":
         if rep.flavor != "finite":
             raise InvalidParameterError("exact averaging needs a finite group")
-        return TwirlContext(rep, "average")
+        return TwirlContext(rep, "average", orbits=_pair_orbits(rep.generator_images))
     if mode == "projection":
         return TwirlContext(rep, "projection", commutant_basis(rep, tol))
     raise InvalidParameterError(f"unknown twirl mode {mode!r}")
 
 
+def _pair_orbits(images: np.ndarray) -> PairOrbits | None:
+    """Orbits of (i, j) -> (pi_s(i), pi_s(j)) under the generator permutations.
+
+    None unless every image is exactly a permutation matrix.  Each pair is
+    labelled by the smallest pair known to share its orbit: every round
+    pulls the smaller label across each generator map and its inverse, then
+    jumps every label to its label's label, until a round changes nothing.
+    Only the generator maps are read, so the cost does not grow with |G|.
+    """
+    if not (np.all((images == 0) | (images == 1))
+            and np.all(images.sum(axis=1) == 1) and np.all(images.sum(axis=2) == 1)):
+        return None
+    d = images.shape[-1]
+    pis = np.nonzero(images.transpose(0, 2, 1))[2].reshape(len(images), d)  # R e_i = e_pi(i)
+    pis = np.concatenate([pis, np.argsort(pis, axis=1)])
+    maps = (pis[:, :, None] * d + pis[:, None, :]).reshape(len(pis), d * d)
+    labels = np.arange(d * d)
+    while True:
+        new = labels.copy()
+        for m in maps:
+            np.minimum(new, new[m], out=new)
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    orbit = (np.cumsum(labels == np.arange(d * d)) - 1)[labels]
+    sizes = np.bincount(orbit)
+    return PairOrbits(orbit, np.argsort(orbit, kind="stable"), np.cumsum(sizes) - sizes, sizes)
+
+
 def twirl_operator(ctx: TwirlContext, o: np.ndarray) -> np.ndarray:
     """Twirl an operator; the output commutes with every representative.
 
-    Average mode reads the ``representatives()`` stack in element chunks of
-    ``linalg._CHUNK_BYTES`` and sums R(g) o R(g)^dag over each chunk with
-    ``linalg.conjugation_sum`` (two GEMMs).  Projection mode reads the
-    commutant stack as an ``(n, d^2)`` matrix C and takes two matrix-vector
-    products: the coefficients Tr[b^dag o] = conj(C vec(conj o)), which
-    needs no conjugate copy of C, then their combination of the rows of C.
+    Average mode over permutation matrices is the mean of o's entries over
+    each orbit of index pairs: one gather in orbit order, one
+    ``np.add.reduceat``, one divide and one gather back.  Average mode over
+    other finite representations reads the ``representatives()`` stack in
+    element chunks of ``linalg._CHUNK_BYTES`` and sums R(g) o R(g)^dag over
+    each chunk with ``linalg.conjugation_sum`` (two GEMMs).  Projection mode
+    reads the commutant stack as an ``(n, d^2)`` matrix C and takes two
+    matrix-vector products: the coefficients Tr[b^dag o] = conj(C vec(conj o)),
+    which needs no conjugate copy of C, then their combination of the rows
+    of C.  Text raises ``ValidationError``; so does a non-finite entry, found
+    in the orbit sums, the coefficients or the dense average, each of which
+    reads every entry of o.
     """
-    o = np.asarray(o, dtype=complex)
+    o = _numeric(o)
     d = ctx.rep.dim
     if o.shape != (d, d):
         raise DimensionMismatchError(
             f"operator shape {o.shape} does not match carrier dim {d}")
+    if ctx.orbits is not None:
+        orb = ctx.orbits
+        sums = _require_finite(np.add.reduceat(o.reshape(-1)[orb.order], orb.starts))
+        return (sums / orb.sizes)[orb.orbit].reshape(d, d)
     if ctx.mode == "average":
         reps = ctx.rep.representatives()
         chunk = max(1, linalg._CHUNK_BYTES // reps[0].nbytes)
         acc = np.zeros_like(o)
         for start in range(0, len(reps), chunk):
             acc += linalg.conjugation_sum(reps[start:start + chunk], o)
-        return acc / len(reps)
+        return _require_finite(acc) / len(reps)
     basis = ctx.commutant.basis.reshape(-1, d * d)
-    coeffs = np.dot(basis, o.reshape(-1).conj()).conj()
+    coeffs = _require_finite(np.dot(basis, o.reshape(-1).conj())).conj()
     return np.dot(coeffs, basis).reshape(d, d)
 
 
@@ -130,17 +194,26 @@ def twirl_channel(rep_in: Representation, rep_out: Representation,
     return j.reshape(din, dout, din, dout).transpose(1, 3, 0, 2).reshape(dout * dout, din * din)
 
 
-def _tensor_operator(o, shape: tuple[int, int]) -> np.ndarray:
-    """``o`` as a finite complex array of ``shape``; anything else is a ValidationError."""
+def _numeric(o) -> np.ndarray:
+    """``o`` as a complex array; text or objects raise ValidationError."""
     try:
-        o = np.asarray(o, dtype=complex)
+        return np.asarray(o, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"operator is not numeric: {exc}") from exc
+
+
+def _require_finite(values: np.ndarray) -> np.ndarray:
+    if np.count_nonzero(np.isfinite(values)) != values.size:  # faster than .all() on small arrays
+        raise ValidationError("operator has a non-finite entry")
+    return values
+
+
+def _tensor_operator(o, shape: tuple[int, int]) -> np.ndarray:
+    """``o`` as a finite complex array of ``shape``; anything else is a ValidationError."""
+    o = _numeric(o)
     if o.shape != shape:
         raise DimensionMismatchError(f"operator shape {o.shape}, expected {shape}")
-    if not np.isfinite(o).all():
-        raise ValidationError("operator has a non-finite entry")
-    return o
+    return _require_finite(o)
 
 
 @functools.lru_cache(maxsize=None)

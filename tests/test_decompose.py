@@ -712,16 +712,15 @@ def test_schur_weyl_walks_the_prefixes_when_a_sample_repeats(monkeypatch):
 
 def _schur_weyl_in_one_draw(d, n, rng_seed=0, tol=DEFAULT_TOL):
     """The single-draw Schur-Weyl check: all 2r + 12 Haar samples from one
-    ``haar_unitaries`` call and one power loop, then the stall rule on them."""
+    ``haar_unitaries`` call, each raised to its power by a ``kron_all`` chain,
+    then the stall rule on them."""
     dec_perm = isotypic_decompose(perm_rep_tensor(n, d), rng_seed, tol)
     dec_tensor = isotypic_decompose(tensor_power(unitary_algebra_rep(d), n), rng_seed, tol)
     perm_comm, tensor_comm = _block_commutant(dec_perm), _block_commutant(dec_tensor)
     r = len(perm_comm)
     cap = 2 * r + 12
     us = linalg.haar_unitaries(d, cap, np.random.default_rng([rng_seed, 101]))
-    powers = us
-    for _ in range(n - 1):
-        powers = np.einsum("sij,skl->sikjl", powers, us).reshape(cap, powers.shape[1] * d, -1)
+    powers = np.stack([linalg.kron_all(*[u] * n) for u in us])
     cols = powers.reshape(cap, -1).T
     s_r = np.linalg.svd(cols[:, :r], compute_uv=False)
     samples, s = _span_basis(cols[:, :r + 3], tol)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from equirep.errors import (
@@ -27,10 +29,14 @@ from equirep.linalg import (
     haar_unitary,
     random_hermitian,
 )
-from equirep.groups import make_cyclic, make_dihedral, make_symmetric
+from equirep.decompose import commutant_basis
+from equirep.groups import group_from_unitaries, make_cyclic, make_dihedral, make_symmetric
 from equirep.representations import (
     Representation,
     bitflip_rep,
+    dihedral_rep_s3,
+    direct_sum,
+    dual,
     finite_rep_from_images,
     left_regular_rep,
     perm_matrix_on_tensor,
@@ -39,6 +45,9 @@ from equirep.representations import (
     swap_matrix,
     swap_rep,
     tensor_power,
+    tensor_product,
+    translation_rep,
+    trivial_rep,
 )
 from equirep import linalg
 from equirep.twirl import (
@@ -53,6 +62,18 @@ from equirep.twirl import (
 )
 
 FINITE_CORPUS = [swap_rep(), bitflip_rep(1), bitflip_rep(2), perm_rep_qubits(3)]
+
+
+def _signed_swap():
+    return finite_rep_from_images(make_cyclic(2), [-swap_matrix()], "signed-swap")
+
+
+# one context per twirl path: orbit means, the dense element sum, the commutant projection
+TWIRL_CONTEXTS = {
+    "orbit": lambda: twirl_context(swap_rep()),
+    "dense": lambda: twirl_context(_signed_swap()),
+    "projection": lambda: twirl_context(swap_rep(), "projection"),
+}
 
 
 def test_twirl_swap_adjoint_worked_example():
@@ -90,9 +111,9 @@ def test_twirl_su2_projection_gives_trace_part():
 
 
 def test_twirl_dimension_mismatch():
-    ctx = twirl_context(swap_rep())
-    with pytest.raises(DimensionMismatchError):
-        twirl_operator(ctx, X)
+    for make in TWIRL_CONTEXTS.values():
+        with pytest.raises(DimensionMismatchError, match="does not match carrier dim 4"):
+            twirl_operator(make(), X)
 
 
 def test_twirl_idempotent():
@@ -423,7 +444,8 @@ def _reference_haar(d, rng):
 
 
 def _reference_monte_carlo_twirl(d, k, o, n_samples, rng_seed, draw=haar_unitary):
-    """Per-sample sampling loop, summed in chunks of the same size by the kernel.
+    """Per-sample sampling loop, each power a ``kron_all`` chain, summed in
+    chunks of the same size by the kernel.
 
     ``draw(d, rng)`` makes one unitary: ``haar_unitary`` for the bit-identity
     check, ``_reference_haar`` for the LAPACK-route tolerance check."""
@@ -433,10 +455,7 @@ def _reference_monte_carlo_twirl(d, k, o, n_samples, rng_seed, draw=haar_unitary
     done = 0
     while done < n_samples:
         nb = min(chunk, n_samples - done)
-        us = np.stack([draw(d, rng) for _ in range(nb)])
-        uk = us
-        for _ in range(k - 1):
-            uk = np.einsum("nij,nkl->nikjl", uk, us).reshape(nb, uk.shape[1] * d, -1)
+        uk = np.stack([linalg.kron_all(*[draw(d, rng)] * k) for _ in range(nb)])
         acc += linalg.conjugation_sum(uk, o)
         done += nb
     return acc / n_samples
@@ -480,7 +499,7 @@ def test_tensor_powers_match_kron_chains():
     us = haar_unitaries(3, 20, np.random.default_rng(51))
     for k in (1, 2, 3):
         want = np.stack([linalg.kron_all(*([u] * k)) for u in us])
-        assert np.abs(linalg.tensor_powers(us, k) - want).max() <= 1e-15
+        assert linalg.tensor_powers(us, k).tobytes() == want.tobytes()
 
 
 def _uncached_k_design_twirl(d, k, o):
@@ -617,15 +636,126 @@ AVERAGE_CASES = {
     "regular-D6": lambda: left_regular_rep(make_dihedral(6)),
     "regular-Z64": lambda: left_regular_rep(make_cyclic(64)),
     "perm4~haar": lambda: _haar_conjugated(perm_rep_qubits(4), 13),
+    "perm5~haar": lambda: _haar_conjugated(perm_rep_qubits(5), 14),
+    "regular-Z64~haar": lambda: _haar_conjugated(left_regular_rep(make_cyclic(64)), 15),
 }
 
 
 @pytest.mark.parametrize("name", list(AVERAGE_CASES))
 def test_average_twirl_matches_the_per_element_loop(name):
     rep = AVERAGE_CASES[name]()
-    if name in ("perm5", "regular-Z64"):  # these cross a chunk boundary
+    ctx = twirl_context(rep, "average")
+    # permutation reps take the orbit path; the conjugated ones the dense chunked sum
+    assert (ctx.orbits is None) == name.endswith("~haar")
+    if name in ("perm5~haar", "regular-Z64~haar"):  # these cross a chunk boundary
         assert rep.group.order * rep.dim ** 2 * 16 > linalg._CHUNK_BYTES
     rng = np.random.default_rng(17)
     o = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
-    got = twirl_operator(twirl_context(rep, "average"), o)
+    got = twirl_operator(ctx, o)
     assert np.abs(got - _loop_average_twirl(rep, o)).max() <= 1e-12
+
+
+# -- the orbit path for permutation representations ------------------------------
+
+ORBIT_CASES = {
+    **{name: make for name, make in AVERAGE_CASES.items() if not name.endswith("~haar")},
+    "translation(4)": lambda: translation_rep(4),
+    "bitflip(2)": lambda: bitflip_rep(2),
+    "trivial-Z12": lambda: trivial_rep(make_cyclic(12), 1),
+    "perm3(+)regular-S3": lambda: direct_sum(perm_rep_qubits(3),
+                                             left_regular_rep(make_symmetric(3))),
+    "dual(perm3)(x)perm3": lambda: tensor_product(dual(perm_rep_qubits(3)), perm_rep_qubits(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORBIT_CASES))
+def test_orbit_twirl_matches_the_loop_and_counts_the_commutant(name):
+    rep = ORBIT_CASES[name]()
+    ctx = twirl_context(rep)
+    assert ctx.orbits is not None
+    # the orbital matrices have disjoint supports, so they are a basis of the commutant
+    assert len(ctx.orbits.sizes) == commutant_basis(rep).dim
+    rng = np.random.default_rng(18)
+    o = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
+    assert np.abs(twirl_operator(ctx, o) - _loop_average_twirl(rep, o)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make", [dihedral_rep_s3, _signed_swap,
+                                  lambda: _haar_conjugated(swap_rep(), 16)],
+                         ids=["dihedral-S3", "signed-swap", "swap~haar"])
+def test_non_permutation_reps_take_the_dense_average(make):
+    rep = make()
+    ctx = twirl_context(rep)
+    assert ctx.mode == "average" and ctx.orbits is None
+    o = random_hermitian(rep.dim, np.random.default_rng(19))
+    assert np.abs(twirl_operator(ctx, o) - _loop_average_twirl(rep, o)).max() <= 1e-12
+
+
+def test_orbit_path_reads_no_representatives(monkeypatch):
+    rep = left_regular_rep(make_cyclic(256))   # above EAGER_ORDER: no stack built yet
+    monkeypatch.setattr(Representation, "representatives",
+                        lambda self: pytest.fail("the orbit path built the element stack"))
+    ctx = twirl_context(rep)
+    o = random_hermitian(256, np.random.default_rng(20))
+    # the twirl under Z_256 shifts is the mean along each cyclic diagonal j - i = c
+    t = np.arange(256)
+    diagonal_means = o[t, (t + t[:, None]) % 256].mean(axis=1)
+    want = diagonal_means[(t - t[:, None]) % 256]
+    assert np.abs(twirl_operator(ctx, o) - want).max() <= 1e-12
+
+
+def _closure(gens, n):
+    """Every product of the permutations ``gens`` of range(n), as tuples."""
+    seen, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        frontier = [tuple(g[i] for i in h) for h in frontier for g in gens]
+        frontier = [h for h in frontier if h not in seen]
+        seen.update(frontier)
+        if len(seen) > 64:
+            return None
+    return sorted(seen)
+
+
+@st.composite
+def _permutation_groups(draw):
+    """A permutation group of order <= 64 on <= 6 points, with its permutation matrices."""
+    n = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    elements = _closure(gens, n) or _closure(gens[:1], n)  # one generator: order <= 6
+    return np.array([np.eye(n)[:, list(p)] for p in elements], dtype=complex)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mats=_permutation_groups(), seed=st.integers(0, 2 ** 32 - 1))
+def test_orbit_twirl_on_random_permutation_groups(mats, seed):
+    rep = finite_rep_from_images(group_from_unitaries(mats), mats, "perm-group")
+    ctx = twirl_context(rep)
+    assert ctx.orbits is not None
+    assert len(ctx.orbits.sizes) == commutant_basis(rep).dim
+    rng = np.random.default_rng(seed)
+    o = rng.standard_normal((rep.dim, rep.dim)) + 1j * rng.standard_normal((rep.dim, rep.dim))
+    once = twirl_operator(ctx, o)
+    assert np.abs(once - _loop_average_twirl(rep, o)).max() <= 1e-12
+    assert np.abs(twirl_operator(ctx, once) - once).max() <= 1e-12
+    for k in rep.generator_images:
+        assert frob(comm(once, k)) <= 1e-12 * max(1.0, frob(o))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_BAD_OPERATORS))
+@pytest.mark.parametrize("path", list(TWIRL_CONTEXTS))
+def test_twirl_operator_rejects_bad_operators(path, name):
+    with pytest.raises(ValidationError):
+        twirl_operator(TWIRL_CONTEXTS[path](), _BAD_OPERATORS[name](4))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("path", list(TWIRL_CONTEXTS))
+def test_twirl_operator_finds_one_non_finite_entry_anywhere(path):
+    # the check reads the small vector each path forms, not o itself
+    ctx = TWIRL_CONTEXTS[path]()
+    for i, j in itertools.product(range(4), repeat=2):
+        o = np.zeros((4, 4), dtype=complex)
+        o[i, j] = complex(0, np.inf) if (i + j) % 2 else np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            twirl_operator(ctx, o)

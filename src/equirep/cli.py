@@ -314,7 +314,7 @@ def _cmd_task(args, tol):
         "samples": args.samples,
         "epochs": args.epochs,
         "final_loss": trace[-1][1],
-        "accuracy": tasks.accuracy(trained, ds),
+        "accuracy": trace[-1][2],  # the last row scores the trained model
         "invariance_deviation": deviation,
         "residuals": {"circuit_equivariance": residual},
         "csv": args.out or "",

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 MAX_TABLE_ORDER = 512  # exhaustive axiom checks are cubic in the order
+MAX_MADE_ORDER = 2048  # a made Cayley table holds order^2 int64 entries, 32 MB at the cap
 
 
 @dataclass
@@ -80,6 +81,7 @@ class FiniteGroup:
         always comes before its children.  Deterministic: generators are
         tried in listed order.
         """
+        right = self.mul[:, self.generators].tolist()  # right[e][gi] = e * generators[gi]
         seen = [False] * self.order
         seen[self.identity] = True
         tree = []
@@ -87,8 +89,7 @@ class FiniteGroup:
         while frontier:
             nxt = []
             for e in frontier:
-                for gi, g in enumerate(self.generators):
-                    f = self.multiply(e, g)
+                for gi, f in enumerate(right[e]):
                     if not seen[f]:
                         seen[f] = True
                         tree.append((f, e, gi))
@@ -145,21 +146,6 @@ def _find_inverses(mul: np.ndarray, identity: int) -> np.ndarray:
     return inv
 
 
-def _closure(mul: np.ndarray, gens: list[int], identity: int) -> set[int]:
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                f = int(mul[e, g])
-                if f not in seen:
-                    seen.add(f)
-                    nxt.append(f)
-        frontier = nxt
-    return seen
-
-
 def group_from_table(mul, generators=None, element_labels=None, name="group") -> FiniteGroup:
     """Build a group from an explicit table, deriving identity and inverses.
 
@@ -189,11 +175,11 @@ def group_from_table(mul, generators=None, element_labels=None, name="group") ->
             f"generators must be a list of integer element indices, got {generators!r}") from exc
     if any(not 0 <= g < n for g in generators):
         raise InvalidParameterError(f"generators must lie in 0..{n - 1}, got {generators}")
-    if len(_closure(mul, generators, identity)) != n:
-        raise InvalidParameterError("generators do not generate the group")
     if element_labels is None:
         element_labels = [f"g{i}" for i in range(n)]
-    return FiniteGroup(n, mul, identity, inverses, generators, list(element_labels), name)
+    group = FiniteGroup(n, mul, identity, inverses, generators, list(element_labels), name)
+    group.element_tree()  # raises unless the generators reach every element
+    return group
 
 
 def _generating_subset(mul: np.ndarray, gens: list[int], identity: int) -> list[int] | None:
@@ -251,8 +237,8 @@ def verify_group_axioms(g: FiniteGroup) -> GroupAxiomReport:
 
 def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group of integers modulo n; element i is g^i."""
-    if n < 1:
-        raise InvalidParameterError("cyclic group needs n >= 1")
+    if not 1 <= n <= MAX_MADE_ORDER:
+        raise InvalidParameterError(f"cyclic group needs 1 <= n <= {MAX_MADE_ORDER}, got {n}")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
     labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
@@ -287,8 +273,9 @@ def make_symmetric(n: int) -> FiniteGroup:
 
 def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of the regular n-gon: 2n elements s^f r^k, s r s = r^-1."""
-    if n < 3:
-        raise InvalidParameterError("dihedral group needs n >= 3")
+    if not 3 <= n <= MAX_MADE_ORDER // 2:
+        raise InvalidParameterError(
+            f"dihedral group needs 3 <= n <= {MAX_MADE_ORDER // 2}, got {n}")
     # element index = f*n + k  for  s^f r^k
     order = 2 * n
     mul = np.empty((order, order), dtype=np.int64)

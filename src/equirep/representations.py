@@ -2,10 +2,10 @@
 
 Either flavor is fixed by one ``(g, d, d)`` stack of generator images: the
 unitaries of the group generators, or the Hermitian images of the algebra
-basis.  Finite-flavor elements are word products of those images (all of
-them eagerly for order <= 64, each as its BFS parent times one image;
-otherwise on demand); lie-flavor group-level elements are produced by
-exponentiating algebra samples.
+basis.  Finite-flavor elements are word products of those images, built
+one at a time on demand, or all at once (each as its BFS parent times one
+image) on the first read of the element stack; lie-flavor group-level
+elements are produced by exponentiating algebra samples.
 
 Basis ordering on qubit registers is big-endian: qubit 1 is the leftmost
 tensor factor, so the transposition (1,2) is represented by SWAP of the two
@@ -39,6 +39,7 @@ __all__ = [
     "perm_matrix_on_tensor", "swap_matrix",
 ]
 
+# groups up to this order are certified and checked on every element
 EAGER_ORDER = 64
 _UNITARITY_TOL = Tolerance(1e-8, 1e-8)
 
@@ -50,8 +51,8 @@ class Representation:
     images of the group generators (flavor "finite") or the Hermitian images
     of the algebra basis (flavor "lie"), in the source's order.  Everything
     else is derived from it: finite-flavor elements are word products of the
-    images (all of them eagerly for order <= 64, otherwise on demand), and
-    lie-flavor group elements are exponentials of algebra combinations.
+    images, none of them built at construction, and lie-flavor group
+    elements are exponentials of algebra combinations.
     """
 
     def __init__(self, source, flavor: str, dim: int, name: str, generator_images):
@@ -75,11 +76,8 @@ class Representation:
                 f"{flavor} images must form a ({count}, {self.dim}, {self.dim}) "
                 f"stack, got shape {images.shape}")
         self.generator_images = images
-        self._cache: dict[int, np.ndarray] = {}
         self._words = None
         self._all = None
-        if flavor == "finite" and source.order <= EAGER_ORDER:
-            self.representatives()
 
     @property
     def group(self) -> FiniteGroup:
@@ -96,33 +94,30 @@ class Representation:
     # -- finite flavor ---------------------------------------------------
 
     def representative(self, element: int) -> np.ndarray:
-        """Unitary for a group element (finite flavor): its shortest word's product."""
+        """Unitary for a group element (finite flavor): its shortest word's product,
+        read from the element stack once that exists, with the same bits."""
         if self._all is not None:
             return self._all[element]
-        if element not in self._cache:
-            if self._words is None:
-                self._words = self.group.element_words()
-            m = np.eye(self.dim, dtype=complex)
-            for gi in self._words[element]:
-                m = m @ self.generator_images[gi]
-            self._cache[element] = m
-        return self._cache[element]
+        if self._words is None:
+            self._words = self.group.element_words()
+        m = np.eye(self.dim, dtype=complex)
+        for gi in self._words[element]:
+            m = m @ self.generator_images[gi]
+        return m
 
     def representatives(self) -> np.ndarray:
         """``(order, d, d)`` stack of every unitary, in element order (finite flavor).
 
-        Built once and kept, along the BFS tree of ``group.element_tree()``:
-        each element is its parent's matrix times one generator image, the
-        same products in the same order as its word walk, with one product
-        per element.  Single elements of a larger group are built on demand
-        by :meth:`representative` until this is called.
+        Built on the first call and kept, along the BFS tree of
+        ``group.element_tree()``: each element is its parent's matrix times
+        one generator image, the same products in the same order as its
+        word walk, with one product per element.
         """
         if self._all is None:
             out = np.empty((self.group.order, self.dim, self.dim), dtype=complex)
             out[self.group.identity] = np.eye(self.dim)
             for f, e, gi in self.group.element_tree():
                 out[f] = out[e] @ self.generator_images[gi]
-            self._cache.clear()  # the stack becomes the only full copy
             self._all = out
         return self._all
 

@@ -65,6 +65,17 @@ def _field(spec, key: str):
     return spec[key]
 
 
+def _list(spec, key: str, required: bool = True):
+    """A spec entry that the loaders iterate: a JSON list, or None if optional and absent."""
+    if not required and _object(spec).get(key) is None:
+        return None
+    value = _field(spec, key)
+    if not isinstance(value, list):
+        raise ValidationError(
+            f"spec field {key!r} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -412,13 +423,13 @@ def _build_group(spec: dict) -> FiniteGroup:
         n = _field(spec, "n")
         try:
             n = int(n)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"group order n must be an integer, got {n!r}") from exc
         return _GROUP_MAKERS[kind](n)
     if kind == "table":
         g = group_from_table(_field(spec, "mul"),
                              spec.get("generators"),
-                             spec.get("labels"),
+                             _list(spec, "labels", required=False),
                              spec.get("name", "group"))
         # the cubic associativity scan is off the table above order 512
         if g.order > 512 and not spec.get("trusted", False):
@@ -437,7 +448,7 @@ def _lie_spec(alg: LieAlgebraBasis, mat) -> dict:
 
 
 def lie_from_spec(spec: dict) -> LieAlgebraBasis:
-    gens = [mat_from_json(m) for m in _field(spec, "generators")]
+    gens = [mat_from_json(m) for m in _list(spec, "generators")]
     return LieAlgebraBasis(gens, name=spec.get("name", "lie-algebra"))
 
 
@@ -498,11 +509,11 @@ def _load_rep(spec: dict) -> tuple[Representation, float]:
     flavor = _object(spec).get("flavor")
     if flavor == "finite":
         group = group_from_spec(_field(spec, "group"))
-        images = [mat_from_json(m) for m in _field(spec, "matrices")]
+        images = [mat_from_json(m) for m in _list(spec, "matrices")]
         rep = finite_rep_from_images(group, images, spec.get("name", "rep"))
     elif flavor == "lie":
         alg = lie_from_spec(_field(spec, "algebra"))
-        images = [mat_from_json(m) for m in _field(spec, "generator_images")]
+        images = [mat_from_json(m) for m in _list(spec, "generator_images")]
         if not images:
             raise ValidationError("lie spec has no generator images")
         rep = Representation(alg, "lie", images[0].shape[0],
@@ -551,7 +562,7 @@ def dataset_from_spec(spec: dict):
     rep = rep_from_spec(_field(spec, "rep"))
     states = [LabeledState(mat_from_json(_field(s, "rho")), float(_field(s, "label")),
                            dict(s.get("meta", {})))
-              for s in _field(spec, "states")]
+              for s in _list(spec, "states")]
     params = {k: tuple(v) if isinstance(v, list) else v
               for k, v in spec.get("params", {}).items()}
     return Dataset(_field(spec, "task"), states, rep, params)

@@ -636,21 +636,22 @@ def eigenspace_invariance_check(h: np.ndarray, rep: Representation,
     else:
         actions = rep.generator_images
 
+    unitary = [linalg.is_unitary(u, Tolerance(1e-8, 1e-8)) for u in actions]
     res = 0.0
     fixed = 0
     total = 0
     for grp in groups:
         cols = v[:, grp]
         p = cols @ linalg.dagger(cols)
-        for u in actions:
-            if linalg.is_unitary(u, Tolerance(1e-8, 1e-8)):
+        for u, is_u in zip(actions, unitary):
+            if is_u:
                 res = max(res, linalg.frob(u @ p @ linalg.dagger(u) - p))
             else:
                 res = max(res, linalg.frob(linalg.comm(u, p)))
     for i in range(v.shape[1]):
         vec = v[:, i]
         ok = all(abs(abs(np.vdot(vec, u @ vec)) - np.linalg.norm(u @ vec)) < 1e-8
-                 for u in actions if linalg.is_unitary(u, Tolerance(1e-8, 1e-8)))
+                 for u, is_u in zip(actions, unitary) if is_u)
         fixed += int(ok)
         total += 1
     return EigenspaceReport(

@@ -96,7 +96,8 @@ def _pair_orbits(images: np.ndarray) -> PairOrbits | None:
     labelled by the smallest pair known to share its orbit: every round
     pulls the smaller label across each generator map and its inverse, then
     jumps every label to its label's label, until a round changes nothing.
-    Only the generator maps are read, so the cost does not grow with |G|.
+    Only the generator maps are read, so the cost does not grow with |G|,
+    and each pair map is built in its turn, so one is held at a time.
     """
     if not (np.all((images == 0) | (images == 1))
             and np.all(images.sum(axis=1) == 1) and np.all(images.sum(axis=2) == 1)):
@@ -104,12 +105,11 @@ def _pair_orbits(images: np.ndarray) -> PairOrbits | None:
     d = images.shape[-1]
     pis = np.nonzero(images.transpose(0, 2, 1))[2].reshape(len(images), d)  # R e_i = e_pi(i)
     pis = np.concatenate([pis, np.argsort(pis, axis=1)])
-    maps = (pis[:, :, None] * d + pis[:, None, :]).reshape(len(pis), d * d)
     labels = np.arange(d * d)
     while True:
         new = labels.copy()
-        for m in maps:
-            np.minimum(new, new[m], out=new)
+        for pi in pis:  # the pair map (i, j) -> (pi(i), pi(j))
+            np.minimum(new, new[(pi[:, None] * d + pi).reshape(-1)], out=new)
         new = new[new]
         if np.array_equal(new, labels):
             break

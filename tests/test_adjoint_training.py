@@ -317,6 +317,19 @@ def test_last_trace_row_scores_the_returned_model(task, copies, epochs):
     assert np.array_equal(again.circuit.parameters, trained.circuit.parameters)
 
 
+# the train benchmark's cases: 32 samples and 10 epochs each
+@pytest.mark.parametrize("task,copies,passes", [("swap2d", 1, 1), ("swap2d", 1, 2),
+                                                ("purity", 2, 1), ("purity", 3, 1),
+                                                ("ferro", 1, 1), ("bitflip1d", 1, 1)])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_last_trace_accuracy_is_the_accuracy_of_the_returned_model(task, copies, passes, seed):
+    ds = make_dataset(task, 32, seed)
+    model = initialize_parameters(
+        default_task_model(ds, copies=copies, n_layer_passes=passes), seed)
+    trained, trace = train(model, ds, TrainConfig(learning_rate=0.5, epochs=10, seed=seed))
+    assert trace[-1][2] == accuracy(trained, ds)
+
+
 def test_circuit_without_layers_trains_its_readout():
     ds = make_dataset("swap2d", 10, 4)
     model = default_task_model(ds)

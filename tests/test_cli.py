@@ -263,6 +263,14 @@ def test_preset_golden_outputs(golden, argv, capsys):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_rep_make_builds_no_element_stack(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(reps.Representation, "representatives",
+                        lambda self: pytest.fail("rep make built an element stack"))
+    code, out = run_cli(capsys, "rep", "make", "--kind", "perm-qubits", "--n", "4",
+                        "--out", str(tmp_path / "perm4.json"))
+    assert code == 0 and json.loads(out)["dim"] == 16
+
+
 def test_usage_error_exits_one(capsys):
     code = cli.run(["group", "make", "--kind", "nosuchgroup"])
     err = capsys.readouterr().err
@@ -296,8 +304,10 @@ def _malformed_files(tmp_path):
     group order, (g) a spec, group or algebra that is a JSON list, and (h)
     table group specs with a ragged, string or fractional table, or with a
     non-integer or out-of-range generator; then (i) a finite S_3 spec whose
-    two images are 2x2 and 3x3; then su2 (x) su2 (x) su2, whose 8 dims do
-    not fit the 4-dim swap preset."""
+    two images are 2x2 and 3x3; then (j) specs whose matrices, images,
+    algebra generators or labels are a number, and cyclic and dihedral
+    groups of order 1e9; then su2 (x) su2 (x) su2, whose 8 dims do not fit
+    the 4-dim swap preset."""
     from equirep.representations import dihedral_rep_s3, perm_rep_qubits, su2_fundamental
     from equirep.serialize import rep_to_spec
     spec = rep_to_spec(perm_rep_qubits(3))
@@ -325,6 +335,13 @@ def _malformed_files(tmp_path):
     (tmp_path / "i.json").write_text(json.dumps(s3))
     (tmp_path / "su2x3.json").write_text(json.dumps(rep_to_spec(
         reps.tensor_power(su2_fundamental(), 3))))
+    (tmp_path / "j1.json").write_text(json.dumps(dict(z2, matrices=5)))
+    (tmp_path / "j2.json").write_text(json.dumps(dict(lie, generator_images=5)))
+    algebra = dict(lie["algebra"], generators=5)
+    (tmp_path / "j3.json").write_text(json.dumps(dict(lie, algebra=algebra)))
+    (tmp_path / "j4.json").write_text(json.dumps(dict(z2_table, labels=5)))
+    (tmp_path / "j5.json").write_text(json.dumps({"kind": "cyclic", "n": 1e9}))
+    (tmp_path / "j6.json").write_text(json.dumps({"kind": "dihedral", "n": 1e9}))
     (tmp_path / "dir.json").mkdir()
     (tmp_path / "latin1.json").write_bytes('{"name": "\u00e9"}'.encode("latin-1"))
     return tmp_path
@@ -363,6 +380,18 @@ def _malformed_files(tmp_path):
      "does not match carrier dim 8"),
     (("rep", "make", "--kind", "trivial", "--dim", "0", "--out", "t0.json"),
      "zero-dimensional carrier"),
+    (("rep", "verify", "--in", "j1.json"), "'matrices' must be a JSON list"),
+    (("rep", "verify", "--in", "j2.json"), "'generator_images' must be a JSON list"),
+    (("rep", "verify", "--in", "j3.json"), "'generators' must be a JSON list"),
+    (("commutant", "--rep", "j1.json"), "'matrices' must be a JSON list"),
+    (("decompose", "--rep", "j2.json"), "'generator_images' must be a JSON list"),
+    (("equivariant", "--rep", "j3.json"), "'generators' must be a JSON list"),
+    (("group", "verify", "--in", "j4.json"), "'labels' must be a JSON list"),
+    (("group", "identify", "--in", "j4.json"), "'labels' must be a JSON list"),
+    (("group", "make", "--kind", "cyclic", "--n", "1000000000"), "n <= 2048"),
+    (("group", "make", "--kind", "dihedral", "--n", "1000000000"), "n <= 1024"),
+    (("group", "verify", "--in", "j5.json"), "n <= 2048"),
+    (("group", "identify", "--in", "j6.json"), "n <= 1024"),
 ])
 def test_malformed_input_exits_one(tmp_path, capsys, argv, reason):
     work = _malformed_files(tmp_path)

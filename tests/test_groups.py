@@ -4,6 +4,7 @@ import pytest
 from equirep import linalg, serialize
 from equirep.errors import InvalidParameterError, NotHermitianError
 from equirep.groups import (
+    MAX_MADE_ORDER,
     FiniteGroup,
     group_from_table,
     group_from_unitaries,
@@ -118,6 +119,20 @@ def test_dihedral_center_of_d4():
 def test_dihedral_rejects_small():
     with pytest.raises(InvalidParameterError):
         make_dihedral(2)
+
+
+@pytest.mark.parametrize("make,cap", [(make_cyclic, MAX_MADE_ORDER),
+                                      (make_dihedral, MAX_MADE_ORDER // 2)])
+def test_made_groups_refuse_orders_above_the_cap(make, cap):
+    for n in (cap + 1, 10 ** 9):
+        with pytest.raises(InvalidParameterError, match=f"<= {cap}, got {n}$"):
+            make(n)
+
+
+@pytest.mark.parametrize("generators", [[2], [0], [0, 2]])
+def test_generators_that_miss_an_element_are_refused(generators):
+    with pytest.raises(InvalidParameterError, match="^generators do not generate the group$"):
+        group_from_table(make_cyclic(4).mul, generators)
 
 
 # -- axiom verification -----------------------------------------------------

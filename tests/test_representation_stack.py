@@ -29,6 +29,7 @@ from equirep.representations import (
     su2_fundamental,
     swap_rep,
     tensor_power,
+    tensor_product,
     translation_rep,
     trivial_rep,
     unitary_algebra_rep,
@@ -173,10 +174,32 @@ def test_representatives_are_the_word_products(rep):
 
 
 def test_single_element_of_a_large_group_is_built_alone():
-    rep = perm_rep_qubits(5)  # order 120, above the eager cutoff
+    rep = perm_rep_qubits(5)  # order 120
     m = rep.representative(77)
-    assert rep._all is None and list(rep._cache) == [77]
+    assert rep._all is None
     assert np.array_equal(m, loop_word_products(rep)[77])
+
+
+@pytest.mark.parametrize("make", [lambda: perm_rep_qubits(4),
+                                  lambda: left_regular_rep(make_symmetric(4)),
+                                  dihedral_rep_s3, lambda: translation_rep(4)],
+                         ids=["perm4", "regular-S4", "dihedral-S3", "translation4"])
+def test_single_elements_have_the_bits_of_the_stack(make):
+    rep = make()
+    before = [rep.representative(i).tobytes() for i in range(rep.group.order)]
+    assert rep._all is None
+    stack = rep.representatives()
+    assert [m.tobytes() for m in stack] == before
+    assert [rep.representative(i).tobytes() for i in range(rep.group.order)] == before
+
+
+def test_constructors_build_no_element_stack():
+    s3, perm3 = dihedral_rep_s3(), perm_rep_qubits(3)
+    made = [s3, perm3, bitflip_rep(2), swap_rep(), translation_rep(3),
+            left_regular_rep(make_symmetric(3)), trivial_rep(make_cyclic(4), 2),
+            tensor_product(s3, perm3), dual(s3), dual(perm3), direct_sum(s3, perm3),
+            tensor_power(perm3, 2), adjoint_action(s3), adjoint_action(perm3)]
+    assert [r.name for r in made if r._all is not None] == []
 
 
 def test_generator_image_must_match_its_word_product():

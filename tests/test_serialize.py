@@ -189,3 +189,20 @@ def test_array_text_crosses_default_chunks():
 def test_array_text_matches_template_for_every_shape_and_indent(shape, indent):
     a = _array(shape, len(shape) + indent)
     assert _written(a, indent) == _oracle(a, indent)
+
+
+def test_dataset_states_must_be_a_list():
+    from equirep.representations import swap_rep
+    rep_spec = serialize.rep_to_spec(swap_rep())
+    with pytest.raises(ValidationError, match="'states' must be a JSON list"):
+        serialize.dataset_from_spec({"task": "t", "rep": rep_spec, "states": 5})
+
+
+def test_group_order_must_be_a_finite_integer():
+    with pytest.raises(ValidationError, match="must be an integer"):
+        serialize.group_from_spec({"kind": "cyclic", "n": float("inf")})
+
+
+def test_null_labels_take_the_default_labels():
+    g = serialize.group_from_spec({"kind": "table", "mul": [[0, 1], [1, 0]], "labels": None})
+    assert g.element_labels == ["g0", "g1"]

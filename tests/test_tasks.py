@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from equirep import linalg
 from equirep.decompose import block_diagonal_part, isotypic_decompose
 from equirep.equivariant import QnnCircuit, EquivariantMeasurement, equivariant_generators
 from equirep.errors import (
@@ -549,6 +550,20 @@ def test_eigenspace_xxx_two_qubits_under_uxu():
     report = eigenspace_invariance_check(h, rep, rng_seed=23)
     assert report.invariant
     assert sorted(report.eigenvalues) == pytest.approx([-3.0, 1.0])
+
+
+def test_eigenspace_check_tests_each_action_for_unitarity_once(monkeypatch):
+    h = heisenberg_xxx(3, periodic=True)
+    rep = perm_rep_qubits(3)
+    want = eigenspace_invariance_check(h, rep)
+    calls, is_unitary = [], linalg.is_unitary
+
+    def counted(u, tol):
+        calls.append(u)
+        return is_unitary(u, tol)
+    monkeypatch.setattr(linalg, "is_unitary", counted)
+    assert eigenspace_invariance_check(h, rep) == want
+    assert len(calls) == rep.group.order
 
 
 def test_eigenspace_requires_symmetry():

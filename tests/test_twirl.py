@@ -704,6 +704,17 @@ def test_orbit_path_reads_no_representatives(monkeypatch):
     assert np.abs(twirl_operator(ctx, o) - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_channel_twirl_of_permutations_reads_no_representatives(monkeypatch, n):
+    rep = perm_rep_qubits(n)
+    phi = _random_channel(rep.dim, rep.dim, 3, 21 + n)
+    monkeypatch.setattr(Representation, "representatives",
+                        lambda self: pytest.fail("the channel twirl built an element stack"))
+    out = twirl_channel(rep, rep, phi)
+    monkeypatch.undo()
+    assert np.abs(out - _loop_twirl_channel(rep, rep, phi)).max() <= 1e-12
+
+
 def _closure(gens, n):
     """Every product of the permutations ``gens`` of range(n), as tuples."""
     seen, frontier = {tuple(range(n))}, [tuple(range(n))]

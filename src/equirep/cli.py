@@ -245,7 +245,7 @@ def _cmd_twirl(args, tol):
     op = serialize.operator_from_spec(_load_json(args.op))
     ctx = twirl_context(rep, args.mode, tol)
     twirled = twirl_operator(ctx, op)
-    residual = check_equivariance(twirled, rep, 0)
+    residual = check_equivariance(twirled, rep)
     report = _header(args, "twirl")
     report.update({
         "rep": rep.name,
@@ -260,7 +260,7 @@ def _cmd_twirl(args, tol):
 def _cmd_equivariant(args, tol):
     rep = serialize.rep_from_spec(_load_json(args.rep))
     gens = equivariant_generators(rep, tol)
-    residual = check_equivariance(gens.generators, rep, 0)
+    residual = check_equivariance(gens.generators, rep)
     report = _header(args, "equivariant")
     report.update({
         "rep": rep.name,
@@ -306,7 +306,7 @@ def _cmd_task(args, tol):
                 fh.write(f"{epoch},{format(loss, '.17g')},{format(acc, '.17g')}\n")
     deviation = tasks.label_invariance_check(trained, ds.rep, ds, n_samples=20,
                                              rng_seed=args.seed)
-    residual = check_equivariance(trained.circuit.unitary(), trained.circuit.gens.rep, 0)
+    residual = check_equivariance(trained.circuit.unitary(), trained.circuit.gens.rep)
     report = _header(args, "task run")
     report.update({
         "task": args.name,

@@ -56,7 +56,6 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .representations import (
-    EAGER_ORDER,
     Representation,
     _max_frob,
     direct_sum,
@@ -76,6 +75,8 @@ __all__ = [
 ]
 
 MAX_REDRAWS = 8
+# Finite groups up to this order certify their decomposition on every element.
+EAGER_ORDER = 64
 # Eigenvalues of the splitting element closer than this, relative to its
 # spectral scale, share a cluster.  The cut sits far above eigh's rounding,
 # so a true eigenspace is never split, and far below the gaps of a generic

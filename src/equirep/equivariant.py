@@ -159,18 +159,15 @@ def equivariant_measurement(rep: Representation, coefficients, basis=None,
     return EquivariantMeasurement(np.tensordot(coefficients, basis, 1))
 
 
-def check_equivariance(w: np.ndarray, rep: Representation, n_samples: int = 20,
-                       rng_seed: int = 0) -> float:
-    """Max commutator residual ||[w, K]||_F of an operator against the representation.
+def check_equivariance(w: np.ndarray, rep: Representation) -> float:
+    """Max commutator residual ||[w, K]||_F of an operator over the generator images K.
 
-    ``w`` is one ``(d, d)`` operator or an ``(n, d, d)`` stack of them.
-    Finite flavor: exact over the group generators.  Lie flavor: over the
-    algebra images (sufficient for the connected component) plus
-    ``n_samples`` sampled group elements as a smoke test.  With
-    ``n_samples=0`` this is the commutation check against the generator
-    images alone, for either flavor.  The commutators of a chunk of
-    operators with every K are formed as one stack, and each norm has the
-    bits of ``linalg.frob`` of that commutator.
+    ``w`` is one ``(d, d)`` operator or an ``(n, d, d)`` stack of them.  The
+    images are the only actions read: commuting with them is commuting with
+    every product of group generators (finite flavor) and with every
+    exponential of algebra combinations (lie flavor, the connected group).
+    The commutators of a chunk of operators with every K are formed as one
+    stack, and each norm has the bits of ``linalg.frob`` of that commutator.
     """
     w = np.asarray(w, dtype=complex)
     if w.ndim not in (2, 3) or w.shape[-2:] != (rep.dim, rep.dim):
@@ -178,8 +175,6 @@ def check_equivariance(w: np.ndarray, rep: Representation, n_samples: int = 20,
             f"operator shape {w.shape} does not match carrier dim {rep.dim}")
     ws = w.reshape(-1, rep.dim, rep.dim)
     ks = rep.generator_images
-    if rep.flavor == "lie" and n_samples > 0:
-        ks = np.concatenate((ks, rep.sample_elements(rng_seed, n_samples)))
     per = max(1, linalg._CHUNK_BYTES // max(ks.nbytes, 1))
     res = 0.0
     for start in range(0, len(ws), per):

@@ -276,16 +276,9 @@ def make_dihedral(n: int) -> FiniteGroup:
     if not 3 <= n <= MAX_MADE_ORDER // 2:
         raise InvalidParameterError(
             f"dihedral group needs 3 <= n <= {MAX_MADE_ORDER // 2}, got {n}")
-    # element index = f*n + k  for  s^f r^k
-    order = 2 * n
-    mul = np.empty((order, order), dtype=np.int64)
-    for f1 in range(2):
-        for k1 in range(n):
-            for f2 in range(2):
-                for k2 in range(n):
-                    f = (f1 + f2) % 2
-                    k = ((-k1 if f2 else k1) + k2) % n
-                    mul[f1 * n + k1, f2 * n + k2] = f * n + k
+    # element index = f*n + k  for  s^f r^k;  s^f1 r^k1 s^f2 r^k2 = s^(f1+f2) r^(+-k1+k2)
+    f1, k1, f2, k2 = np.ix_(*(np.arange(m, dtype=np.int64) for m in (2, n, 2, n)))
+    mul = (((f1 + f2) % 2) * n + ((1 - 2 * f2) * k1 + k2) % n).reshape(2 * n, 2 * n)
     labels = [f"r^{k}" if k else "e" for k in range(n)]
     labels += [f"s·r^{k}" if k else "s" for k in range(n)]
     return group_from_table(mul, [1, n], labels, f"D_{n}")

@@ -39,8 +39,6 @@ __all__ = [
     "perm_matrix_on_tensor", "swap_matrix",
 ]
 
-# groups up to this order are certified and checked on every element
-EAGER_ORDER = 64
 _UNITARITY_TOL = Tolerance(1e-8, 1e-8)
 
 
@@ -350,10 +348,14 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
 
 
 def dual(r: Representation) -> Representation:
-    """Dual (contragredient) representation: R*(g) = R(g^-1)^T, r*(X) = -r(X)^T."""
+    """Dual (contragredient) representation: R*(g) = R(g^-1)^T, r*(X) = -r(X)^T.
+
+    The rep must be unitary (else ``ValidationError``), so a finite rep has
+    R(g^-1)^T = conj R(g): its dual images are its conjugated images.
+    """
+    require_unitary(r)
     if r.flavor == "finite":
-        g = r.group
-        images = [r.representative(g.inverse(gi)).T for gi in g.generators]
+        images = r.generator_images.conj()
     else:
         images = -r.generator_images.transpose(0, 2, 1)
     return Representation(r.source, r.flavor, r.dim, f"dual[{r.name}]", images)

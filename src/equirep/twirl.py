@@ -183,7 +183,6 @@ def twirl_channel(rep_in: Representation, rep_out: Representation,
     rep_out)`` when both are unitary (others are rejected).  So
     ``twirl_operator`` averages it (finite) or projects it (compact).
     """
-    require_unitary(rep_in)
     require_unitary(rep_out)
     rep = tensor_product(dual(rep_in), rep_out)
     din, dout = rep_in.dim, rep_out.dim

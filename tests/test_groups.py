@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,15 @@ def test_dihedral_center_of_d4():
     center = [a for a in range(g.order)
               if all(g.multiply(a, b) == g.multiply(b, a) for b in range(g.order))]
     assert len(center) == 2
+
+
+def test_dihedral_table_matches_the_element_loop():
+    for n in range(3, 13):
+        want = np.empty((2 * n, 2 * n), dtype=np.int64)
+        for f1, k1, f2, k2 in itertools.product(range(2), range(n), range(2), range(n)):
+            want[f1 * n + k1, f2 * n + k2] = (f1 + f2) % 2 * n + ((-k1 if f2 else k1) + k2) % n
+        got = make_dihedral(n).mul
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
 
 
 def test_dihedral_rejects_small():

@@ -247,7 +247,7 @@ def test_commutation_check_equals_generator_loop(rep):
     rng = np.random.default_rng(12)
     ops = [random_hermitian(rep.dim, rng)] + list(equivariant_generators(rep).generators)
     for op in ops:
-        got = check_equivariance(op, rep, 0)
+        got = check_equivariance(op, rep)
         assert got == loop_commutation(op, rep)
         assert symmetry_test(op, rep).max_residual == got
 

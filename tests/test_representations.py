@@ -231,6 +231,34 @@ def test_dual_satisfies_homomorphism():
     assert verify_homomorphism(dual(lie)) < 1e-10
 
 
+def _haar_conjugated_perm3():
+    rep, u = perm_rep_qubits(3), haar_unitary(8, np.random.default_rng(21))
+    return finite_rep_from_images(rep.group, u @ rep.generator_images @ dagger(u), "perm3~haar")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: perm_rep_qubits(3), dihedral_rep_s3, lambda: left_regular_rep(make_symmetric(4)),
+    lambda: left_regular_rep(make_cyclic(256)), lambda: translation_rep(4),
+    lambda: bitflip_rep(3), _haar_conjugated_perm3,
+], ids=["perm3", "dihedral-S3", "regular-S4", "regular-Z256", "translation4", "bitflip3",
+        "perm3~haar"])
+def test_dual_images_are_the_inverse_word_products_transposed(make):
+    rep = make()
+    g = rep.group
+    want = np.array([rep.representative(g.inverse(gi)).T for gi in g.generators])
+    assert np.abs(dual(rep).generator_images - want).max() <= 1e-15
+
+
+def test_dual_of_a_non_unitary_rep_is_refused():
+    shear = finite_rep_from_images(make_cyclic(2), [[[1.0, 1.0], [0.0, -1.0]]], "shear")
+    with pytest.raises(ValidationError, match="not unitary"):
+        dual(shear)
+    su2 = su2_fundamental()
+    with pytest.raises(ValidationError, match="Hermitian"):
+        dual(representations.Representation(su2.source, "lie", 2, "non-hermitian",
+                                             su2.generator_images + SIGMA_MINUS))
+
+
 def test_adjoint_action_z_generator_ladder_eigenvalue():
     # image of the Z generator acting on vec(sigma-): [Z/2, sigma-] = +sigma-
     ad = adjoint_action(su2_fundamental())

@@ -212,7 +212,7 @@ def test_generator_set_matches_the_svd_oracle():
         assert np.array_equal(got[0], np.eye(d) / np.sqrt(d)), rep.name
         assert frob(np.einsum("aij,bij->ab", got.conj(), got) - np.eye(len(got))) <= AGREE
         assert np.abs(np.einsum("nii->n", got[1:])).max(initial=0.0) <= AGREE, rep.name
-        assert check_equivariance(got, rep, 0) <= AGREE, rep.name
+        assert check_equivariance(got, rep) <= AGREE, rep.name
         if d <= 16:  # keeps the (n, 2 d^2) SVD of the oracle small
             a, b = hvec(got), hvec(svd_generators(rep))
             assert frob(a.T @ a - b.T @ b) <= AGREE, rep.name

@@ -3,14 +3,19 @@ import pytest
 
 from equirep import linalg
 from equirep.decompose import block_diagonal_part, isotypic_decompose
-from equirep.equivariant import QnnCircuit, EquivariantMeasurement, equivariant_generators
+from equirep.equivariant import (
+    EquivariantMeasurement,
+    QnnCircuit,
+    check_equivariance,
+    equivariant_generators,
+)
 from equirep.errors import (
     DimensionMismatchError,
     InvalidParameterError,
     InvalidShellError,
     PrerequisiteFailedError,
 )
-from equirep.groups import LieAlgebraBasis
+from equirep.groups import LieAlgebraBasis, make_cyclic
 from equirep.linalg import (
     I2,
     X,
@@ -27,6 +32,7 @@ from equirep.linalg import (
 from equirep.representations import (
     Representation,
     bitflip_rep,
+    left_regular_rep,
     perm_rep_qubits,
     su2_fundamental,
     swap_matrix,
@@ -547,23 +553,92 @@ def test_eigenspace_z_with_trivial_rep():
 def test_eigenspace_xxx_two_qubits_under_uxu():
     h = heisenberg_xxx(2, periodic=False)
     rep = tensor_power(su2_fundamental(), 2)
-    report = eigenspace_invariance_check(h, rep, rng_seed=23)
+    report = eigenspace_invariance_check(h, rep)
     assert report.invariant
     assert sorted(report.eigenvalues) == pytest.approx([-3.0, 1.0])
 
 
-def test_eigenspace_check_tests_each_action_for_unitarity_once(monkeypatch):
-    h = heisenberg_xxx(3, periodic=True)
-    rep = perm_rep_qubits(3)
-    want = eigenspace_invariance_check(h, rep)
-    calls, is_unitary = [], linalg.is_unitary
+def loop_eigenspace_check(h, rep, rng_seed=0, n_samples=10):
+    """The eigenspace check before it read only the generator images: sampled
+    unitaries (lie), every element up to order 64, the generator images above
+    it, and a unitarity test per action."""
+    w, v = linalg.herm_eig(h, linalg.Tolerance(1e-8, 1e-8))
+    spread = max(w[-1] - w[0], 1.0)
+    groups, current = [], [0]
+    for i in range(1, len(w)):
+        if w[i] - w[current[-1]] > 1e-8 * spread:
+            groups.append(current)
+            current = [i]
+        else:
+            current.append(i)
+    groups.append(current)
+    if rep.flavor == "lie":
+        actions = rep.sample_elements(rng_seed, n_samples)
+    elif rep.group.order <= 64:
+        actions = rep.representatives()
+    else:
+        actions = rep.generator_images
+    unitary = [linalg.is_unitary(u, linalg.Tolerance(1e-8, 1e-8)) for u in actions]
+    res, fixed = 0.0, 0
+    for grp in groups:
+        cols = v[:, grp]
+        p = cols @ dagger(cols)
+        for u, is_u in zip(actions, unitary):
+            res = max(res, frob(u @ p @ dagger(u) - p) if is_u else frob(comm(u, p)))
+    for i in range(v.shape[1]):
+        vec = v[:, i]
+        fixed += all(abs(abs(np.vdot(vec, u @ vec)) - np.linalg.norm(u @ vec)) < 1e-8
+                     for u, is_u in zip(actions, unitary) if is_u)
+    return ([float(np.mean(w[g])) for g in groups], res,
+            res <= 1e-8 * max(1.0, spread), fixed == v.shape[1], fixed / max(v.shape[1], 1))
 
-    def counted(u, tol):
-        calls.append(u)
-        return is_unitary(u, tol)
-    monkeypatch.setattr(linalg, "is_unitary", counted)
-    assert eigenspace_invariance_check(h, rep) == want
-    assert len(calls) == rep.group.order
+
+EIGENSPACE_CASES = {
+    "1|bitflip1": lambda: (np.eye(2, dtype=complex), bitflip_rep(1)),
+    "Z|trivial": lambda: (Z, trivial_rep(bitflip_rep(1).group, 2)),
+    **{f"xxx{n}|su2x{n}": (lambda n=n: (heisenberg_xxx(n), tensor_power(su2_fundamental(), n)))
+       for n in (2, 3, 4, 5)},
+    **{f"xxx{n}|bitflip{n}": (lambda n=n: (heisenberg_xxx(n), bitflip_rep(n))) for n in (2, 3, 4, 5)},
+    **{f"xxx{n}|translation{n}": (lambda n=n: (heisenberg_xxx(n), translation_rep(n)))
+       for n in (3, 4, 5)},
+    **{f"xxx{n}|perm{n}": (lambda n=n: (heisenberg_xxx(n), perm_rep_qubits(n))) for n in (2, 3)},
+    "sumZ|translation3": lambda: (sum_pauli(Z, 3), translation_rep(3)),
+    "swap|swap": lambda: (swap_matrix(), swap_rep()),
+    "ZZ|bitflip2": lambda: (kron(Z, Z), bitflip_rep(2)),
+    "XX|bitflip2": lambda: (kron(X, X), bitflip_rep(2)),
+}
+
+
+@pytest.mark.parametrize("name", list(EIGENSPACE_CASES))
+def test_eigenspace_check_matches_the_loop_oracle(name):
+    h, rep = EIGENSPACE_CASES[name]()
+    got = eigenspace_invariance_check(h, rep)
+    eigenvalues, res, invariant, all_fixed, fraction = loop_eigenspace_check(h, rep)
+    assert got.eigenvalues == eigenvalues
+    assert (got.invariant, got.eigenvectors_all_fixed, got.fixed_fraction) == \
+        (invariant, all_fixed, fraction)
+    assert type(got.invariant) is bool and type(got.eigenvectors_all_fixed) is bool
+    assert got.projector_residual <= 1e-12 and res <= 1e-12
+
+
+def _shift_sum(n):
+    shift = np.roll(np.eye(n), 1, axis=0)
+    return (shift + shift.T).astype(complex)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (_shift_sum(256), left_regular_rep(make_cyclic(256))),
+    lambda: (sum_pauli(Z, 4), perm_rep_qubits(4)),
+    lambda: (heisenberg_xxx(3), tensor_power(su2_fundamental(), 3)),
+], ids=["regular-Z256", "perm4", "su2x3"])
+def test_symmetry_checks_read_only_the_generator_images(make, monkeypatch):
+    h, rep = make()
+    for name in ("representatives", "sample_elements"):
+        monkeypatch.setattr(Representation, name,
+                            lambda self, *a, name=name, **k: pytest.fail(f"read {name}"))
+    assert check_equivariance(h, rep) <= 1e-12
+    assert symmetry_test(h, rep).commutes
+    assert eigenspace_invariance_check(h, rep).invariant
 
 
 def test_eigenspace_requires_symmetry():

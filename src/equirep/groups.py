@@ -133,17 +133,14 @@ def _find_identity(mul: np.ndarray) -> int:
 
 
 def _find_inverses(mul: np.ndarray, identity: int) -> np.ndarray:
-    n = mul.shape[0]
-    inv = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        hits = np.flatnonzero(mul[a] == identity)
-        for b in hits:
-            if mul[b, a] == identity:
-                inv[a] = b
-                break
-        if inv[a] < 0:
-            raise InvalidParameterError(f"element {a} has no two-sided inverse")
-    return inv
+    """Each element's first two-sided inverse, from one scan of the table."""
+    a, b = np.divmod(np.flatnonzero(mul == identity), len(mul))  # faster than a 2-D nonzero
+    two_sided = mul[b, a] == identity
+    rows, first = np.unique(a[two_sided], return_index=True)
+    if len(rows) < len(mul):
+        a0 = np.setdiff1d(np.arange(len(mul)), rows)[0]
+        raise InvalidParameterError(f"element {a0} has no two-sided inverse")
+    return b[two_sided][first]
 
 
 def group_from_table(mul, generators=None, element_labels=None, name="group") -> FiniteGroup:
@@ -309,52 +306,39 @@ def group_from_unitaries(mats, tol: Tolerance = DEFAULT_TOL, name="matrix-group"
 # ---------------------------------------------------------------------------
 # small-order identification
 
-def _element_order_profile(g: FiniteGroup) -> tuple:
-    return tuple(sorted(g.element_order(a) for a in range(g.order)))
+def _element_orders(g: FiniteGroup) -> np.ndarray:
+    """The order of every element, from one power walk of the whole group."""
+    idx = np.arange(g.order)
+    orders = np.zeros(g.order, dtype=np.int64)
+    x = idx
+    for k in range(1, g.order + 1):
+        orders[(x == g.identity) & (orders == 0)] = k
+        if orders.all():
+            return orders
+        x = g.mul[x, idx]
+    raise InvalidParameterError("table has an element with no finite order")
 
 
 def _is_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
-    """Backtracking search for an isomorphism h -> g over generator images."""
-    if g.order != h.order:
+    """Backtracking search for an isomorphism h -> g over generator images.
+
+    Each candidate is extended to every element of h along its BFS tree and
+    tested as a bijection that carries h's table onto g's.
+    """
+    if g.order != h.order or g.is_abelian() != h.is_abelian():
         return False
-    if g.is_abelian() != h.is_abelian():
+    g_orders, h_orders = _element_orders(g), _element_orders(h)
+    if not np.array_equal(np.sort(g_orders), np.sort(h_orders)):
         return False
-    if _element_order_profile(g) != _element_order_profile(h):
-        return False
-
-    h_words = h.element_words()
-    g_orders = [g.element_order(a) for a in range(g.order)]
-    h_gen_orders = [h.element_order(a) for a in h.generators]
-
-    def image_of(words, gen_images):
-        out = []
-        for w in words:
-            x = g.identity
-            for gi in w:
-                x = g.multiply(x, gen_images[gi])
-            out.append(x)
-        return out
-
-    candidates = [
-        [a for a in range(g.order) if g_orders[a] == h_gen_orders[i]]
-        for i in range(len(h.generators))
-    ]
-
-    for gen_images in itertools.product(*candidates):
-        phi = image_of(h_words, gen_images)
-        if len(set(phi)) != g.order:
-            continue
-        ok = True
-        for a in range(h.order):
-            pa = phi[a]
-            row = g.mul[pa, :]
-            for b in range(h.order):
-                if row[phi[b]] != phi[h.mul[a, b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    tree = h.element_tree()
+    candidates = [np.flatnonzero(g_orders == h_orders[s]) for s in h.generators]
+    phi = np.empty(h.order, dtype=np.int64)
+    phi[h.identity] = g.identity
+    for img in itertools.product(*candidates):
+        for f, e, gi in tree:
+            phi[f] = g.mul[phi[e], img[gi]]
+        if (len(np.unique(phi)) == g.order
+                and np.array_equal(g.mul[np.ix_(phi, phi)], phi[h.mul])):
             return True
     return False
 
@@ -390,12 +374,9 @@ def identify_small_group(g: FiniteGroup) -> str:
 
 
 def _direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+    """Elements a*m + b for (a, b), with m = h.order; one broadcast gives the table."""
     n, m = g.order, h.order
-    mul = np.empty((n * m, n * m), dtype=np.int64)
-    for a1 in range(n):
-        for b1 in range(m):
-            i = a1 * m + b1
-            mul[i, :] = (g.mul[a1][:, None] * m + h.mul[b1][None, :]).reshape(-1)
+    mul = (g.mul[:, None, :, None] * m + h.mul[None, :, None, :]).reshape(n * m, n * m)
     gens = [a * m + h.identity for a in g.generators] + [g.identity * m + b for b in h.generators]
     return group_from_table(mul, gens, None, f"{g.name}x{h.name}")
 

@@ -180,9 +180,13 @@ def sources_match(r: Representation, s: Representation) -> bool:
 
 
 def finite_rep_from_images(group: FiniteGroup, images, name: str) -> Representation:
-    """Extend generator images to the whole group via shortest words."""
-    images = _image_stack(images)
-    return Representation(group, "finite", images.shape[-1], name, images)
+    """Extend generator images to the whole group via shortest words; the
+    dimension is the first image's, and ``Representation`` makes the one copy."""
+    try:
+        dim = np.shape(images[0])[-1] if len(images) else 0
+    except (ValueError, IndexError):    # ragged or scalar: Representation refuses it
+        dim = 0
+    return Representation(group, "finite", dim, name, images)
 
 
 def trivial_rep(source, dim: int) -> Representation:
@@ -373,17 +377,12 @@ def adjoint_action(r: Representation) -> Representation:
 
 
 def left_regular_rep(group: FiniteGroup) -> Representation:
-    """Permutation matrices of left translation: L_h |g> = |h g>."""
+    """Permutation matrices of left translation: L_h |g> = |h g>, one scatter."""
     if group.order > 512:
         raise InvalidParameterError("left regular representation capped at order 512")
-
-    def l_matrix(h):
-        m = np.zeros((group.order, group.order), dtype=complex)
-        for g in range(group.order):
-            m[group.multiply(h, g), g] = 1.0
-        return m
-
-    images = [l_matrix(h) for h in group.generators]
+    n, count = group.order, len(group.generators)
+    images = np.zeros((count, n, n), dtype=complex)
+    images[np.arange(count)[:, None], group.mul[group.generators], np.arange(n)] = 1.0
     return finite_rep_from_images(group, images, f"regular[{group.name}]")
 
 

@@ -14,6 +14,8 @@ magnitudes outside 1e-250..1e250) are formatted by ``"%.17g"`` itself.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import linalg
@@ -42,12 +44,23 @@ def mat_to_json(a: np.ndarray):
 
 
 def mat_from_json(data) -> np.ndarray:
+    """The complex matrix of a payload of rows of ``[re, im]`` pairs.
+
+    The payload is read as one array, which must hold finite integers or
+    floats in shape ``(rows, cols, 2)``.  The real and imaginary parts are
+    filled in place, so a signed zero keeps its sign.
+    """
     try:
-        a = np.array([[complex(c[0], c[1]) for c in row] for row in data])
-    except (TypeError, IndexError, ValueError) as exc:
+        pairs = np.asarray(data)
+    except ValueError as exc:       # ragged nesting
         raise ValidationError(f"malformed matrix payload: {exc}") from exc
-    if not np.all(np.isfinite(a)):
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValidationError("malformed matrix payload: need rows of [re, im] number pairs, "
+                              f"got {pairs.dtype} entries in shape {pairs.shape}")
+    if not np.all(np.isfinite(pairs)):
         raise ValidationError("non-finite entry in matrix payload")
+    a = np.empty(pairs.shape[:2], dtype=complex)
+    a.real, a.imag = pairs[..., 0], pairs[..., 1]
     return a
 
 
@@ -385,22 +398,24 @@ def dumps_report(obj) -> str:
 # group specs
 
 def group_to_spec(g: FiniteGroup) -> dict:
-    kind = None
-    if g.name.startswith("Z_"):
-        kind = {"kind": "cyclic", "n": g.order}
-    elif g.name.startswith("S_"):
-        kind = {"kind": "symmetric", "n": int(g.name[2:])}
-    elif g.name.startswith("D_"):
-        kind = {"kind": "dihedral", "n": g.order // 2}
-    if kind is None:
-        return {
-            "kind": "table",
-            "mul": [[int(x) for x in row] for row in g.mul],
-            "generators": list(map(int, g.generators)),
-            "labels": list(g.element_labels),
-            "name": g.name,
-        }
-    return kind
+    """A made kind when the maker its name hints at gives this very table and
+    these generators, else the explicit table."""
+    kind = {"Z_": "cyclic", "S_": "symmetric", "D_": "dihedral"}.get(g.name[:2])
+    n = {"cyclic": g.order, "dihedral": g.order // 2,
+         "symmetric": next((k for k in range(1, 7) if math.factorial(k) == g.order), 0)}.get(kind)
+    try:
+        made = _GROUP_MAKERS[kind](n) if kind else None
+    except InvalidParameterError:   # no made group of this kind has this order
+        made = None
+    if made and made.generators == list(g.generators) and np.array_equal(made.mul, g.mul):
+        return {"kind": kind, "n": n}
+    return {
+        "kind": "table",
+        "mul": [[int(x) for x in row] for row in g.mul],
+        "generators": list(map(int, g.generators)),
+        "labels": list(g.element_labels),
+        "name": g.name,
+    }
 
 
 _GROUP_MAKERS = {"cyclic": make_cyclic, "symmetric": make_symmetric,
@@ -419,7 +434,7 @@ def group_from_spec(spec: dict) -> FiniteGroup:
 def _build_group(spec: dict) -> FiniteGroup:
     """The group a spec describes, with an explicit table not yet verified."""
     kind = _object(spec).get("kind")
-    if kind in _GROUP_MAKERS:
+    if isinstance(kind, str) and kind in _GROUP_MAKERS:
         n = _field(spec, "n")
         try:
             n = int(n)

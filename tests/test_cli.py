@@ -403,3 +403,31 @@ def test_malformed_input_exits_one(tmp_path, capsys, argv, reason):
     assert captured.err.startswith("error:") and reason in captured.err
     assert "Traceback" not in captured.err
     assert not (work / "t0.json").exists()
+
+
+@pytest.mark.parametrize("kind", [[], {}, ["cyclic"], {"kind": "table"}])
+@pytest.mark.parametrize("argv", [("group", "verify", "--in"), ("group", "identify", "--in"),
+                                  ("rep", "verify", "--in")])
+def test_non_string_group_kind_exits_one(tmp_path, capsys, kind, argv):
+    group = {"kind": kind, "n": 2}
+    doc = group if argv[0] == "group" else {
+        "flavor": "finite", "group": group, "dim": 1, "name": "z2",
+        "matrices": [[[[1, 0]]]]}
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps(doc))
+    code = cli.run([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: unknown group kind")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind,n", [("cyclic", 1), ("cyclic", 12), ("symmetric", 1),
+                                    ("symmetric", 5), ("dihedral", 3), ("dihedral", 64)])
+def test_group_make_writes_the_spec_of_group_to_spec(tmp_path, capsys, kind, n):
+    from equirep import serialize
+    out = tmp_path / "g.json"
+    code, _ = run_cli(capsys, "group", "make", "--kind", kind, "--n", str(n), "--out", str(out))
+    made = serialize._GROUP_MAKERS[kind](n)
+    assert code == 0
+    assert out.read_text() == serialize.dumps_report(serialize.group_to_spec(made))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,11 @@ from equirep.errors import InvalidParameterError, NotHermitianError
 from equirep.groups import (
     MAX_MADE_ORDER,
     FiniteGroup,
+    _direct_product,
+    _element_orders,
+    _find_identity,
+    _find_inverses,
+    _is_isomorphic,
     group_from_table,
     group_from_unitaries,
     identify_small_group,
@@ -375,3 +381,159 @@ def test_lie_spec_round_trip_bit_exact():
     back = serialize.lie_from_spec(json.loads(text))
     for a, b in zip(alg.generators, back.generators):
         assert np.array_equal(a, b)
+
+
+# -- array-indexed table routines against the element loops they replaced ----
+
+def loop_find_inverses(mul, identity):
+    n = mul.shape[0]
+    inv = np.full(n, -1, dtype=np.int64)
+    for a in range(n):
+        hits = np.flatnonzero(mul[a] == identity)
+        for b in hits:
+            if mul[b, a] == identity:
+                inv[a] = b
+                break
+        if inv[a] < 0:
+            raise InvalidParameterError(f"element {a} has no two-sided inverse")
+    return inv
+
+
+def loop_is_isomorphic(g, h):
+    def profile(k):
+        return tuple(sorted(k.element_order(a) for a in range(k.order)))
+
+    if g.order != h.order or g.is_abelian() != h.is_abelian() or profile(g) != profile(h):
+        return False
+    h_words = h.element_words()
+    g_orders = [g.element_order(a) for a in range(g.order)]
+    h_gen_orders = [h.element_order(a) for a in h.generators]
+    candidates = [[a for a in range(g.order) if g_orders[a] == o] for o in h_gen_orders]
+    for gen_images in itertools.product(*candidates):
+        phi = []
+        for w in h_words:
+            x = g.identity
+            for gi in w:
+                x = g.multiply(x, gen_images[gi])
+            phi.append(x)
+        if len(set(phi)) != g.order:
+            continue
+        if all(g.mul[phi[a], phi[b]] == phi[h.mul[a, b]]
+               for a in range(h.order) for b in range(h.order)):
+            return True
+    return False
+
+
+def loop_direct_product_table(g, h):
+    n, m = g.order, h.order
+    mul = np.empty((n * m, n * m), dtype=np.int64)
+    for a1 in range(n):
+        for b1 in range(m):
+            mul[a1 * m + b1, :] = (g.mul[a1][:, None] * m + h.mul[b1][None, :]).reshape(-1)
+    return mul
+
+
+def _relabeled(base, seed, generators=None):
+    perm = np.random.default_rng(seed).permutation(base.order)
+    inv = np.argsort(perm)
+    gens = None if generators is None else [int(perm[s]) for s in generators]
+    return group_from_table(perm[base.mul[np.ix_(inv, inv)]], gens, name="relabeled")
+
+
+def _quaternion():
+    units = (np.eye(2, dtype=complex), 1j * X, 1j * Y, 1j * Z)
+    mats = [sign * m for sign in (1, -1) for m in units]
+    return group_from_unitaries(mats)
+
+
+def _candidate_groups():
+    """Every reference group that identify_small_group tries, orders 2..24."""
+    out = [make_cyclic(n) for n in range(2, 25)]
+    out += [make_symmetric(3), make_symmetric(4)]
+    out += [make_dihedral(n) for n in range(3, 13)]
+    out += [_direct_product(make_cyclic(a), make_cyclic(n // a))
+            for n in range(4, 25) for a in range(2, math.isqrt(n) + 1)
+            if n % a == 0 and math.gcd(a, n // a) > 1]
+    return out
+
+
+def _inverse_or_error(find, mul):
+    try:
+        return find(mul, _find_identity(mul)).tobytes()
+    except InvalidParameterError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("group", [make_cyclic(n) for n in (1, 2, 5, 64, 2048)]
+                         + [make_dihedral(n) for n in (3, 7, 64, 1024)]
+                         + [make_symmetric(n) for n in range(1, 7)] + [_quaternion()],
+                         ids=lambda g: g.name)
+def test_find_inverses_matches_the_loop_on_groups(group):
+    got = _find_inverses(group.mul, group.identity)
+    assert got.dtype == np.int64
+    assert got.tobytes() == loop_find_inverses(group.mul, group.identity).tobytes()
+
+
+def test_find_inverses_matches_the_loop_on_non_group_tables():
+    tables = [[[0, 1, 2], [1, 0, 0], [2, 1, 0]],     # a row with two right inverses
+              [[0, 1, 2, 3], [1, 2, 0, 0], [2, 3, 0, 1], [3, 0, 1, 2]],  # 1's first right
+                                                                        # inverse is one-sided
+              [[0, 1, 2], [1, 2, 2], [2, 1, 1]]]     # no inverse for 1
+    rng = np.random.default_rng(3)
+    for n in range(2, 7):
+        for _ in range(60):
+            mul = rng.integers(0, n, (n, n))
+            mul[0], mul[:, 0] = np.arange(n), np.arange(n)
+            tables.append(mul)
+    outcomes = set()
+    for mul in tables:
+        mul = np.asarray(mul, dtype=np.int64)
+        want = _inverse_or_error(loop_find_inverses, mul)
+        assert _inverse_or_error(_find_inverses, mul) == want
+        outcomes.add(isinstance(want, str))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("group", _candidate_groups()[::3] + [_quaternion(), make_symmetric(5)],
+                         ids=lambda g: g.name)
+def test_element_orders_match_element_order(group):
+    want = [group.element_order(a) for a in range(group.order)]
+    assert _element_orders(group).tolist() == want
+
+
+def test_is_isomorphic_matches_the_loop_on_every_candidate_pair():
+    groups = _candidate_groups()
+    for g in groups:
+        for h in groups:
+            if g.order == h.order:
+                assert _is_isomorphic(g, h) == loop_is_isomorphic(g, h), (g.name, h.name)
+
+
+def test_is_isomorphic_matches_the_loop_on_relabelings_and_the_quaternions():
+    refs = _candidate_groups()
+    cases = [(_relabeled(base, seed), base) for seed, base in enumerate(refs[::2])]
+    q8 = _quaternion()
+    cases += [(q8, h) for h in refs if h.order == 8]
+    i, j = q8.generators[5], q8.generators[6]    # iX and iY generate Q_8
+    cases.append((q8, group_from_table(q8.mul, [i, j])))
+    cases.append((_relabeled(q8, 11), group_from_table(q8.mul, [i, j])))
+    seen = set()
+    for g, h in cases:
+        for ref in [h] + [r for r in refs if r.order == g.order][:3]:
+            got = _is_isomorphic(g, ref)
+            assert got == loop_is_isomorphic(g, ref), (g.name, ref.name)
+            seen.add(got)
+    assert seen == {True, False}
+    assert identify_small_group(q8) == "unknown"
+
+
+@pytest.mark.parametrize("g,h", [
+    (make_cyclic(2), make_cyclic(12)), (make_cyclic(3), make_cyclic(3)),
+    (make_dihedral(4), make_cyclic(5)), (make_cyclic(3), make_dihedral(7)),
+    (make_symmetric(4), make_cyclic(2)), (make_cyclic(2), make_symmetric(5)),
+    (make_symmetric(3), make_symmetric(4))], ids=lambda k: k.name)
+def test_direct_product_table_matches_the_loop(g, h):
+    got = _direct_product(g, h)
+    want = loop_direct_product_table(g, h)
+    assert got.mul.dtype == want.dtype and got.mul.tobytes() == want.tobytes()
+    assert got.name == f"{g.name}x{h.name}"

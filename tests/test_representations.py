@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from equirep import linalg, representations, serialize
-from equirep.errors import SourceMismatchError, ValidationError
+from equirep.errors import DimensionMismatchError, SourceMismatchError, ValidationError
 from equirep.groups import make_cyclic, make_dihedral, make_symmetric
 from equirep.linalg import I2, X, Y, Z, comm, dagger, frob, haar_unitary, hs_inner, kron, \
     vectorize
@@ -517,3 +517,44 @@ def test_verify_homomorphism_chunks_cross_a_boundary_on_regular_z128():
     rep = _FINITE_REPS["regular-Z128"]()
     per_chunk = linalg._CHUNK_BYTES // rep.representatives()[0].nbytes
     assert max(per_chunk, 1) < rep.group.order
+
+
+def loop_left_regular_images(group):
+    def l_matrix(h):
+        m = np.zeros((group.order, group.order), dtype=complex)
+        for g in range(group.order):
+            m[group.multiply(h, g), g] = 1.0
+        return m
+
+    return np.array([l_matrix(h) for h in group.generators])
+
+
+@pytest.mark.parametrize("group", [make_cyclic(1), make_cyclic(7), make_cyclic(512),
+                                   make_dihedral(4), make_dihedral(9), make_symmetric(4),
+                                   make_symmetric(5)], ids=lambda g: g.name)
+def test_left_regular_images_match_the_loop(group):
+    rep = left_regular_rep(group)
+    want = loop_left_regular_images(group)
+    assert rep.dim == group.order
+    assert rep.generator_images.dtype == want.dtype
+    assert rep.generator_images.tobytes() == want.tobytes()
+
+
+def test_finite_rep_from_images_stacks_its_images_once(monkeypatch):
+    calls = []
+    stack = representations._image_stack
+    monkeypatch.setattr(representations, "_image_stack", lambda x: calls.append(1) or stack(x))
+    g = make_symmetric(3)
+    images = [X, Z]
+    rep = finite_rep_from_images(g, images, "xz")
+    assert len(calls) == 1 and rep.dim == 2
+    assert np.array_equal(rep.generator_images, np.array(images, dtype=complex))
+    images[0] = Y          # the rep holds its own copy
+    assert np.array_equal(rep.generator_images[0], X)
+
+
+@pytest.mark.parametrize("images", [[X, np.eye(3)], [[[1, 0], [0]], X], [np.eye(2)]],
+                         ids=["2x2-then-3x3", "ragged-first", "too-few"])
+def test_finite_rep_from_images_refuses_a_bad_stack(images):
+    with pytest.raises(DimensionMismatchError):
+        finite_rep_from_images(make_symmetric(3), images, "bad")

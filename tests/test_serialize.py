@@ -206,3 +206,121 @@ def test_group_order_must_be_a_finite_integer():
 def test_null_labels_take_the_default_labels():
     g = serialize.group_from_spec({"kind": "table", "mul": [[0, 1], [1, 0]], "labels": None})
     assert g.element_labels == ["g0", "g1"]
+
+
+# -- group specs: a made kind only for the maker's own table -----------------
+
+def _reloaded(g):
+    import json
+    return serialize.group_from_spec(json.loads(dumps_report(serialize.group_to_spec(g))))
+
+
+def test_direct_product_spec_is_its_table():
+    from equirep.groups import _direct_product, make_cyclic
+    g = _direct_product(make_cyclic(2), make_cyclic(12))
+    assert serialize.group_to_spec(g)["kind"] == "table"
+    back = _reloaded(g)
+    assert np.array_equal(back.mul, g.mul) and back.generators == g.generators
+
+
+def test_relabeled_generators_keep_their_table_spec():
+    from equirep.groups import group_from_table, make_symmetric
+    from equirep.representations import dihedral_rep_s3, finite_rep_from_images
+    s3 = make_symmetric(3)
+    g = group_from_table(s3.mul, s3.generators[::-1], s3.element_labels, "S_3")
+    assert serialize.group_to_spec(g)["kind"] == "table"
+    back = _reloaded(g)
+    assert np.array_equal(back.mul, g.mul) and back.generators == g.generators
+    images = dihedral_rep_s3().generator_images[::-1]
+    rep = finite_rep_from_images(g, images, "swapped")
+    loaded = serialize.rep_from_spec(serialize.rep_to_spec(rep))
+    assert np.array_equal(loaded.representatives(), rep.representatives())
+
+
+@pytest.mark.parametrize("kind,n", [("cyclic", 1), ("cyclic", 2), ("cyclic", 12),
+                                    ("cyclic", 2048), ("symmetric", 1), ("symmetric", 2),
+                                    ("symmetric", 4), ("symmetric", 5), ("dihedral", 3),
+                                    ("dihedral", 8), ("dihedral", 1024)])
+def test_made_group_specs_keep_their_bytes(kind, n):
+    made = serialize._GROUP_MAKERS[kind](n)
+    text = dumps_report(serialize.group_to_spec(made))
+    assert text == f'{{\n  "kind": "{kind}",\n  "n": {n}\n}}\n'
+
+
+@pytest.mark.parametrize("kind", [[], {}, ["cyclic"], {"kind": "cyclic"}, 3, None])
+def test_group_kind_that_is_no_known_string_is_refused(kind):
+    with pytest.raises(ValidationError, match="unknown group kind"):
+        serialize.group_from_spec({"kind": kind, "n": 3})
+
+
+# -- matrix payloads: one strict array conversion -----------------------------
+
+def loop_mat_from_json(data):
+    a = np.array([[complex(c[0], c[1]) for c in row] for row in data])
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("non-finite entry in matrix payload")
+    return a
+
+
+def _payloads(node):
+    """Every list in a JSON tree that the per-entry loop reads as a matrix."""
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _payloads(value)
+    elif isinstance(node, list):
+        try:
+            if loop_mat_from_json(node).ndim == 2:
+                yield node
+                return
+        except (TypeError, IndexError, ValueError):
+            pass
+        for item in node:
+            yield from _payloads(item)
+
+
+def test_every_preset_and_golden_payload_loads_with_the_loop_bits():
+    import pathlib
+
+    from equirep.cli import _load_json
+    root = pathlib.Path(__file__).resolve().parent
+    files = [*sorted((root.parent / "presets").glob("*.json")),
+             *sorted((root / "golden").glob("*.json"))]
+    count = 0
+    for path in files:
+        for payload in _payloads(_load_json(str(path))):
+            want = loop_mat_from_json(payload)
+            got = serialize.mat_from_json(payload)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), path.name
+            count += 1
+    assert count >= 10
+
+
+def test_signed_zeros_and_mixed_numbers_keep_their_bits():
+    payload = [[[-0.0, -0.0], [0, -0.0]], [[1, 2.5], [2 ** 62 + 1, -3]]]
+    got = serialize.mat_from_json(payload)
+    assert got.tobytes() == loop_mat_from_json(payload).tobytes()
+    assert np.signbit(got.real[0, 0]) and np.signbit(got.imag[0, 1])
+
+
+@pytest.mark.parametrize("payload,reason", [
+    ([[[1, 0, 99]]], "number pairs"),
+    ([[[1]]], "number pairs"),
+    ([[1, 0]], "number pairs"),
+    ([[[[1, 0]]]], "number pairs"),
+    ([], "number pairs"),
+    ([[]], "number pairs"),
+    ([[[10 ** 400, 0]]], "number pairs"),
+    ([[[1, 10 ** 400]], [[0.5, 0]]], "number pairs"),
+    ([[["1", 0]]], "number pairs"),
+    ([[[None, 0]]], "number pairs"),
+    ([[[True, False]]], "number pairs"),
+    ([[{"re": 1}]], "number pairs"),
+    ("abc", "number pairs"),
+    ({"0": [1, 0]}, "number pairs"),
+    ([[[1, 0]], [[0, 0], [1, 0]]], "malformed"),
+    ([[[float("nan"), 0]]], "non-finite"),
+    ([[[0, float("-inf")]]], "non-finite"),
+])
+def test_malformed_matrix_payloads_are_refused(payload, reason):
+    with pytest.raises(ValidationError, match=reason):
+        serialize.mat_from_json(payload)

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, decompose, linalg, serialize, tasks
 from .equivariant import GENERATOR_PRESETS, check_equivariance, equivariant_generators
 from .errors import NumericalError, ToolkitError, ValidationError
-from .groups import identify_small_group, make_cyclic, verify_group_axioms
+from .groups import GROUP_MAKERS, identify_small_group, make_cyclic, verify_group_axioms
 from .linalg import Tolerance
 from .representations import (
     bitflip_rep,
@@ -117,9 +117,9 @@ def _infile(args) -> dict:
 
 
 def _make_group(args):
-    if args.kind not in serialize._GROUP_MAKERS:    # --kind was not given
+    if args.kind not in GROUP_MAKERS:    # --kind was not given
         raise ValidationError(f"unknown group kind {args.kind!r}")
-    return serialize._GROUP_MAKERS[args.kind](args.n)
+    return GROUP_MAKERS[args.kind](args.n)
 
 
 def _make_rep(args):
@@ -152,9 +152,10 @@ def _make_rep(args):
 def _cmd_group(args, tol):
     if args.action == "make":
         g = _make_group(args)
-        if args.out:    # a made group's spec is its kind and n, as group_to_spec writes it
+        spec = serialize.group_to_spec(g)
+        if args.out:
             with open(args.out, "w") as fh:
-                fh.write(dumps_report({"kind": args.kind, "n": args.n}))
+                fh.write(dumps_report(spec))
         report = _header(args, "group make")
         report.update({"name": g.name, "order": g.order,
                        "written": args.out or ""})
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = add_parser("group", help="make/verify/identify finite groups")
     g.add_argument("action", choices=["make", "verify", "identify"])
-    g.add_argument("--kind", choices=list(serialize._GROUP_MAKERS))
+    g.add_argument("--kind", choices=list(GROUP_MAKERS))
     g.add_argument("--n", type=int, default=2)
     g.add_argument("--in", dest="infile")
     g.add_argument("--out")

@@ -25,7 +25,7 @@ from .errors import DimensionMismatchError, InvalidParameterError, NotHermitianE
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
-    "FiniteGroup", "GroupAxiomReport", "LieAlgebraBasis",
+    "FiniteGroup", "GroupAxiomReport", "LieAlgebraBasis", "GROUP_MAKERS",
     "make_cyclic", "make_symmetric", "make_dihedral", "group_from_table",
     "group_from_unitaries", "verify_group_axioms", "identify_small_group",
     "lie_closure", "sample_lie_group_element",
@@ -41,6 +41,8 @@ class FiniteGroup:
 
     ``mul[a, b]`` is the index of ``a * b``.  ``generators`` index a set whose
     closure is the whole group; ``element_labels`` are display strings only.
+    ``made`` is the ``(kind, n)`` of the :data:`GROUP_MAKERS` entry that built
+    the group, None for a group from any other table.
     """
 
     order: int
@@ -50,6 +52,7 @@ class FiniteGroup:
     generators: list[int]
     element_labels: list[str]
     name: str = "group"
+    made: tuple[str, int] | None = field(default=None, repr=False, compare=False)
 
     def multiply(self, a: int, b: int) -> int:
         return int(self.mul[a, b])
@@ -240,7 +243,9 @@ def make_cyclic(n: int) -> FiniteGroup:
     mul = (idx[:, None] + idx[None, :]) % n
     labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
     gens = [1 % n] if n > 1 else [0]
-    return group_from_table(mul, gens, labels, f"Z_{n}")
+    group = group_from_table(mul, gens, labels, f"Z_{n}")
+    group.made = ("cyclic", n)
+    return group
 
 
 def make_symmetric(n: int) -> FiniteGroup:
@@ -265,7 +270,9 @@ def make_symmetric(n: int) -> FiniteGroup:
     # the adjacent transpositions; S_1's one generator is its identity
     gens = np.searchsorted(codes, swaps @ place).tolist() or [0]
     labels = ["(" + ",".join(str(x + 1) for x in p) + ")" for p in elems]
-    return group_from_table(mul, gens, labels, f"S_{n}")
+    group = group_from_table(mul, gens, labels, f"S_{n}")
+    group.made = ("symmetric", n)
+    return group
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -278,7 +285,13 @@ def make_dihedral(n: int) -> FiniteGroup:
     mul = (((f1 + f2) % 2) * n + ((1 - 2 * f2) * k1 + k2) % n).reshape(2 * n, 2 * n)
     labels = [f"r^{k}" if k else "e" for k in range(n)]
     labels += [f"s·r^{k}" if k else "s" for k in range(n)]
-    return group_from_table(mul, [1, n], labels, f"D_{n}")
+    group = group_from_table(mul, [1, n], labels, f"D_{n}")
+    group.made = ("dihedral", n)
+    return group
+
+
+GROUP_MAKERS = {"cyclic": make_cyclic, "symmetric": make_symmetric,
+                "dihedral": make_dihedral}
 
 
 def group_from_unitaries(mats, tol: Tolerance = DEFAULT_TOL, name="matrix-group") -> FiniteGroup:

@@ -14,14 +14,12 @@ magnitudes outside 1e-250..1e250) are formatted by ``"%.17g"`` itself.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import linalg
 from .errors import InvalidParameterError, ValidationError
-from .groups import FiniteGroup, LieAlgebraBasis, group_from_table, make_cyclic, \
-    make_dihedral, make_symmetric, verify_group_axioms
+from .groups import GROUP_MAKERS, FiniteGroup, LieAlgebraBasis, group_from_table, \
+    verify_group_axioms
 from .representations import Representation, finite_rep_from_images, require_unitary, \
     verify_homomorphism
 
@@ -46,9 +44,12 @@ def mat_to_json(a: np.ndarray):
 def mat_from_json(data) -> np.ndarray:
     """The complex matrix of a payload of rows of ``[re, im]`` pairs.
 
-    The payload is read as one array, which must hold finite integers or
-    floats in shape ``(rows, cols, 2)``.  The real and imaginary parts are
-    filled in place, so a signed zero keeps its sign.
+    The payload is read as one array, which must come out of integer or
+    float dtype in shape ``(rows, cols, 2)`` with finite entries: strings,
+    nulls, all-boolean payloads and integers of magnitude 2**64 or more are
+    refused, while a boolean among numbers reads as 0 or 1, as ``complex``
+    reads it.  The real and imaginary parts are filled in place, so a signed
+    zero keeps its sign.
     """
     try:
         pairs = np.asarray(data)
@@ -398,16 +399,9 @@ def dumps_report(obj) -> str:
 # group specs
 
 def group_to_spec(g: FiniteGroup) -> dict:
-    """A made kind when the maker its name hints at gives this very table and
-    these generators, else the explicit table."""
-    kind = {"Z_": "cyclic", "S_": "symmetric", "D_": "dihedral"}.get(g.name[:2])
-    n = {"cyclic": g.order, "dihedral": g.order // 2,
-         "symmetric": next((k for k in range(1, 7) if math.factorial(k) == g.order), 0)}.get(kind)
-    try:
-        made = _GROUP_MAKERS[kind](n) if kind else None
-    except InvalidParameterError:   # no made group of this kind has this order
-        made = None
-    if made and made.generators == list(g.generators) and np.array_equal(made.mul, g.mul):
+    """The kind and n of a made group, else the explicit table."""
+    if g.made:
+        kind, n = g.made
         return {"kind": kind, "n": n}
     return {
         "kind": "table",
@@ -416,10 +410,6 @@ def group_to_spec(g: FiniteGroup) -> dict:
         "labels": list(g.element_labels),
         "name": g.name,
     }
-
-
-_GROUP_MAKERS = {"cyclic": make_cyclic, "symmetric": make_symmetric,
-                 "dihedral": make_dihedral}
 
 
 def group_from_spec(spec: dict) -> FiniteGroup:
@@ -434,13 +424,13 @@ def group_from_spec(spec: dict) -> FiniteGroup:
 def _build_group(spec: dict) -> FiniteGroup:
     """The group a spec describes, with an explicit table not yet verified."""
     kind = _object(spec).get("kind")
-    if isinstance(kind, str) and kind in _GROUP_MAKERS:
+    if isinstance(kind, str) and kind in GROUP_MAKERS:
         n = _field(spec, "n")
         try:
             n = int(n)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"group order n must be an integer, got {n!r}") from exc
-        return _GROUP_MAKERS[kind](n)
+        return GROUP_MAKERS[kind](n)
     if kind == "table":
         g = group_from_table(_field(spec, "mul"),
                              spec.get("generators"),

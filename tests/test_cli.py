@@ -7,7 +7,7 @@ import pytest
 from equirep import cli
 from equirep import representations as reps
 from equirep.errors import DecompositionFailedError
-from equirep.groups import group_from_table, make_cyclic, verify_group_axioms
+from equirep.groups import GROUP_MAKERS, group_from_table, make_cyclic, verify_group_axioms
 from equirep.serialize import mat_from_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -428,6 +428,6 @@ def test_group_make_writes_the_spec_of_group_to_spec(tmp_path, capsys, kind, n):
     from equirep import serialize
     out = tmp_path / "g.json"
     code, _ = run_cli(capsys, "group", "make", "--kind", kind, "--n", str(n), "--out", str(out))
-    made = serialize._GROUP_MAKERS[kind](n)
+    made = GROUP_MAKERS[kind](n)
     assert code == 0
     assert out.read_text() == serialize.dumps_report(serialize.group_to_spec(made))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from equirep import linalg, serialize
 from equirep.errors import ValidationError
+from equirep.groups import GROUP_MAKERS
 from equirep.serialize import dumps_report, mat_to_json
 
 
@@ -237,12 +238,24 @@ def test_relabeled_generators_keep_their_table_spec():
     assert np.array_equal(loaded.representatives(), rep.representatives())
 
 
+def test_only_a_maker_gives_a_made_spec():
+    from equirep.groups import group_from_table
+    for kind, n in (("cyclic", 6), ("symmetric", 3), ("dihedral", 4)):
+        made = GROUP_MAKERS[kind](n)
+        assert made.made == (kind, n)
+        g = group_from_table(made.mul, made.generators, made.element_labels, made.name)
+        assert g.made is None and serialize.group_to_spec(g)["kind"] == "table"
+        back = _reloaded(g)
+        assert np.array_equal(back.mul, g.mul) and back.generators == g.generators
+        assert _reloaded(made).made == (kind, n)
+
+
 @pytest.mark.parametrize("kind,n", [("cyclic", 1), ("cyclic", 2), ("cyclic", 12),
                                     ("cyclic", 2048), ("symmetric", 1), ("symmetric", 2),
                                     ("symmetric", 4), ("symmetric", 5), ("dihedral", 3),
                                     ("dihedral", 8), ("dihedral", 1024)])
 def test_made_group_specs_keep_their_bytes(kind, n):
-    made = serialize._GROUP_MAKERS[kind](n)
+    made = GROUP_MAKERS[kind](n)
     text = dumps_report(serialize.group_to_spec(made))
     assert text == f'{{\n  "kind": "{kind}",\n  "n": {n}\n}}\n'
 
@@ -314,6 +327,8 @@ def test_signed_zeros_and_mixed_numbers_keep_their_bits():
     ([[["1", 0]]], "number pairs"),
     ([[[None, 0]]], "number pairs"),
     ([[[True, False]]], "number pairs"),
+    ([[[2 ** 64, 0]]], "number pairs"),
+    ([[[0, -2 ** 64]]], "number pairs"),
     ([[{"re": 1}]], "number pairs"),
     ("abc", "number pairs"),
     ({"0": [1, 0]}, "number pairs"),
@@ -324,3 +339,10 @@ def test_signed_zeros_and_mixed_numbers_keep_their_bits():
 def test_malformed_matrix_payloads_are_refused(payload, reason):
     with pytest.raises(ValidationError, match=reason):
         serialize.mat_from_json(payload)
+
+
+@pytest.mark.parametrize("payload", [[[[True, 0]]], [[[True, 0.5]], [[False, 1]]],
+                                     [[[2 ** 63, -1]]]])
+def test_booleans_among_numbers_and_large_integers_read_as_complex_does(payload):
+    got = serialize.mat_from_json(payload)
+    assert got.tobytes() == loop_mat_from_json(payload).tobytes()

@@ -1,8 +1,12 @@
 """Command-line entry point: construct, verify, decompose, twirl, train, test.
 
 Every report is deterministic JSON (17-significant-digit floats) carrying the
-toolkit version, the seed, and the tolerances in effect.  Exit codes: 0 on
-success, 1 on validation or usage errors, 2 on numerical failure.
+toolkit version, the seed, and the tolerances in effect.  Each ``_cmd_*``
+handler returns its report body; ``run`` is the one writer, which puts the
+header in front and writes the report to stdout and to ``--out``.  For
+``make`` and ``task run``, ``--out`` names the artefact instead (the spec,
+the CSV), which the handler writes.  Exit codes: 0 on success, 1 on
+validation or usage errors, 2 on numerical failure.
 """
 
 from __future__ import annotations
@@ -34,10 +38,6 @@ from .serialize import dumps_report
 from .tasks import TrainConfig, symmetry_test
 from .twirl import twirl_context, twirl_operator
 
-REP_KINDS = ("trivial", "perm-qubits", "bitflip", "swap", "dihedral-s3",
-             "su2-fundamental", "su2-tensor", "left-regular", "translation")
-
-
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
@@ -66,21 +66,26 @@ def _seed(text: str) -> int:
     return value
 
 
-def _header(args, command: str) -> dict:
+def _header(args) -> dict:
+    action = getattr(args, "action", None)
     return {
         "toolkit": "equirep",
         "version": __version__,
-        "command": command,
+        "command": args.cmd if action is None else f"{args.cmd} {action}",
         "seed": args.seed,
         "tolerances": {"absolute": args.tol_abs, "relative": args.tol_rel},
     }
 
 
+def _write(path: str, text: str):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _emit(report: dict, out_path: str | None):
     text = dumps_report(report)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        _write(out_path, text)
     sys.stdout.write(text)
 
 
@@ -122,100 +127,75 @@ def _make_group(args):
     return GROUP_MAKERS[args.kind](args.n)
 
 
+def _trivial(args):
+    if args.dim == 0:  # negative dims are refused by trivial_rep
+        raise ValidationError("--dim 0 gives a zero-dimensional carrier")
+    return trivial_rep(make_cyclic(max(args.n, 1)), args.dim)
+
+
+def _left_regular(args):
+    if args.group:
+        return left_regular_rep(serialize.group_from_spec(_load_json(args.group)))
+    return left_regular_rep(make_cyclic(args.n))
+
+
+# ``rep make --kind``: each kind's maker, reading the parsed arguments.
+REP_MAKERS = {
+    "trivial": _trivial,
+    "perm-qubits": lambda args: perm_rep_qubits(args.n),
+    "bitflip": lambda args: bitflip_rep(args.n),
+    "swap": lambda args: swap_rep(),
+    "dihedral-s3": lambda args: dihedral_rep_s3(),
+    "su2-fundamental": lambda args: su2_fundamental(),
+    "su2-tensor": lambda args: tensor_power(su2_fundamental(), max(args.k, 1)),
+    "left-regular": _left_regular,
+    "translation": lambda args: translation_rep(args.n),
+}
+
+
 def _make_rep(args):
-    kind = args.kind
-    if kind == "trivial":
-        if args.dim == 0:  # negative dims are refused by trivial_rep
-            raise ValidationError("--dim 0 gives a zero-dimensional carrier")
-        return trivial_rep(make_cyclic(max(args.n, 1)), args.dim)
-    if kind == "perm-qubits":
-        return perm_rep_qubits(args.n)
-    if kind == "bitflip":
-        return bitflip_rep(args.n)
-    if kind == "swap":
-        return swap_rep()
-    if kind == "dihedral-s3":
-        return dihedral_rep_s3()
-    if kind == "su2-fundamental":
-        return su2_fundamental()
-    if kind == "su2-tensor":
-        return tensor_power(su2_fundamental(), max(args.k, 1))
-    if kind == "left-regular":
-        if args.group:
-            return left_regular_rep(serialize.group_from_spec(_load_json(args.group)))
-        return left_regular_rep(make_cyclic(args.n))
-    if kind == "translation":
-        return translation_rep(args.n)
-    raise ValidationError(f"unknown representation kind {kind!r}")
+    if args.kind not in REP_MAKERS:    # --kind was not given
+        raise ValidationError(f"unknown representation kind {args.kind!r}")
+    return REP_MAKERS[args.kind](args)
 
 
 def _cmd_group(args, tol):
     if args.action == "make":
         g = _make_group(args)
-        spec = serialize.group_to_spec(g)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(dumps_report(spec))
-        report = _header(args, "group make")
-        report.update({"name": g.name, "order": g.order,
-                       "written": args.out or ""})
-        _emit(report, None)
-        return 0
+            _write(args.out, dumps_report(serialize.group_to_spec(g)))
+        return {"name": g.name, "order": g.order, "written": args.out or ""}
     if args.action == "verify":
         # The loader would reject a failing table before its report is written.
         g = serialize._build_group(_infile(args))
         axioms = verify_group_axioms(g)
-        report = _header(args, "group verify")
-        report.update({
+        return {
             "order": g.order,
             "associativity_violations": [list(v) for v in axioms.associativity_violations],
             "identity_ok": axioms.identity_ok,
             "inverses_ok": axioms.inverses_ok,
             "ok": axioms.ok,
-        })
-        _emit(report, args.out)
-        return 0
-    g = serialize.group_from_spec(_infile(args))
-    if args.action == "identify":
-        report = _header(args, "group identify")
-        report.update({"order": g.order, "name": identify_small_group(g)})
-        _emit(report, args.out)
-        return 0
-    raise ValidationError(f"unknown group action {args.action!r}")
+        }
+    g = serialize.group_from_spec(_infile(args))    # identify
+    return {"order": g.order, "name": identify_small_group(g)}
 
 
 def _cmd_rep(args, tol):
     if args.action == "make":
         rep = _make_rep(args)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(dumps_report(serialize._rep_spec(rep, np.asarray)))
-        report = _header(args, "rep make")
-        report.update({"name": rep.name, "dim": rep.dim, "flavor": rep.flavor,
-                       "written": args.out or ""})
-        _emit(report, None)
-        return 0
-    if args.action == "verify":
-        rep, residual = serialize._load_rep(_infile(args))
-        report = _header(args, "rep verify")
-        report.update({"name": rep.name, "dim": rep.dim, "flavor": rep.flavor,
-                       "residual": residual, "ok": True})
-        _emit(report, args.out)
-        return 0
-    raise ValidationError(f"unknown rep action {args.action!r}")
+            _write(args.out, dumps_report(serialize._rep_spec(rep, np.asarray)))
+        return {"name": rep.name, "dim": rep.dim, "flavor": rep.flavor,
+                "written": args.out or ""}
+    rep, residual = serialize._load_rep(_infile(args))    # verify
+    return {"name": rep.name, "dim": rep.dim, "flavor": rep.flavor,
+            "residual": residual, "ok": True}
 
 
 def _cmd_commutant(args, tol):
     rep = serialize.rep_from_spec(_load_json(args.rep))
     comm = decompose.commutant_basis(rep, tol)
-    report = _header(args, "commutant")
-    report.update({
-        "rep": rep.name,
-        "dim": comm.dim,
-        "basis": comm.basis,
-    })
-    _emit(report, args.out)
-    return 0
+    return {"rep": rep.name, "dim": comm.dim, "basis": comm.basis}
 
 
 def _cmd_decompose(args, tol):
@@ -223,16 +203,12 @@ def _cmd_decompose(args, tol):
     _vlog(args, f"loaded {rep.name} (dim {rep.dim}, {rep.flavor})")
     dec = decompose.isotypic_decompose(rep, args.seed, tol)
     _vlog(args, f"blocks {dec.blocks}")
-    residuals = decompose.decomposition_residuals(rep, dec, args.seed)
-    report = _header(args, "decompose")
-    report.update({
+    return {
         "rep": rep.name,
         "blocks": [[d, m] for d, m in dec.blocks],
         "q": dec.q,
-        "residuals": residuals,
-    })
-    _emit(report, args.out)
-    return 0
+        "residuals": dec.residuals,
+    }
 
 
 def _cmd_twirl(args, tol):
@@ -240,30 +216,24 @@ def _cmd_twirl(args, tol):
     op = serialize.operator_from_spec(_load_json(args.op))
     ctx = twirl_context(rep, args.mode, tol)
     twirled = twirl_operator(ctx, op)
-    residual = check_equivariance(twirled, rep)
-    report = _header(args, "twirl")
-    report.update({
+    return {
         "rep": rep.name,
         "mode": ctx.mode,
         "twirled": twirled,
-        "residuals": {"commutation": residual},
-    })
-    _emit(report, args.out)
-    return 0
+        "residuals": {"commutation": check_equivariance(twirled, rep)},
+    }
 
 
 def _cmd_equivariant(args, tol):
     rep = serialize.rep_from_spec(_load_json(args.rep))
     gens = equivariant_generators(rep, tol)
-    residual = check_equivariance(gens.generators, rep)
-    report = _header(args, "equivariant")
-    report.update({
+    report = {
         "rep": rep.name,
         "dim": gens.dim,
         "includes_identity": gens.includes_identity,
-        "residuals": {"commutation": residual},
+        "residuals": {"commutation": check_equivariance(gens.generators, rep)},
         "generators": gens.generators,
-    })
+    }
     if args.preset:
         maker = GENERATOR_PRESETS.get(args.preset)
         if maker is None:
@@ -277,33 +247,27 @@ def _cmd_equivariant(args, tol):
             "in_span": bool(resid < 1e-8),
             "projection_residual": resid,
         }
-    _emit(report, args.out)
-    return 0
+    return report
 
 
 def _cmd_task(args, tol):
-    if args.action != "run":
-        raise ValidationError(f"unknown task action {args.action!r}")
     ds = tasks.make_dataset(args.name, args.samples, args.seed)
     _vlog(args, f"generated {len(ds.states)} samples for {args.name}")
     if args.dump_data:
-        with open(args.dump_data, "w") as fh:
-            fh.write(dumps_report(serialize._dataset_spec(ds, np.asarray)))
+        _write(args.dump_data, dumps_report(serialize._dataset_spec(ds, np.asarray)))
     model = tasks.default_task_model(ds, copies=args.k, tol=tol)
     model = tasks.initialize_parameters(model, args.seed)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
     trained, trace = tasks.train(model, ds, cfg)
     _vlog(args, f"trained {args.epochs} epochs, final loss {trace[-1][1]:.6f}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("epoch,loss,train_accuracy\n")
-            for epoch, loss, acc in trace:
-                fh.write(f"{epoch},{format(loss, '.17g')},{format(acc, '.17g')}\n")
+        _write(args.out, "epoch,loss,train_accuracy\n" + "".join(
+            f"{epoch},{format(loss, '.17g')},{format(acc, '.17g')}\n"
+            for epoch, loss, acc in trace))
     deviation = tasks.label_invariance_check(trained, ds.rep, ds, n_samples=20,
                                              rng_seed=args.seed)
     residual = check_equivariance(trained.circuit.unitary(), trained.circuit.gens.rep)
-    report = _header(args, "task run")
-    report.update({
+    return {
         "task": args.name,
         "k": args.k,
         "samples": args.samples,
@@ -313,23 +277,15 @@ def _cmd_task(args, tol):
         "invariance_deviation": deviation,
         "residuals": {"circuit_equivariance": residual},
         "csv": args.out or "",
-    })
-    _emit(report, None)
-    return 0
+    }
 
 
 def _cmd_symtest(args, tol):
     h = serialize.operator_from_spec(_load_json(args.h))
     rep = serialize.rep_from_spec(_load_json(args.rep))
     result = symmetry_test(h, rep, tol)
-    report = _header(args, "symtest")
-    report.update({
-        "rep": rep.name,
-        "max_residual": result.max_residual,
-        "commutes": result.commutes,
-    })
-    _emit(report, args.out)
-    return 0
+    return {"rep": rep.name, "max_residual": result.max_residual,
+            "commutes": result.commutes}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = add_parser("rep", help="make/verify representations")
     r.add_argument("action", choices=["make", "verify"])
-    r.add_argument("--kind", choices=list(REP_KINDS))
+    r.add_argument("--kind", choices=list(REP_MAKERS))
     r.add_argument("--n", type=int, default=2)
     r.add_argument("--k", type=int, default=2)
     r.add_argument("--dim", type=int, default=2)
@@ -424,8 +380,11 @@ _PARSER = build_parser()
 def run(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        tol = Tolerance(args.tol_abs, args.tol_rel)
-        return _DISPATCH[args.cmd](args, tol)
+        body = _DISPATCH[args.cmd](args, Tolerance(args.tol_abs, args.tol_rel))
+        # make and task run write their artefact to --out, not the report
+        artefact = getattr(args, "action", None) in ("make", "run")
+        _emit({**_header(args), **body}, None if artefact else args.out)
+        return 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,8 @@ copies into the exact 1_m x U_k form.  Degenerate draws are caught (cluster
 sizes that differ within a component, a K block that is not a multiple of a
 unitary, a failed certification) and handled by redrawing with a derived
 seed, never by perturbing, so the change of basis stays numerically unitary.
+The certificate, ``decomposition_residuals``, is computed once per attempt
+and the accepted one travels with the decomposition as ``residuals``.
 
 Schur's lemma then gives the commutant without any linear solve: it is
 q(sum_k M_k x 1_{d_k})q^dag, so a Hermitian orthonormal basis of every
@@ -59,7 +61,6 @@ from .representations import (
     Representation,
     _max_frob,
     direct_sum,
-    perm_matrix_on_tensor,
     perm_rep_tensor,
     require_unitary,
     sources_match,
@@ -149,11 +150,17 @@ def is_irreducible(rep: Representation, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 @dataclass
 class IsotypicDecomposition:
-    """Unitary change of basis q with q^dag R(g) q = sum_k 1_{m_k} x U_k(g)."""
+    """Unitary change of basis q with q^dag R(g) q = sum_k 1_{m_k} x U_k(g).
+
+    ``residuals`` is the certificate ``isotypic_decompose`` accepted,
+    ``decomposition_residuals(rep, dec, rng_seed)`` bit for bit, so a caller
+    reports it without certifying again.
+    """
 
     q: np.ndarray
     blocks: list[tuple[int, int]]          # (irrep dim d_k, multiplicity m_k)
     block_offsets: list[tuple[int, int]]   # column ranges in q, copy-major
+    residuals: dict = field(default_factory=dict)  # "unitarity", "block_alignment"
 
 
 @dataclass
@@ -239,21 +246,18 @@ class _Genericity(Exception):
     """Internal: the random draw was degenerate, redraw."""
 
 
-def _verification_set(rep: Representation, rng: np.random.Generator) -> np.ndarray:
-    """``(n, d, d)`` stack of operators whose block alignment certifies the decomposition."""
-    imgs = rep.generator_images
-    if rep.flavor == "finite":
-        g = rep.group
-        if g.order <= EAGER_ORDER:
-            return rep.representatives()
-        extra = [rep.representative(int(rng.integers(g.order))) for _ in range(20)]
-        return np.concatenate([imgs, extra])
-    hs, thetas = [], []
-    for _ in range(5):
-        w = rng.standard_normal(len(imgs))
-        hs.append(sum(wi * hi for wi, hi in zip(w, imgs)))
-        thetas.append(rng.uniform(0, 2 * np.pi))
-    return np.concatenate([imgs, linalg.exp_unitary(np.array(hs), np.array(thetas))])
+def _verification_set(rep: Representation, rng_seed: int) -> np.ndarray:
+    """``(n, d, d)`` stack of operators whose block alignment certifies the decomposition.
+
+    Every element of a finite group of order up to EAGER_ORDER; otherwise the
+    generator images followed by ``rep.sample_elements([rng_seed, 17], n,
+    depth=1)``: 20 uniform elements of a finite group, 5 one-factor
+    exponentials of a Lie algebra.
+    """
+    if rep.flavor == "finite" and rep.group.order <= EAGER_ORDER:
+        return rep.representatives()
+    extra = rep.sample_elements([rng_seed, 17], 20 if rep.flavor == "finite" else 5, depth=1)
+    return np.concatenate([rep.generator_images, extra])
 
 
 def _polar(x: np.ndarray) -> np.ndarray:
@@ -308,17 +312,8 @@ def _attempt_decomposition(rep: Representation, rng: np.random.Generator,
     blocks.sort(key=lambda b: (-b[0], -b[1]))
     q = np.hstack([b[2] for b in blocks])
     ends = list(itertools.accumulate(d_k * m_k for d_k, m_k, _ in blocks))
-    dec = IsotypicDecomposition(q, [(d_k, m_k) for d_k, m_k, _ in blocks],
-                                [(b - d_k * m_k, b) for (d_k, m_k, _), b in zip(blocks, ends)])
-
-    # Certify before returning: unitarity and the exact 1_m x U block form.
-    d_total = rep.dim
-    if linalg.frob(linalg.dagger(q) @ q - np.eye(d_total)) > 1e-9 * d_total:
-        raise _Genericity("change of basis is not unitary")
-    check_ops = _verification_set(rep, rng)
-    if _alignment_residual(dec, check_ops) > 1e-8:
-        raise _Genericity("block alignment residual too large")
-    return dec
+    return IsotypicDecomposition(q, [(d_k, m_k) for d_k, m_k, _ in blocks],
+                                 [(b - d_k * m_k, b) for (d_k, m_k, _), b in zip(blocks, ends)])
 
 
 def _alignment_residual(dec: IsotypicDecomposition, ops: np.ndarray) -> float:
@@ -334,9 +329,17 @@ def _alignment_residual(dec: IsotypicDecomposition, ops: np.ndarray) -> float:
 
 def decomposition_residuals(rep: Representation, dec: IsotypicDecomposition,
                             rng_seed: int = 0) -> dict:
+    """The certificate of a decomposition: how far q is from unitary and from the block form.
+
+    ``unitarity`` is ||q^dag q - 1||_F; ``block_alignment`` is the worst
+    Frobenius deviation of q^dag K q from the declared sum_k 1_m x U_k form
+    over the verification set of ``rng_seed`` (every element of a finite
+    group up to order EAGER_ORDER, else the generator images and samples
+    drawn from ``[rng_seed, 17]``).  ``isotypic_decompose(rep, rng_seed)``
+    keeps exactly this dict as ``dec.residuals``.
+    """
     _require_seed("rng_seed", rng_seed)
-    rng = np.random.default_rng([rng_seed, 17])
-    ops = _verification_set(rep, rng)
+    ops = _verification_set(rep, rng_seed)
     return {
         "unitarity": linalg.frob(linalg.dagger(dec.q) @ dec.q - np.eye(rep.dim)),
         "block_alignment": _alignment_residual(dec, ops),
@@ -353,9 +356,11 @@ def isotypic_decompose(rep: Representation, rng_seed: int = 0,
     joins clusters of one irrep type: the connected components of the
     cluster graph are the blocks (d_k clusters of size m_k), and each K
     block is a scalar times a unitary, whose polar factors align the copies.
-    q is certified unitary and in the exact 1_m x U_k form on a verification
-    set; since A has a simple spectrum on each irrep and each component is
-    connected, every U_k is irreducible and the census is exact.
+    Each attempt is certified by ``decomposition_residuals(rep, dec,
+    rng_seed)``: q unitary and in the exact 1_m x U_k form on a verification
+    set.  The accepted certificate is kept as ``dec.residuals``.  Since A
+    has a simple spectrum on each irrep and each component is connected,
+    every U_k is irreducible and the census is exact.
 
     Deterministic given ``rng_seed``; degenerate random draws trigger a
     redraw with a derived seed, at most 8 attempts, after which
@@ -372,9 +377,14 @@ def isotypic_decompose(rep: Representation, rng_seed: int = 0,
     require_unitary(rep)
     reasons = []
     for attempt in range(MAX_REDRAWS):
-        rng = np.random.default_rng([rng_seed, attempt])
         try:
-            return _attempt_decomposition(rep, rng, tol)
+            dec = _attempt_decomposition(rep, np.random.default_rng([rng_seed, attempt]), tol)
+            dec.residuals = decomposition_residuals(rep, dec, rng_seed)
+            if dec.residuals["unitarity"] > 1e-9 * rep.dim:
+                raise _Genericity("change of basis is not unitary")
+            if dec.residuals["block_alignment"] > 1e-8:
+                raise _Genericity("block alignment residual too large")
+            return dec
         except _Genericity as exc:
             reasons.append(f"attempt {attempt}: {exc}")
     raise DecompositionFailedError(
@@ -483,7 +493,6 @@ class SchurWeylReport:
     tensor_blocks: list[tuple[int, int]]
     pairing_ok: bool
     haar_samples_used: int = 0
-    residuals: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -587,8 +596,7 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
     dist_perm = _span_distance(samples, perm_comm.reshape(r, -1).T)
 
     # (b) commutant of the tensor action against the permutation span.
-    perm_ops = np.array([perm_matrix_on_tensor(p, d) for p in
-                         itertools.permutations(range(n))])
+    perm_ops = perm_rep.representatives()  # built by dec_perm, one per permutation
     perm_span, _ = _span_basis(perm_ops.reshape(len(perm_ops), -1).T, tol)
     dist_tensor = _span_distance(perm_span, tensor_comm.reshape(len(tensor_comm), -1).T)
 
@@ -597,9 +605,4 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
 
     return SchurWeylReport(
         d, n, len(perm_comm), len(tensor_comm), dist_perm, dist_tensor,
-        dec_perm.blocks, dec_tensor.blocks, pairing_ok, used,
-        residuals={
-            "perm_projector_distance": dist_perm,
-            "tensor_projector_distance": dist_tensor,
-        },
-    )
+        dec_perm.blocks, dec_tensor.blocks, pairing_ok, used)

@@ -368,22 +368,22 @@ def identify_small_group(g: FiniteGroup) -> str:
         return "unknown"
     if n == 1:
         return "Z_1"
-    candidates: list[tuple[str, FiniteGroup]] = [(f"Z_{n}", make_cyclic(n))]
+    return next((label for label, ref in _candidates(n) if _is_isomorphic(g, ref)),
+                "unknown")
+
+
+def _candidates(n: int):
+    """The (name, group) candidates of order n, in preference order, each made when reached."""
+    yield f"Z_{n}", make_cyclic(n)
     for k in (3, 4):
         if math.factorial(k) == n:
-            candidates.append((f"S_{k}", make_symmetric(k)))
+            yield f"S_{k}", make_symmetric(k)
     if n % 2 == 0 and 3 <= n // 2 <= 12:
-        candidates.append((f"D_{n // 2}", make_dihedral(n // 2)))
+        yield f"D_{n // 2}", make_dihedral(n // 2)
     for a in range(2, int(math.isqrt(n)) + 1):
-        if n % a == 0:
-            b = n // a
-            if a <= b and math.gcd(a, b) > 1:
-                prod = _direct_product(make_cyclic(a), make_cyclic(b))
-                candidates.append((f"Z_{a}xZ_{b}", prod))
-    for label, ref in candidates:
-        if _is_isomorphic(g, ref):
-            return label
-    return "unknown"
+        b = n // a
+        if n % a == 0 and a <= b and math.gcd(a, b) > 1:
+            yield f"Z_{a}xZ_{b}", _direct_product(make_cyclic(a), make_cyclic(b))
 
 
 def _direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:

@@ -130,13 +130,15 @@ class Representation:
 
     # -- shared ----------------------------------------------------------
 
-    def sample_elements(self, rng_seed: int, n: int, depth: int = 3) -> np.ndarray:
+    def sample_elements(self, rng_seed, n: int, depth: int = 3) -> np.ndarray:
         """Deterministic ``(n, d, d)`` sample of group-level unitaries.
 
         Finite flavor: uniform over elements.  Lie flavor: products of
         ``depth`` exponentials exp(-i theta sum_j w_j X_j) with Gaussian w and
         uniform theta, drawn per factor in sample order and diagonalised as
-        one stack.
+        one stack.  ``rng_seed`` is anything ``np.random.default_rng`` takes:
+        an integer or a sequence of them, such as the ``[seed, 17]`` of a
+        decomposition's verification set.
         """
         rng = np.random.default_rng(rng_seed)
         if self.flavor == "finite":

@@ -426,18 +426,21 @@ def _build_group(spec: dict) -> FiniteGroup:
     kind = _object(spec).get("kind")
     if isinstance(kind, str) and kind in GROUP_MAKERS:
         n = _field(spec, "n")
-        try:
-            n = int(n)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"group order n must be an integer, got {n!r}") from exc
-        return GROUP_MAKERS[kind](n)
+        if isinstance(n, float) and n.is_integer():
+            n = int(n)  # an integer as JSON Schema counts them: 1e9 is one, 2.5 is not
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"group order n must be an integer, got {n!r}")
+        return GROUP_MAKERS[kind](int(n))
     if kind == "table":
+        trusted = spec.get("trusted", False)
+        if not isinstance(trusted, bool):
+            raise ValidationError(f"\"trusted\" must be a JSON boolean, got {trusted!r}")
         g = group_from_table(_field(spec, "mul"),
                              spec.get("generators"),
                              _list(spec, "labels", required=False),
                              spec.get("name", "group"))
         # the cubic associativity scan is off the table above order 512
-        if g.order > 512 and not spec.get("trusted", False):
+        if g.order > 512 and not trusted:
             raise ValidationError(
                 "tables above order 512 must carry \"trusted\": true")
         return g

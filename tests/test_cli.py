@@ -256,11 +256,47 @@ def test_identical_invocations_byte_identical(capsys):
     ("twirl_swap-adjoint_x1.json",
      ("twirl", "--rep", str(PRESETS / "swap-adjoint.json"),
       "--op", str(PRESETS / "x1.json"))),
+    ("decompose_swap-adjoint.json",
+     ("decompose", "--rep", str(PRESETS / "swap-adjoint.json"))),
+    ("decompose_rotation-z100.json",   # Z_100 lies above EAGER_ORDER: sampled certificate
+     ("decompose", "--rep", str(PRESETS / "rotation-z100.json"))),
 ])
 def test_preset_golden_outputs(golden, argv, capsys):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_decompose_certifies_once_per_attempt_and_never_after(monkeypatch, capsys):
+    from equirep import decompose
+    real_residuals, real_decompose = decompose.decomposition_residuals, decompose.isotypic_decompose
+    real_attempt = decompose._attempt_decomposition
+    attempts, certified, returned = [], [], []
+
+    def attempt(*args):
+        attempts.append(len(certified))
+        return real_attempt(*args)
+
+    def residuals(rep, dec, rng_seed=0):
+        certified.append(rng_seed)
+        res = real_residuals(rep, dec, rng_seed)
+        # the first attempt fails its certificate, so a second one is drawn
+        return dict(res, block_alignment=1.0) if len(certified) == 1 else res
+
+    def isotypic(rep, *args):
+        dec = real_decompose(rep, *args)
+        returned.append((len(certified), rep, dec))
+        return dec
+    monkeypatch.setattr(decompose, "_attempt_decomposition", attempt)
+    monkeypatch.setattr(decompose, "decomposition_residuals", residuals)
+    monkeypatch.setattr(decompose, "isotypic_decompose", isotypic)
+    code, out = run_cli(capsys, "decompose", "--rep", str(PRESETS / "su2-tensor2.json"),
+                        "--seed", "5")
+    assert code == 0
+    assert attempts == [0, 1] and certified == [5, 5]
+    [(count, rep, dec)] = returned
+    assert count == 2 and len(certified) == 2     # nothing certified after the decomposition
+    assert json.loads(out)["residuals"] == real_residuals(rep, dec, 5) == dec.residuals
 
 
 def test_rep_make_builds_no_element_stack(tmp_path, capsys, monkeypatch):
@@ -420,6 +456,63 @@ def test_non_string_group_kind_exits_one(tmp_path, capsys, kind, argv):
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: unknown group kind")
     assert "Traceback" not in captured.err
+
+
+def _z600_table(trusted) -> dict:
+    mul = (np.arange(600)[:, None] + np.arange(600)) % 600
+    return {"kind": "table", "mul": mul.tolist(), "generators": [1], "trusted": trusted}
+
+
+@pytest.mark.parametrize("group,reason", [
+    ({"kind": "cyclic", "n": 2.5}, "group order n must be an integer, got 2.5"),
+    ({"kind": "cyclic", "n": True}, "group order n must be an integer, got True"),
+    ({"kind": "cyclic", "n": "12"}, "group order n must be an integer, got '12'"),
+    ({"kind": "dihedral", "n": 4.5}, "group order n must be an integer, got 4.5"),
+    ({"kind": "table", "mul": [[0, 1], [1, 0]], "trusted": "false"},
+     "\"trusted\" must be a JSON boolean, got 'false'"),
+    ({"kind": "table", "mul": [[0, 1], [1, 0]], "trusted": 1},
+     "\"trusted\" must be a JSON boolean, got 1"),
+])
+@pytest.mark.parametrize("argv", [("group", "verify", "--in"), ("rep", "verify", "--in")])
+def test_group_spec_n_and_trusted_must_have_json_types(tmp_path, capsys, group, reason, argv):
+    # Each spec loaded before: 2.5 as Z_2, true as Z_1, "12" as Z_12, and a
+    # "trusted" string or number was read by its truthiness.
+    doc = group if argv[0] == "group" else {
+        "flavor": "finite", "group": group, "dim": 1, "name": "one",
+        "matrices": [[[[1, 0]]]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code = cli.run([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [("group", "identify", "--in"), ("rep", "verify", "--in")])
+def test_a_large_table_with_a_string_trusted_is_refused(tmp_path, capsys, argv):
+    # "false" is truthy, so an order-600 table used to load with no axiom check.
+    group = _z600_table("false")
+    doc = group if argv[0] == "group" else {
+        "flavor": "finite", "group": group, "dim": 1, "name": "one",
+        "matrices": [[[[1, 0]]]]}
+    path = tmp_path / "z600.json"
+    path.write_text(json.dumps(doc))
+    code = cli.run([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: \"trusted\" must be a JSON boolean, got 'false'\n"
+    path.write_text(json.dumps(dict(doc, group=_z600_table(True)) if argv[0] == "rep"
+                               else _z600_table(True)))
+    assert cli.run([*argv, str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_group_spec_n_may_be_an_integral_json_number(tmp_path, capsys):
+    # JSON Schema's integer: a number with no fractional part, however written.
+    path = tmp_path / "g.json"
+    path.write_text('{"kind": "cyclic", "n": 12.0}')
+    code, out = run_cli(capsys, "group", "identify", "--in", str(path))
+    assert code == 0 and json.loads(out)["name"] == "Z_12"
 
 
 @pytest.mark.parametrize("kind,n", [("cyclic", 1), ("cyclic", 12), ("symmetric", 1),

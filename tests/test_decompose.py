@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import equirep.decompose
 from equirep import linalg
 from equirep.decompose import (
+    EAGER_ORDER,
     SchurWeylReport,
     _algebra_element,
     _block_commutant,
@@ -741,9 +742,7 @@ def _schur_weyl_in_one_draw(d, n, rng_seed=0, tol=DEFAULT_TOL):
     dist_tensor = _span_distance(perm_span, tensor_comm.reshape(len(tensor_comm), -1).T)
     return SchurWeylReport(
         d, n, r, len(tensor_comm), dist_perm, dist_tensor, dec_perm.blocks, dec_tensor.blocks,
-        sorted(dec_perm.blocks) == sorted((m, k) for k, m in dec_tensor.blocks), used,
-        residuals={"perm_projector_distance": dist_perm,
-                   "tensor_projector_distance": dist_tensor})
+        sorted(dec_perm.blocks) == sorted((m, k) for k, m in dec_tensor.blocks), used)
 
 
 @pytest.mark.parametrize("d, n", [(2, 4), (3, 3), (4, 2)])
@@ -827,12 +826,100 @@ def _alignment_residual_by_loop(dec, ops):
     return max(frob(x) for x in t - model)
 
 
+def loop_verification_set(rep, rng):
+    """The verification set as drawn before it read ``sample_elements``."""
+    imgs = rep.generator_images
+    if rep.flavor == "finite":
+        g = rep.group
+        if g.order <= EAGER_ORDER:
+            return rep.representatives()
+        extra = [rep.representative(int(rng.integers(g.order))) for _ in range(20)]
+        return np.concatenate([imgs, extra])
+    hs, thetas = [], []
+    for _ in range(5):
+        w = rng.standard_normal(len(imgs))
+        hs.append(sum(wi * hi for wi, hi in zip(w, imgs)))
+        thetas.append(rng.uniform(0, 2 * np.pi))
+    return np.concatenate([imgs, linalg.exp_unitary(np.array(hs), np.array(thetas))])
+
+
+def _haar_conjugated(make, seed=3):
+    def build():
+        rep = make()
+        return conjugated(rep, haar_unitary(rep.dim, np.random.default_rng(seed)))
+    return build
+
+
+CERTIFIED_REPS = {
+    "trivial(Z_12,1)": ALGEBRA_REPS["trivial(Z_12,1)"],
+    "perm3": ALGEBRA_REPS["perm3"],
+    "regular-S4": ALGEBRA_REPS["regular-S4"],
+    "perm5": ALGEBRA_REPS["perm5"],
+    "regular-Z96": lambda: left_regular_rep(make_cyclic(96)),
+    **{f"su2x{k}": (lambda k=k: tensor_power(su2_fundamental(), k)) for k in (1, 2, 3, 4, 5)},
+    "u3x2": ALGEBRA_REPS["u3x2"],
+    "perm3~u": _haar_conjugated(ALGEBRA_REPS["perm3"]),
+    "perm5~u": _haar_conjugated(ALGEBRA_REPS["perm5"]),
+    "regular-Z96~u": _haar_conjugated(lambda: left_regular_rep(make_cyclic(96))),
+    "su2x3~u": _haar_conjugated(ALGEBRA_REPS["su2x3"]),
+}
+
+
+def _bits(residuals):
+    return {k: np.float64(v).tobytes() for k, v in residuals.items()}
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_REPS))
+def test_decomposition_keeps_its_certificate_bit_for_bit(name):
+    rep = CERTIFIED_REPS[name]()
+    for seed in (0, 1, 5):
+        dec = isotypic_decompose(rep, seed)
+        assert list(dec.residuals) == ["unitarity", "block_alignment"]
+        assert _bits(dec.residuals) == _bits(decomposition_residuals(rep, dec, seed))
+
+
+@pytest.mark.parametrize("name", [n for n in CERTIFIED_REPS if n not in (
+    "trivial(Z_12,1)", "perm3", "regular-S4", "perm3~u")])
+def test_verification_set_equals_the_loop_bit_for_bit(name):
+    rep = CERTIFIED_REPS[name]()
+    assert rep.flavor == "lie" or rep.group.order > EAGER_ORDER
+    for seed in (0, 1, 5):
+        got = _verification_set(rep, seed)
+        want = loop_verification_set(rep, np.random.default_rng([seed, 17]))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (4, 2)])
+def test_schur_weyl_builds_no_permutation_matrix_past_the_generators(monkeypatch, d, n):
+    import equirep.representations
+    real, calls = equirep.representations.perm_matrix_on_tensor, []
+
+    def counting(perm, d_):
+        calls.append(tuple(perm))
+        return real(perm, d_)
+    monkeypatch.setattr(equirep.representations, "perm_matrix_on_tensor", counting)
+    # also catch a copy of the name imported into decompose
+    monkeypatch.setattr(equirep.decompose, "perm_matrix_on_tensor", counting, raising=False)
+    assert schur_weyl_check(d, n).ok
+    assert len(calls) <= n - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_perm_rep_stack_is_the_list_of_permutation_matrices(n):
+    # Schur-Weyl part (b) reads this stack in place of one matrix per permutation.
+    for d in range(1, 65):
+        if d ** n > 64:
+            break
+        want = np.array([perm_matrix_on_tensor(p, d) for p in itertools.permutations(range(n))])
+        assert perm_rep_tensor(n, d).representatives().tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", ["perm3", "regular-S4", "perm5", "su2x3", "u3x2"])
 def test_decomposition_residuals_match_the_loop_bit_for_bit(name):
     rep = ALGEBRA_REPS[name]()
     for seed in (0, 4):
         dec = isotypic_decompose(rep, seed)
-        ops = _verification_set(rep, np.random.default_rng([seed, 17]))
+        ops = _verification_set(rep, seed)
         got = decomposition_residuals(rep, dec, seed)
         assert got["block_alignment"] == _alignment_residual_by_loop(dec, ops)
         assert got["unitarity"] == frob(dagger(dec.q) @ dec.q - np.eye(rep.dim))

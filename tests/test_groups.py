@@ -244,6 +244,18 @@ def test_identify_s4():
     assert identify_small_group(make_symmetric(4)) == "S_4"
 
 
+def test_identify_builds_no_candidate_past_the_match(monkeypatch):
+    # Z_24 and S_4 come before D_12 and Z_2xZ_12, which are never made.
+    from equirep import groups
+
+    def fail(*args):
+        pytest.fail("a candidate after the match was built")
+    s4 = make_symmetric(4)
+    monkeypatch.setattr(groups, "make_dihedral", fail)
+    monkeypatch.setattr(groups, "_direct_product", fail)
+    assert identify_small_group(s4) == "S_4"
+
+
 def test_identify_relabeling_invariance():
     rng = np.random.default_rng(0)
     for base in (make_cyclic(6), make_dihedral(4), make_symmetric(3),

@@ -78,8 +78,11 @@ def _header(args) -> dict:
 
 
 def _write(path: str, text: str):
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _emit(report: dict, out_path: str | None):

@@ -560,16 +560,17 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
     For (a), Haar samples are used as far as a one-at-a-time rule would
     take them, at most 2r + 12 (r the permutation commutant's dimension),
     until three in a row leave the rank unchanged.  The first r + 3 come
-    from one ``haar_unitaries`` call (batched Gram-Schmidt on one Gaussian
-    stack, no LAPACK QR), raised to tensor powers by
-    ``linalg.tensor_powers``; SVDs of the first r and first r + 3 show when
-    the rule stops at r + 3, and only otherwise are the other r + 9 drawn
-    from the same generator and the prefixes walked (``_saturate``).  A
-    split draw equals one draw of all 2r + 12.  Every rank counts
-    the singular values at or above ``tol.threshold`` of the largest.  The
-    distances of (a) and (b) compare orthonormal bases of the two spans by
-    ``_span_distance``: the samples' and the permutations' left singular
-    vectors against the commutant stacks, already orthonormal under
+    from one ``haar_unitaries`` call (Gram-Schmidt in real arithmetic on one
+    Gaussian stack, no LAPACK QR), raised to tensor powers by
+    ``linalg.tensor_powers_last``, whose sample-last ``(d^2n, count)``
+    reshape holds vec(U_s^(x n)) in column s.  SVDs of the first r and
+    first r + 3 show when the rule stops at r + 3, and only otherwise are
+    the other r + 9 drawn from the same generator and the prefixes walked
+    (``_saturate``).  A split draw equals one draw of all 2r + 12.  Every
+    rank counts the singular values at or above ``tol.threshold`` of the
+    largest.  The distances of (a) and (b) compare orthonormal bases of the
+    two spans by ``_span_distance``: the samples' and the permutations' left
+    singular vectors against the commutant stacks, already orthonormal under
     Tr[A^dag B].
     """
     _require_positive_int("d", d)
@@ -590,7 +591,8 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
     rng = np.random.default_rng([rng_seed, 101])
 
     def columns(count):  # column s is vec(U_s^(x n))
-        return linalg.tensor_powers(linalg.haar_unitaries(d, count, rng), n).reshape(count, -1).T
+        us = linalg.haar_unitaries(d, count, rng).transpose(1, 2, 0)
+        return linalg.tensor_powers_last(us, n).reshape(-1, count)
 
     used, samples = _saturate(columns(r + 3), lambda: columns(r + 9), r, tol)
     dist_perm = _span_distance(samples, perm_comm.reshape(r, -1).T)

@@ -28,7 +28,8 @@ __all__ = [
     "herm_eig", "exp_unitary", "partial_trace", "hs_inner",
     "vectorize", "devectorize", "conjugation_superoperator",
     "commutator_superoperator", "conjugation_sum", "random_hermitian",
-    "haar_unitary", "haar_unitaries", "kron_rows", "tensor_powers", "hvec",
+    "haar_unitary", "haar_unitaries", "haar_unitaries_last", "kron_rows",
+    "tensor_powers", "tensor_powers_last", "hvec",
     "orthonormalize_hermitian",
 ]
 
@@ -231,29 +232,56 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return (a + dagger(a)) / 2
 
 
-def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``(n, d, d)`` stack of Haar-distributed unitaries (Mezzadri 2007).
+def _halving_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 by halving: slice i is added to slice i + half, and an
+    odd last slice carried, so the order of the adds depends on the length
+    of axis 0 alone, never on the other axes."""
+    while len(x) > 1:
+        half = len(x) // 2
+        pairs = x[:half] + x[half:2 * half]
+        x = np.concatenate([pairs, x[2 * half:]]) if len(x) % 2 else pairs
+    return x[0]
 
-    One ``(n, 2, d, d)`` complex Gaussian draw Z (real then imaginary part
-    of each sample, the order one sample at a time would draw them in),
-    orthonormalised in place by classical Gram-Schmidt with one
-    reorthogonalisation pass (CGS2): one loop over the d columns, each step
-    projecting the earlier columns out twice with batched ``matmul`` over
-    the whole stack, then normalising.  That gives the Q of the QR whose R
-    has a positive real diagonal, the factor Mezzadri's phase correction
-    selects, so the stack is exactly left- and right-invariant with no
-    phase fix.  Sample i is bit-identical to the i-th of n successive
-    single draws from the same generator.
+
+def haar_unitaries_last(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``(d, d, n)`` stack of Haar-distributed unitaries, sample axis last (Mezzadri 2007).
+
+    One ``(n, 2, d, d)`` Gaussian draw (real then imaginary part of each
+    sample, the order one sample at a time would draw them in), moved to
+    real and imaginary planes of shape (column, row, n) and orthonormalised
+    in place by classical Gram-Schmidt with one reorthogonalisation pass
+    (CGS2): one loop over the d columns, each step projecting the earlier
+    columns out twice, then normalising.  Every step is a real multiply,
+    add, divide or square root across the sample axis, and every sum over
+    rows or columns adds in an order set by d alone (``_halving_sum``), so
+    sample s depends on its own draw alone, on any BLAS kernel, and is
+    bit-identical to the s-th of n successive single draws.  The
+    result is the Q of the QR whose R has a positive real diagonal, the
+    factor Mezzadri's phase correction selects (the Gaussian's 1/sqrt(2)
+    scale does not change Q), so the stack is exactly left- and
+    right-invariant with no phase fix.
     """
-    g = rng.standard_normal((n, 2, d, d))
-    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
+    re, im = np.ascontiguousarray(rng.standard_normal((n, 2, d, d)).transpose(1, 3, 2, 0))
     for j in range(d):
-        v, q = z[:, :, j:j + 1], z[:, :, :j]
-        if j:
-            v -= q @ (dagger(q) @ v)
-            v -= q @ (dagger(q) @ v)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return z
+        vr, vi, qr, qi = re[j], im[j], re[:j], im[:j]
+        for _ in range(2 if j else 0):
+            # c_i = <q_i, v> over the rows, then v -= sum_i c_i q_i
+            cr = _halving_sum((qr * vr + qi * vi).swapaxes(0, 1))[:, None]
+            ci = _halving_sum((qr * vi - qi * vr).swapaxes(0, 1))[:, None]
+            vr -= _halving_sum(qr * cr - qi * ci)
+            vi -= _halving_sum(qr * ci + qi * cr)
+        norm = np.sqrt(_halving_sum(vr * vr + vi * vi))
+        vr /= norm
+        vi /= norm
+    u = np.empty((d, d, n), dtype=complex)
+    u.real, u.imag = re.transpose(1, 0, 2), im.transpose(1, 0, 2)
+    return u
+
+
+def haar_unitaries(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``(n, d, d)`` stack of Haar-distributed unitaries: ``haar_unitaries_last``
+    with the sample axis moved to the front, in C order."""
+    return np.ascontiguousarray(haar_unitaries_last(d, n, rng).transpose(2, 0, 1))
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -274,17 +302,26 @@ def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, p * r, q * s)
 
 
-def tensor_powers(us: np.ndarray, k: int) -> np.ndarray:
-    """``(n, d^k, d^k)`` stack of the k-fold tensor powers of an ``(n, d, d)`` stack.
+def tensor_powers_last(us: np.ndarray, k: int) -> np.ndarray:
+    """``(d^k, d^k, n)`` k-fold tensor powers of a ``(d, d, n)`` stack, sample axis last.
 
-    Factors are multiplied in from the right by ``kron_rows``, so power i
-    is bit-equal to ``kron_all(*[us[i]] * k)`` and depends on ``us[i]``
-    alone: splitting the stack into chunks keeps every bit.
+    Each factor is multiplied in from the right by one complex broadcast
+    product on the ``(p, r, q, s, n)`` index split, elementwise the same
+    multiplications as ``np.kron``, so power s is bit-equal to
+    ``kron_all(*[us[..., s]] * k)`` and depends on sample s alone:
+    splitting the stack into chunks keeps every bit.
     """
     out = us
     for _ in range(k - 1):
-        out = kron_rows(out, us)
+        (p, q, n), (r, s) = out.shape, us.shape[:2]
+        out = (out[:, None, :, None] * us[None, :, None]).reshape(p * r, q * s, n)
     return out
+
+
+def tensor_powers(us: np.ndarray, k: int) -> np.ndarray:
+    """``(n, d^k, d^k)`` k-fold tensor powers of an ``(n, d, d)`` stack:
+    ``tensor_powers_last`` with the sample axis moved to the front, in C order."""
+    return np.ascontiguousarray(tensor_powers_last(us.transpose(1, 2, 0), k).transpose(2, 0, 1))
 
 
 def hvec(m: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ onto the commutant, computed exactly.  A channel is twirled as its Choi
 matrix under dual(R_in) x R_out, which is again a permutation representation
 when R_in and R_out are.  The U(d) k-fold twirl has the closed permutation
 form from Schur-Weyl duality, solved through the permutation Gram system.
-The Monte Carlo twirl shares ``linalg.conjugation_sum`` with the average.
+The Monte Carlo twirl shares ``linalg.conjugation_sum`` with the average;
+its Haar samples and their tensor powers are formed with the sample axis
+last, a block of chunks at a time.
 """
 
 from __future__ import annotations
@@ -250,6 +252,12 @@ def k_design_twirl(d: int, k: int, o: np.ndarray) -> np.ndarray:
     return (coeff @ perms).reshape(dim, dim)
 
 
+# Chunks per Haar draw of the Monte Carlo twirl: the draw's numpy calls are
+# spread over many samples, while a block's powers (at most
+# 8 * linalg._CHUNK_BYTES, 1 MiB) stay within a per-core L2 cache.
+_SAMPLE_BLOCK_CHUNKS = 8
+
+
 def haar_sample_unitary(d: int, rng_seed: int) -> np.ndarray:
     """Haar-distributed d x d unitary, deterministic per seed."""
     _require_positive_int("d", d)
@@ -262,11 +270,15 @@ def monte_carlo_k_design_twirl(d: int, k: int, o: np.ndarray, n_samples: int,
     """Monte Carlo oracle for the Haar twirl: empirical mean of U^k o U^k dag.
 
     Used to cross-check the exact permutation-projection route; the error
-    scale is O(1/sqrt(n_samples)).  Deterministic per seed.  Samples come in
-    chunks sized by ``linalg._CHUNK_BYTES`` (512 at d^k = 4): each chunk is
-    one ``linalg.haar_unitaries`` draw (batched Gram-Schmidt on one Gaussian
-    stack), raised to k-fold tensor powers by ``linalg.tensor_powers`` and
-    summed by ``linalg.conjugation_sum``, the kernel of the average twirl.
+    scale is O(1/sqrt(n_samples)).  Deterministic per seed.  Samples are
+    drawn in blocks of ``_SAMPLE_BLOCK_CHUNKS`` chunks, a chunk being the
+    samples whose powers fill ``linalg._CHUNK_BYTES``: each block is one
+    ``linalg.haar_unitaries_last`` draw (real-arithmetic Gram-Schmidt,
+    sample axis last), raised to its k-fold powers by
+    ``linalg.tensor_powers_last``, and each chunk of those is summed by
+    ``linalg.conjugation_sum``, the kernel of the average twirl, as an
+    ``(n, d^k, d^k)`` view.  So every sum covers the same samples as a
+    draw of one chunk at a time would.
     """
     for name, value in (("d", d), ("k", k), ("n_samples", n_samples)):
         _require_positive_int(name, value)
@@ -275,8 +287,11 @@ def monte_carlo_k_design_twirl(d: int, k: int, o: np.ndarray, n_samples: int,
     o = _tensor_operator(o, (dim, dim))
     rng = np.random.default_rng(rng_seed)
     chunk = max(1, linalg._CHUNK_BYTES // (dim * dim * 16))
+    block = _SAMPLE_BLOCK_CHUNKS * chunk
     acc = np.zeros((dim, dim), dtype=complex)
-    for start in range(0, n_samples, chunk):
-        us = linalg.haar_unitaries(d, min(chunk, n_samples - start), rng)
-        acc += linalg.conjugation_sum(linalg.tensor_powers(us, k), o)
+    for start in range(0, n_samples, block):
+        us = linalg.haar_unitaries_last(d, min(block, n_samples - start), rng)
+        powers = linalg.tensor_powers_last(us, k)
+        for first in range(0, powers.shape[-1], chunk):
+            acc += linalg.conjugation_sum(powers[..., first:first + chunk].transpose(2, 0, 1), o)
     return acc / n_samples

@@ -320,6 +320,20 @@ def test_missing_file_exits_one(capsys):
     assert "no such file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("decompose", "--rep", str(PRESETS / "swap-adjoint.json"), "--out"), "x.json"),
+    (("task", "run", "--name", "ferro", "--epochs", "0", "--samples", "6", "--dump-data"),
+     "d.json"),
+])
+def test_writing_into_a_missing_directory_exits_one(tmp_path, capsys, argv, name):
+    path = tmp_path / "no-such-dir" / name
+    code = cli.run([*argv, str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot write") and str(path) in err
+    assert not path.parent.exists()
+
+
 def test_invalid_parameter_exits_one(capsys):
     code = cli.run(["group", "make", "--kind", "dihedral", "--n", "1"])
     assert code == 1

@@ -1,5 +1,11 @@
+import contextlib
+import io
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -461,12 +467,14 @@ def _reference_monte_carlo_twirl(d, k, o, n_samples, rng_seed, draw=haar_unitary
     return acc / n_samples
 
 
-@pytest.mark.parametrize("d,k", [(2, 2), (4, 1), (2, 3)])
+@pytest.mark.parametrize("d,k", [(2, 2), (4, 1), (2, 3), (3, 2)])
 def test_monte_carlo_twirl_is_bit_identical_to_per_sample_sampling(d, k):
-    # chunks of 512 at (2, 2) and (4, 1), 128 at (2, 3): 1100 crosses chunk boundaries
+    # chunks of 512 at (2, 2) and (4, 1), 128 at (2, 3), 101 at (3, 2): 1100
+    # crosses chunk boundaries, and 4500 crosses a sampling block of 8 chunks
+    # and ends on a partial chunk
     rng = np.random.default_rng(31)
     o = random_hermitian(d ** k, rng)
-    for n_samples in (1, 100, 1100):
+    for n_samples in (1, 100, 1100, 4500):
         got = monte_carlo_k_design_twirl(d, k, o, n_samples, rng_seed=5)
         np.testing.assert_array_equal(got, _reference_monte_carlo_twirl(d, k, o, n_samples, 5))
 
@@ -496,10 +504,44 @@ def test_conjugation_sum_matches_the_loop_and_the_einsum(d, k):
 
 
 def test_tensor_powers_match_kron_chains():
-    us = haar_unitaries(3, 20, np.random.default_rng(51))
+    for d, n in ((3, 20), (2, 1), (2, 7), (2, 513)):
+        us = haar_unitaries(d, n, np.random.default_rng(51))
+        for k in (1, 2, 3):
+            want = np.stack([linalg.kron_all(*([u] * k)) for u in us])
+            assert linalg.tensor_powers(us, k).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d,n", [(1, 5), (2, 1), (2, 7), (3, 513), (4, 40)])
+def test_sample_last_stacks_are_the_sample_first_ones(d, n):
+    last = linalg.haar_unitaries_last(d, n, np.random.default_rng(53))
+    assert last.shape == (d, d, n)
+    first = haar_unitaries(d, n, np.random.default_rng(53))
+    assert first.flags.c_contiguous and first.tobytes() == last.transpose(2, 0, 1).tobytes()
     for k in (1, 2, 3):
-        want = np.stack([linalg.kron_all(*([u] * k)) for u in us])
-        assert linalg.tensor_powers(us, k).tobytes() == want.tobytes()
+        powers = linalg.tensor_powers(first, k)
+        assert powers.flags.c_contiguous
+        assert powers.tobytes() == linalg.tensor_powers_last(last, k).transpose(2, 0, 1).tobytes()
+
+
+_HAAR_DIGESTS = """
+import hashlib, numpy as np
+from equirep.linalg import haar_unitaries
+for d in (2, 3, 4, 8):
+    print(d, hashlib.sha256(haar_unitaries(d, 700, np.random.default_rng(d)).tobytes()).hexdigest())
+"""
+
+
+def test_haar_draws_do_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernel for the child process alone;
+    # the Monte Carlo twirl is left out, since its GEMMs are the kernel's
+    with contextlib.redirect_stdout(io.StringIO()) as default:
+        exec(_HAAR_DIGESTS, {})
+    src = str(pathlib.Path(linalg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": "Haswell"}
+    haswell = subprocess.run([sys.executable, "-c", _HAAR_DIGESTS], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+    assert len(default.getvalue().splitlines()) == 4
+    assert haswell.stdout == default.getvalue()
 
 
 def _uncached_k_design_twirl(d, k, o):

@@ -133,7 +133,7 @@ def _make_group(args):
 def _trivial(args):
     if args.dim == 0:  # negative dims are refused by trivial_rep
         raise ValidationError("--dim 0 gives a zero-dimensional carrier")
-    return trivial_rep(make_cyclic(max(args.n, 1)), args.dim)
+    return trivial_rep(make_cyclic(args.n), args.dim)
 
 
 def _left_regular(args):
@@ -150,7 +150,7 @@ REP_MAKERS = {
     "swap": lambda args: swap_rep(),
     "dihedral-s3": lambda args: dihedral_rep_s3(),
     "su2-fundamental": lambda args: su2_fundamental(),
-    "su2-tensor": lambda args: tensor_power(su2_fundamental(), max(args.k, 1)),
+    "su2-tensor": lambda args: tensor_power(su2_fundamental(), args.k),
     "left-regular": _left_regular,
     "translation": lambda args: translation_rep(args.n),
 }
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     k = add_parser("task", help="run a classification task end to end")
     k.add_argument("action", choices=["run"])
-    k.add_argument("--name", required=True, choices=list(tasks.TASK_NAMES))
+    k.add_argument("--name", required=True, choices=list(tasks.TASKS))
     k.add_argument("--k", type=int, default=1)
     k.add_argument("--epochs", type=int, default=200)
     k.add_argument("--samples", type=int, default=200)

@@ -402,7 +402,8 @@ def block_projectors(dec: IsotypicDecomposition) -> list[np.ndarray]:
 
 def block_diagonal_part(dec: IsotypicDecomposition, rho: np.ndarray) -> np.ndarray:
     """Pinch an operator to the block-diagonal part seen by equivariant models."""
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
+    rho = linalg.require_operator(rho, dec.q.shape)
+    out = np.zeros_like(rho)
     for p in block_projectors(dec):
         out += p @ rho @ p
     return out

@@ -50,13 +50,9 @@ class EquivariantGeneratorSet:
         return self.generators[1:]
 
     def project(self, h: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of a ``(d, d)`` operator onto the generator span."""
-        b = self.generators
-        h = np.asarray(h, dtype=complex)
-        if h.shape != b.shape[1:]:
-            raise DimensionMismatchError(
-                f"operator shape {h.shape} does not match carrier dim {self.rep.dim}")
-        return np.tensordot(np.tensordot(b.conj(), h, 2), b, 1)
+        """Orthogonal projection of a ``(d, d)`` operator onto the generator span,
+        by ``linalg.orthonormal_projection``."""
+        return linalg.orthonormal_projection(self.generators, h)
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -147,11 +143,12 @@ def equivariant_measurement(rep: Representation, coefficients, basis=None,
 
     ``basis`` defaults to the full Hermitian commutant basis; pass e.g. block
     projectors to use the direct-sum parameterization c_0 1_{d_0} (+) c_1
-    1_{d_1} (+) ...
+    1_{d_1} (+) ...  One ``(d, d)`` matrix is a basis of one.
     """
     if basis is None:
         basis = equivariant_generators(rep, tol).generators
-    basis = np.asarray(basis, dtype=complex).reshape(len(basis), rep.dim, rep.dim)
+    d = rep.dim
+    basis = linalg.require_operator(basis, (d, d), stack=True).reshape(-1, d, d)
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.shape != (len(basis),):
         raise DimensionMismatchError(
@@ -169,11 +166,8 @@ def check_equivariance(w: np.ndarray, rep: Representation) -> float:
     The commutators of a chunk of operators with every K are formed as one
     stack, and each norm has the bits of ``linalg.frob`` of that commutator.
     """
-    w = np.asarray(w, dtype=complex)
-    if w.ndim not in (2, 3) or w.shape[-2:] != (rep.dim, rep.dim):
-        raise DimensionMismatchError(
-            f"operator shape {w.shape} does not match carrier dim {rep.dim}")
-    ws = w.reshape(-1, rep.dim, rep.dim)
+    d = rep.dim
+    ws = linalg.require_operator(w, (d, d), stack=True).reshape(-1, d, d)
     ks = rep.generator_images
     per = max(1, linalg._CHUNK_BYTES // max(ks.nbytes, 1))
     res = 0.0

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, InvalidParameterError, NotHermitianError
+from .errors import (DimensionMismatchError, InvalidParameterError, NotHermitianError,
+                     _require_int, _require_positive_int, _require_seed)
 from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -237,7 +238,8 @@ def verify_group_axioms(g: FiniteGroup) -> GroupAxiomReport:
 
 def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group of integers modulo n; element i is g^i."""
-    if not 1 <= n <= MAX_MADE_ORDER:
+    _require_int("n", n, 1)
+    if n > MAX_MADE_ORDER:
         raise InvalidParameterError(f"cyclic group needs 1 <= n <= {MAX_MADE_ORDER}, got {n}")
     idx = np.arange(n)
     mul = (idx[:, None] + idx[None, :]) % n
@@ -257,7 +259,8 @@ def make_symmetric(n: int) -> FiniteGroup:
     fancy index, (sigma*tau)(x) = sigma(tau(x)), and maps the composed codes
     back to elements by one ``np.searchsorted``.
     """
-    if not (1 <= n <= 6):
+    _require_int("n", n, 1)
+    if n > 6:
         raise InvalidParameterError("symmetric group supported for 1 <= n <= 6")
     elems = list(itertools.permutations(range(n)))
     arr = np.array(elems, dtype=np.int32)
@@ -277,7 +280,8 @@ def make_symmetric(n: int) -> FiniteGroup:
 
 def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of the regular n-gon: 2n elements s^f r^k, s r s = r^-1."""
-    if not 3 <= n <= MAX_MADE_ORDER // 2:
+    _require_int("n", n, 3)
+    if n > MAX_MADE_ORDER // 2:
         raise InvalidParameterError(
             f"dihedral group needs 3 <= n <= {MAX_MADE_ORDER // 2}, got {n}")
     # element index = f*n + k  for  s^f r^k;  s^f1 r^k1 s^f2 r^k2 = s^(f1+f2) r^(+-k1+k2)
@@ -499,8 +503,8 @@ def sample_lie_group_element(alg: LieAlgebraBasis, rng_seed: int, depth: int = 3
     Each factor is exp(-i theta H) with theta uniform in [0, 2 pi) and H drawn
     uniformly from the basis.
     """
-    if depth < 1:
-        raise InvalidParameterError("depth must be >= 1")
+    _require_seed("rng_seed", rng_seed)
+    _require_positive_int("depth", depth)
     rng = np.random.default_rng(rng_seed)
     d = alg.carrier_dim
     out = np.eye(d, dtype=complex)

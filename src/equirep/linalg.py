@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError
+from .errors import DimensionMismatchError, NotHermitianError, ValidationError
 
 __all__ = [
     "I2", "X", "Y", "Z",
-    "Tolerance", "DEFAULT_TOL",
+    "Tolerance", "DEFAULT_TOL", "require_operator", "orthonormal_projection",
     "dagger", "comm", "frob", "kron", "kron_all",
     "is_hermitian", "is_unitary", "is_psd", "is_trace_one",
     "herm_eig", "exp_unitary", "partial_trace", "hs_inner",
@@ -67,6 +67,52 @@ DEFAULT_TOL = Tolerance()
 # element): each chunk's temporaries stay cache-sized and below the
 # allocator's trim threshold, and a large stack is never copied whole.
 _CHUNK_BYTES = 1 << 17
+
+
+def _shaped(o, shape=None, stack: bool = False) -> np.ndarray:
+    """:func:`require_operator` less the finiteness pass, for callers that find
+    a non-finite entry in an array they form from every entry anyway."""
+    try:
+        o = np.asarray(o, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"operator is not numeric: {exc}") from exc
+    if (o.ndim != 2 and not (stack and o.ndim == 3)
+            or o.shape[-2:] != (shape or o.shape[-1:] * 2)):
+        want = f"{shape or 'a square matrix'}{' or a stack of them' if stack else ''}"
+        raise DimensionMismatchError(f"operator shape {o.shape}, expected {want}")
+    return o
+
+
+def _require_finite(values: np.ndarray) -> np.ndarray:
+    if np.count_nonzero(np.isfinite(values)) != values.size:  # faster than .all() on small arrays
+        raise ValidationError("operator has a non-finite entry")
+    return values
+
+
+def require_operator(o, shape: tuple | None = None, stack: bool = False) -> np.ndarray:
+    """The operator check: ``o`` as a finite complex array of matrix ``shape``
+    (rows, columns), any square one if None, or with ``stack`` an ``(n, *shape)``
+    stack of them.  Text or objects and a non-finite entry raise ValidationError,
+    another shape DimensionMismatchError.  This module's arithmetic does not call it.
+    """
+    return _require_finite(_shaped(o, shape, stack))
+
+
+def orthonormal_projection(basis: np.ndarray, o) -> np.ndarray:
+    """Orthogonal projection of a ``(d, d)`` operator onto the span of an
+    orthonormal ``(n, d, d)`` basis, with the operator check.
+
+    Reads the basis as an ``(n, d^2)`` matrix C and takes two matrix-vector
+    products: the coefficients Tr[b^dag o] = conj(C vec(conj o)), which needs
+    no conjugate copy of C, then their combination of the rows of C.  A
+    non-finite entry of o is found in the coefficients, each of which reads
+    every entry.
+    """
+    d = basis.shape[-1]
+    o = _shaped(o, (d, d))
+    flat = basis.reshape(-1, d * d)
+    coeffs = _require_finite(np.dot(flat, o.reshape(-1).conj())).conj()
+    return np.dot(coeffs, flat).reshape(d, d)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -124,9 +170,10 @@ def herm_eig(h: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     by the LAPACK column ordering, which is deterministic but not canonical.
 
     Raises:
+        ValidationError: unless ``require_operator`` passes h as a square or a stack.
         NotHermitianError: if ``||h - h^dag||_F > tol * ||h||_F`` for any matrix.
     """
-    h = np.asarray(h, dtype=complex)
+    h = require_operator(h, stack=True)
     skew = np.linalg.norm(h - dagger(h), axis=(-2, -1))
     scale = np.maximum(np.linalg.norm(h, axis=(-2, -1)), 1.0)
     if np.any(skew > np.maximum(tol.absolute, tol.relative * scale)):
@@ -153,13 +200,10 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
     iterable of factor indices whose order in the output follows their order
     in ``dims``.  Preserves trace and Hermiticity.
     """
-    rho = np.asarray(rho, dtype=complex)
     dims = list(dims)
     n = len(dims)
     total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise DimensionMismatchError(
-            f"product of dims {dims} is {total}, matrix is {rho.shape}")
+    rho = require_operator(rho, (total, total))
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise DimensionMismatchError(f"keep indices {keep} out of range for {n} factors")
@@ -198,15 +242,13 @@ def devectorize(v: np.ndarray, dim: int | None = None) -> np.ndarray:
 
 def conjugation_superoperator(u: np.ndarray) -> np.ndarray:
     """Matrix acting on vectorized operators as ``vec(A) -> vec(u A u^dag)``."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape[0] != u.shape[1]:
-        raise DimensionMismatchError("conjugation requires a square matrix")
+    u = require_operator(u)
     return np.kron(u, u.conj())
 
 
 def commutator_superoperator(h: np.ndarray) -> np.ndarray:
     """Matrix acting on vectorized operators as ``vec(B) -> vec([h, B])``."""
-    h = np.asarray(h, dtype=complex)
+    h = require_operator(h)
     n = h.shape[0]
     eye = np.eye(n)
     return np.kron(h, eye) - np.kron(eye, h.T)

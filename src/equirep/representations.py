@@ -25,6 +25,8 @@ from .errors import (
     NotHermitianError,
     SourceMismatchError,
     ValidationError,
+    _require_int,
+    _require_positive_int,
 )
 from .groups import FiniteGroup, LieAlgebraBasis, _bracket_residual, make_cyclic, make_symmetric
 from .linalg import Tolerance
@@ -140,6 +142,8 @@ class Representation:
         an integer or a sequence of them, such as the ``[seed, 17]`` of a
         decomposition's verification set.
         """
+        _require_int("n", n, 0)
+        _require_positive_int("depth", depth)
         rng = np.random.default_rng(rng_seed)
         if self.flavor == "finite":
             picks = [self.representative(int(rng.integers(self.group.order))) for _ in range(n)]
@@ -193,8 +197,7 @@ def finite_rep_from_images(group: FiniteGroup, images, name: str) -> Representat
 
 def trivial_rep(source, dim: int) -> Representation:
     """Identity on everything (finite) or zero images (lie)."""
-    if dim < 0:
-        raise InvalidParameterError(f"dimension must be non-negative, got {dim}")
+    _require_int("dim", dim, 0)
     if isinstance(source, FiniteGroup):
         flavor, image, count = "finite", np.eye(dim), len(source.generators)
     else:
@@ -225,18 +228,11 @@ def swap_matrix(n_qubits: int = 2, a: int = 0, b: int = 1, d: int = 2) -> np.nda
 
 
 def perm_rep_tensor(n: int, d: int) -> Representation:
-    """Index-permutation representation of S_n on (C^d)^(x n)."""
-    if not (1 <= n <= 6):
-        raise InvalidParameterError("supported for 1 <= n <= 6")
+    """Index-permutation representation of S_n on (C^d)^(x n); ``make_symmetric`` checks n."""
+    _require_positive_int("d", d)
     group = make_symmetric(n)
-    images = []
-    for k in range(max(n - 1, 1)):
-        if n == 1:
-            images.append(np.eye(d, dtype=complex))
-            break
-        perm = list(range(n))
-        perm[k], perm[k + 1] = perm[k + 1], perm[k]
-        images.append(perm_matrix_on_tensor(perm, d))
+    # the adjacent transpositions; S_1's one generator is its identity
+    images = [swap_matrix(n, k, k + 1, d) for k in range(n - 1)] or [np.eye(d, dtype=complex)]
     return finite_rep_from_images(group, images, f"perm(S_{n},d={d})")
 
 
@@ -247,8 +243,7 @@ def perm_rep_qubits(n: int) -> Representation:
 
 def bitflip_rep(n: int) -> Representation:
     """Z_2 on n qubits: the nonidentity element flips every qubit (X^(x n))."""
-    if n < 1:
-        raise InvalidParameterError("need n >= 1 qubits")
+    _require_positive_int("n", n)
     group = make_cyclic(2)
     flip = linalg.kron_all(*([linalg.X] * n)) if n > 1 else linalg.X.copy()
     return finite_rep_from_images(group, [flip], f"bitflip({n})")
@@ -285,8 +280,7 @@ def su2_fundamental() -> Representation:
 
 def unitary_algebra_rep(d: int) -> Representation:
     """Fundamental representation of u(d) with an orthonormal Hermitian basis."""
-    if d < 1:
-        raise InvalidParameterError("need d >= 1")
+    _require_positive_int("d", d)
     basis = []
     for j in range(d):
         e = np.zeros((d, d), dtype=complex)
@@ -333,8 +327,7 @@ def tensor_power(r: Representation, k: int) -> Representation:
     Finite flavor: g -> R(g)^(x k).  Lie flavor: X -> sum over slots of
     1 x .. x r(X) x .. x 1, with the bits of the slots' kron chains summed in order.
     """
-    if k < 1:
-        raise InvalidParameterError("need k >= 1")
+    _require_positive_int("k", k)
     if k == 1:
         return r
     out = functools.reduce(tensor_product, [r] * k)
@@ -410,7 +403,8 @@ def _max_frob(stack: np.ndarray) -> float:
 
 
 def verify_homomorphism(r: Representation) -> float:
-    """Max homomorphism residual.
+    """Max homomorphism residual of a unitary representation; ``require_unitary``
+    refuses any other, so a non-finite image is never read as a residual.
 
     Finite flavor: max over generators s and elements h of
     ||R(sh) - R(s)R(h)||_F, which implies R(gh) = R(g)R(h) for all pairs by
@@ -423,6 +417,7 @@ def verify_homomorphism(r: Representation) -> float:
     Lie flavor: max over basis pairs of ||r([X,Y]) - [r(X), r(Y)]||_F with the
     left side expanded through the source's structure constants.
     """
+    require_unitary(r)
     if r.flavor == "finite":
         g = r.group
         mats = r.representatives()
@@ -436,9 +431,7 @@ def verify_homomorphism(r: Representation) -> float:
         # A generator that is the identity, or repeats an earlier one, is
         # never walked in a word, so its image is compared directly.
         return max(res, _max_frob(mats[g.generators] - r.generator_images))
-    f = r.algebra.structure_constants()
-    require_unitary(r)
-    return _bracket_residual(f, r.generator_images)
+    return _bracket_residual(r.algebra.structure_constants(), r.generator_images)
 
 
 def require_unitary(r: Representation) -> None:

@@ -20,8 +20,7 @@ from . import linalg
 from .errors import InvalidParameterError, ValidationError
 from .groups import GROUP_MAKERS, FiniteGroup, LieAlgebraBasis, group_from_table, \
     verify_group_axioms
-from .representations import Representation, finite_rep_from_images, require_unitary, \
-    verify_homomorphism
+from .representations import Representation, finite_rep_from_images, verify_homomorphism
 
 __all__ = [
     "mat_to_json", "mat_from_json", "dumps_report",
@@ -528,7 +527,6 @@ def _load_rep(spec: dict) -> tuple[Representation, float]:
                              spec.get("name", "rep"), generator_images=images)
     else:
         raise InvalidParameterError(f"unknown representation flavor {flavor!r}")
-    require_unitary(rep)
     residual = verify_homomorphism(rep)
     if residual > _MAX_RESIDUAL:
         raise ValidationError(

@@ -26,6 +26,7 @@ one batched conjugation and one contraction.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,9 @@ from .errors import (
     InvalidParameterError,
     InvalidShellError,
     PrerequisiteFailedError,
+    _require_int,
+    _require_positive_int,
+    _require_seed,
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .representations import (
@@ -55,7 +59,7 @@ from .representations import (
 
 __all__ = [
     "LabeledState", "Dataset", "QmlModel", "TrainConfig",
-    "gen_bitflip1d", "gen_purity", "gen_swap2d", "gen_ferro", "make_dataset",
+    "gen_bitflip1d", "gen_purity", "gen_swap2d", "gen_ferro", "TASKS", "make_dataset",
     "model_eval", "default_task_model", "initialize_parameters", "train",
     "accuracy", "label_invariance_check",
     "SymmetryReport", "symmetry_test",
@@ -63,8 +67,6 @@ __all__ = [
     "pauli_on", "sum_pauli", "heisenberg_xxx",
     "ry", "plus_state", "bloch_state", "bloch_vector",
 ]
-
-TASK_NAMES = ("bitflip1d", "purity", "swap2d", "ferro")
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +108,7 @@ def sum_pauli(p: np.ndarray, n: int) -> np.ndarray:
 
 def heisenberg_xxx(n: int, periodic: bool = True, coupling: float = 1.0) -> np.ndarray:
     """Heisenberg chain sum_j (X_j X_j+1 + Y_j Y_j+1 + Z_j Z_j+1)."""
-    if n < 2:
-        raise InvalidParameterError("need at least two sites")
+    _require_int("n", n, 2)
     bonds = [(j, j + 1) for j in range(n - 1)]
     if periodic and n > 2:
         bonds.append((n - 1, 0))
@@ -149,7 +150,7 @@ class Dataset:
 
     def relabel(self, rho: np.ndarray) -> float:
         """Recompute the label from the declared invariant functional."""
-        return _LABEL_FUNCTIONALS[self.name](rho, self.params)
+        return TASKS[self.name][1](rho, self.params)
 
 
 def _label_bitflip1d(rho, params):
@@ -173,14 +174,6 @@ def _label_ferro(rho, params):
     return 0.0 if float(ra @ rb) > 0 else 1.0
 
 
-_LABEL_FUNCTIONALS = {
-    "bitflip1d": _label_bitflip1d,
-    "purity": _label_purity,
-    "swap2d": _label_swap2d,
-    "ferro": _label_ferro,
-}
-
-
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     """Rows of ``v`` over their norms, bit for bit as ``np.linalg.norm`` of each row."""
     return v / np.sqrt(np.vecdot(v, v))[:, None]
@@ -202,8 +195,8 @@ def gen_bitflip1d(n_samples: int, seed: int = 0) -> Dataset:
     (which maps the state of x to that of -x) leaves labels invariant.
     Classes are balanced.
     """
-    if n_samples < 1:
-        raise InvalidParameterError("need at least one sample")
+    _require_positive_int("n_samples", n_samples)
+    _require_seed("seed", seed)
     rng = np.random.default_rng(seed)
     # Each pair of samples draws x_even, then |x_odd| and a uniform sign coin;
     # one call with per-draw bounds keeps that stream order.
@@ -227,8 +220,8 @@ def gen_purity(n_samples: int, seed: int = 0, mixed_shell=(0.2, 0.8)) -> Dataset
     lo, hi = float(mixed_shell[0]), float(mixed_shell[1])
     if not (0 <= lo < hi < 1):
         raise InvalidShellError(f"need 0 <= r_lo < r_hi < 1, got {mixed_shell}")
-    if n_samples < 1:
-        raise InvalidParameterError("need at least one sample")
+    _require_positive_int("n_samples", n_samples)
+    _require_seed("seed", seed)
     rng = np.random.default_rng(seed)
     # The normal sampler takes a variable number of raw draws, so the draws
     # stay in sample order; the states are built from them in one pass.
@@ -249,8 +242,8 @@ def gen_swap2d(n_samples: int, seed: int = 0, s0: float = 0.7) -> Dataset:
     per-class rejection, so classes are balanced and (x1, x2) <-> (x2, x1)
     always agree.
     """
-    if n_samples < 1:
-        raise InvalidParameterError("need at least one sample")
+    _require_positive_int("n_samples", n_samples)
+    _require_seed("seed", seed)
     if not 0 < s0 < 2:
         raise InvalidParameterError("need 0 < s0 < 2, or one class is never drawn")
     rng = np.random.default_rng(seed)
@@ -279,8 +272,8 @@ def gen_ferro(n_samples: int, seed: int = 0, r_range=(0.2, 1.0)) -> Dataset:
     lo, hi = float(r_range[0]), float(r_range[1])
     if not (0 < lo <= hi <= 1):
         raise InvalidParameterError("need 0 < r_lo <= r_hi <= 1")
-    if n_samples < 1:
-        raise InvalidParameterError("need at least one sample")
+    _require_positive_int("n_samples", n_samples)
+    _require_seed("seed", seed)
     rng = np.random.default_rng(seed)
     # draws in sample order, as in gen_purity
     draws = [(rng.standard_normal(3), float(rng.uniform(lo, hi))) for _ in range(n_samples)]
@@ -291,16 +284,24 @@ def gen_ferro(n_samples: int, seed: int = 0, r_range=(0.2, 1.0)) -> Dataset:
                      {"r_range": (lo, hi)})
 
 
+# task name -> (generator, label functional)
+TASKS = {
+    "bitflip1d": (gen_bitflip1d, _label_bitflip1d),
+    "purity": (gen_purity, _label_purity),
+    "swap2d": (gen_swap2d, _label_swap2d),
+    "ferro": (gen_ferro, _label_ferro),
+}
+
+
 def make_dataset(name: str, n_samples: int, seed: int = 0, **params) -> Dataset:
-    if name == "bitflip1d":
-        return gen_bitflip1d(n_samples, seed)
-    if name == "purity":
-        return gen_purity(n_samples, seed, **params)
-    if name == "swap2d":
-        return gen_swap2d(n_samples, seed, **params)
-    if name == "ferro":
-        return gen_ferro(n_samples, seed, **params)
-    raise InvalidParameterError(f"unknown task {name!r}; choose from {TASK_NAMES}")
+    """The ``TASKS`` generator of ``name``; a parameter it does not take is refused."""
+    if name not in TASKS:
+        raise InvalidParameterError(f"unknown task {name!r}; choose from {tuple(TASKS)}")
+    generator = TASKS[name][0]
+    unknown = set(params) - set(inspect.signature(generator).parameters)
+    if unknown:
+        raise InvalidParameterError(f"task {name!r} takes no parameter {min(unknown)!r}")
+    return generator(n_samples, seed, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +326,9 @@ def _lifted_states(model: QmlModel, rhos) -> np.ndarray:
     """``(N, D, D)`` stack of the k-copy inputs rho^(x k), lifted all at once."""
     dim, k = model.circuit.dim, model.copies
     side = round(dim ** (1 / k))
-    single = np.asarray(rhos, dtype=complex)
-    if side ** k != dim or single.shape[1:] != (side, side):
-        raise DimensionMismatchError(
-            f"states do not lift to the circuit dim {dim} in {k} copies")
+    if side ** k != dim:
+        raise DimensionMismatchError(f"states do not lift to the circuit dim {dim} in {k} copies")
+    single = linalg.require_operator(rhos, (side, side), stack=True).reshape(-1, side, side)
     return linalg.tensor_powers(single, k)
 
 
@@ -364,12 +364,10 @@ def default_task_model(dataset: Dataset, copies: int = 1, n_layer_passes: int = 
     antisymmetric projector for purity at k = 2); the circuit uses every
     traceless commutant generator, repeated ``n_layer_passes`` times.
     """
+    _require_int("n_layer_passes", n_layer_passes, 0)
     rep_k = tensor_power(dataset.rep, copies)
     gens = equivariant_generators(rep_k, tol)
-    layout = []
-    for _ in range(n_layer_passes):
-        layout += [(i, 0.0) for i in range(1, gens.dim)]
-    circuit = QnnCircuit(gens, layout)
+    circuit = QnnCircuit(gens, [(i, 0.0) for i in range(1, gens.dim)] * n_layer_passes)
 
     name = dataset.name
     dim = rep_k.dim
@@ -404,14 +402,14 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise InvalidParameterError("learning_rate must be positive and finite")
-        if self.epochs < 0:
-            raise InvalidParameterError("epochs must be >= 0")
+        _require_int("epochs", self.epochs, 0)
         if self.loss not in ("mse", "bce"):
             raise InvalidParameterError("loss must be 'mse' or 'bce'")
 
 
 def initialize_parameters(model: QmlModel, seed: int) -> QmlModel:
     """Fresh circuit angles uniform in [-pi, pi] and identity readout."""
+    _require_seed("seed", seed)
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(-np.pi, np.pi, size=len(model.circuit.layers))
     return QmlModel(model.copies, model.circuit.with_parameters(thetas),
@@ -545,6 +543,8 @@ def label_invariance_check(model_or_fn, rep: Representation, dataset: Dataset,
     carrier; models lift it to their copy count internally through the
     tensor structure of the input.
     """
+    _require_positive_int("n_samples", n_samples)
+    _require_seed("rng_seed", rng_seed)
     if rep.flavor == "finite" and rep.group.order <= 16:
         samples = rep.representatives()
     else:

@@ -28,11 +28,9 @@ import numpy as np
 from . import linalg
 from .decompose import CommutantBasis, commutant_basis
 from .errors import (
-    DimensionMismatchError,
     DimensionTooLargeError,
     InvalidParameterError,
     NotCPTPError,
-    ValidationError,
     _require_positive_int,
     _require_seed,
 )
@@ -130,40 +128,31 @@ def twirl_operator(ctx: TwirlContext, o: np.ndarray) -> np.ndarray:
     other finite representations reads the ``representatives()`` stack in
     element chunks of ``linalg._CHUNK_BYTES`` and sums R(g) o R(g)^dag over
     each chunk with ``linalg.conjugation_sum`` (two GEMMs).  Projection mode
-    reads the commutant stack as an ``(n, d^2)`` matrix C and takes two
-    matrix-vector products: the coefficients Tr[b^dag o] = conj(C vec(conj o)),
-    which needs no conjugate copy of C, then their combination of the rows
-    of C.  Text raises ``ValidationError``; so does a non-finite entry, found
-    in the orbit sums, the coefficients or the dense average, each of which
-    reads every entry of o.
+    is ``linalg.orthonormal_projection`` onto the commutant stack.  Text
+    raises ``ValidationError``; so does a non-finite entry, found in the
+    orbit sums, the projection coefficients or the dense average, each of
+    which reads every entry of o.
     """
-    o = _numeric(o)
+    if ctx.mode == "projection":
+        return linalg.orthonormal_projection(ctx.commutant.basis, o)
     d = ctx.rep.dim
-    if o.shape != (d, d):
-        raise DimensionMismatchError(
-            f"operator shape {o.shape} does not match carrier dim {d}")
+    o = linalg._shaped(o, (d, d))
     if ctx.orbits is not None:
         orb = ctx.orbits
-        sums = _require_finite(np.add.reduceat(o.reshape(-1)[orb.order], orb.starts))
+        sums = linalg._require_finite(np.add.reduceat(o.reshape(-1)[orb.order], orb.starts))
         return (sums / orb.sizes)[orb.orbit].reshape(d, d)
-    if ctx.mode == "average":
-        reps = ctx.rep.representatives()
-        chunk = max(1, linalg._CHUNK_BYTES // reps[0].nbytes)
-        acc = np.zeros_like(o)
-        for start in range(0, len(reps), chunk):
-            acc += linalg.conjugation_sum(reps[start:start + chunk], o)
-        return _require_finite(acc) / len(reps)
-    basis = ctx.commutant.basis.reshape(-1, d * d)
-    coeffs = _require_finite(np.dot(basis, o.reshape(-1).conj())).conj()
-    return np.dot(coeffs, basis).reshape(d, d)
+    reps = ctx.rep.representatives()
+    chunk = max(1, linalg._CHUNK_BYTES // reps[0].nbytes)
+    acc = np.zeros_like(o)
+    for start in range(0, len(reps), chunk):
+        acc += linalg.conjugation_sum(reps[start:start + chunk], o)
+    return linalg._require_finite(acc) / len(reps)
 
 
 def choi_matrix(superop: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
     """Choi matrix sum_ij |i><j| x phi(|i><j|) of a row-major superoperator phi."""
-    shape = (dim_out * dim_out, dim_in * dim_in)
-    if np.shape(superop) != shape:
-        raise DimensionMismatchError(f"superoperator shape {np.shape(superop)}, expected {shape}")
-    c = np.reshape(superop, (dim_out, dim_out, dim_in, dim_in))
+    superop = linalg.require_operator(superop, (dim_out * dim_out, dim_in * dim_in))
+    c = superop.reshape(dim_out, dim_out, dim_in, dim_in)
     return c.transpose(2, 0, 3, 1).reshape(dim_in * dim_out, dim_in * dim_out)
 
 
@@ -188,33 +177,10 @@ def twirl_channel(rep_in: Representation, rep_out: Representation,
     require_unitary(rep_out)
     rep = tensor_product(dual(rep_in), rep_out)
     din, dout = rep_in.dim, rep_out.dim
-    phi = _tensor_operator(phi, (dout * dout, din * din))
     if not is_cptp(phi, din, dout, tol):
         raise NotCPTPError("input channel is not CPTP within tolerance")
     j = twirl_operator(twirl_context(rep, tol=tol), choi_matrix(phi, din, dout))
     return j.reshape(din, dout, din, dout).transpose(1, 3, 0, 2).reshape(dout * dout, din * din)
-
-
-def _numeric(o) -> np.ndarray:
-    """``o`` as a complex array; text or objects raise ValidationError."""
-    try:
-        return np.asarray(o, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"operator is not numeric: {exc}") from exc
-
-
-def _require_finite(values: np.ndarray) -> np.ndarray:
-    if np.count_nonzero(np.isfinite(values)) != values.size:  # faster than .all() on small arrays
-        raise ValidationError("operator has a non-finite entry")
-    return values
-
-
-def _tensor_operator(o, shape: tuple[int, int]) -> np.ndarray:
-    """``o`` as a finite complex array of ``shape``; anything else is a ValidationError."""
-    o = _numeric(o)
-    if o.shape != shape:
-        raise DimensionMismatchError(f"operator shape {o.shape}, expected {shape}")
-    return _require_finite(o)
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,7 +212,7 @@ def k_design_twirl(d: int, k: int, o: np.ndarray) -> np.ndarray:
     if k > 4 or d ** k > 64:
         raise DimensionTooLargeError("k_design_twirl capped at k <= 4, d^k <= 64")
     dim = d ** k
-    o = _tensor_operator(o, (dim, dim))
+    o = linalg.require_operator(o, (dim, dim))
     perms, gram_pinv = _permutation_gram(d, k)
     coeff = gram_pinv @ (perms.conj() @ o.reshape(-1))
     return (coeff @ perms).reshape(dim, dim)
@@ -284,7 +250,7 @@ def monte_carlo_k_design_twirl(d: int, k: int, o: np.ndarray, n_samples: int,
         _require_positive_int(name, value)
     _require_seed("rng_seed", rng_seed)
     dim = d ** k
-    o = _tensor_operator(o, (dim, dim))
+    o = linalg.require_operator(o, (dim, dim))
     rng = np.random.default_rng(rng_seed)
     chunk = max(1, linalg._CHUNK_BYTES // (dim * dim * 16))
     block = _SAMPLE_BLOCK_CHUNKS * chunk

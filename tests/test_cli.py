@@ -414,7 +414,7 @@ def _malformed_files(tmp_path):
     (("group", "verify", "--in", "h5.json"), "must lie in 0..1"),
     (("rep", "verify", "--in", "i.json"), "do not form one stack"),
     (("commutant", "--rep", "i.json"), "do not form one stack"),
-    (("rep", "make", "--kind", "trivial", "--dim", "-1"), "must be non-negative"),
+    (("rep", "make", "--kind", "trivial", "--dim", "-1"), "dim must be an integer >= 0"),
     (("rep", "verify"), "rep verify needs --in"),
     (("group", "verify"), "group verify needs --in"),
     (("group", "identify"), "group identify needs --in"),
@@ -427,7 +427,7 @@ def _malformed_files(tmp_path):
      "non-negative integer"),
     (("--seed", "-2", "task", "run", "--name", "purity"), "non-negative integer"),
     (("equivariant", "--rep", "su2x3.json", "--preset", "paper-swap-six"),
-     "does not match carrier dim 8"),
+     "expected (8, 8)"),
     (("rep", "make", "--kind", "trivial", "--dim", "0", "--out", "t0.json"),
      "zero-dimensional carrier"),
     (("rep", "verify", "--in", "j1.json"), "'matrices' must be a JSON list"),
@@ -442,6 +442,9 @@ def _malformed_files(tmp_path):
     (("group", "make", "--kind", "dihedral", "--n", "1000000000"), "n <= 1024"),
     (("group", "verify", "--in", "j5.json"), "n <= 2048"),
     (("group", "identify", "--in", "j6.json"), "n <= 1024"),
+    (("rep", "make", "--kind", "su2-tensor", "--k", "0"), "k must be an integer >= 1, got 0"),
+    (("rep", "make", "--kind", "su2-tensor", "--k", "-3"), "k must be an integer >= 1, got -3"),
+    (("rep", "make", "--kind", "trivial", "--n", "0"), "n must be an integer >= 1, got 0"),
 ])
 def test_malformed_input_exits_one(tmp_path, capsys, argv, reason):
     work = _malformed_files(tmp_path)

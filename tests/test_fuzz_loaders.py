@@ -1,5 +1,8 @@
 """Arbitrary JSON through every CLI loader: each run ends in a clean exit code.
 
+The drawn file is read as a group, a representation (verify, decompose,
+commutant, equivariant) and an operator (twirl, symtest).
+
 Trees are drawn freely and also as valid specs with one field replaced, so
 that the draws reach past the first type checks of each loader.
 """
@@ -46,7 +49,11 @@ def test_loaders_exit_cleanly_on_any_json(tmp_path_factory, doc):
     for argv in (["rep", "verify", "--in", str(path)],
                  ["group", "verify", "--in", str(path)],
                  ["group", "identify", "--in", str(path)],
-                 ["twirl", "--rep", str(PRESETS / "swap-adjoint.json"), "--op", str(path)]):
+                 ["twirl", "--rep", str(PRESETS / "swap-adjoint.json"), "--op", str(path)],
+                 ["decompose", "--rep", str(path)],
+                 ["commutant", "--rep", str(path)],
+                 ["equivariant", "--rep", str(path)],
+                 ["symtest", "--h", str(path), "--rep", str(PRESETS / "swap-adjoint.json")]):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.run(argv)

@@ -416,7 +416,7 @@ def test_finite_representatives_unitary(rep):
 def test_perturbed_representative_detected():
     rep = dihedral_rep_s3()
     images = [m.copy() for m in rep.generator_images]
-    images[0] = images[0] + 1e-3
+    images[0] = np.exp(1e-3j) * images[0]  # still unitary, no longer a homomorphism
     from equirep.representations import Representation
     bad = Representation(rep.source, "finite", 2, "perturbed", generator_images=images)
     assert verify_homomorphism(bad) >= 1e-4

@@ -118,7 +118,7 @@ def test_twirl_su2_projection_gives_trace_part():
 
 def test_twirl_dimension_mismatch():
     for make in TWIRL_CONTEXTS.values():
-        with pytest.raises(DimensionMismatchError, match="does not match carrier dim 4"):
+        with pytest.raises(DimensionMismatchError, match=r"expected \(4, 4\)"):
             twirl_operator(make(), X)
 
 
@@ -328,9 +328,9 @@ CHANNEL_INPUT_ERRORS = {
     "non-hermitian": (lambda: twirl_channel(su2_fundamental(), _non_hermitian_su2(), np.eye(16)),
                       NotHermitianError, "Hermitian"),
     "choi shape": (lambda: choi_matrix(np.eye(16), 2, 4), DimensionMismatchError,
-                   "superoperator shape"),
+                   "operator shape"),
     "is_cptp shape": (lambda: is_cptp(np.eye(15), 2, 2), DimensionMismatchError,
-                      "superoperator shape"),
+                      "operator shape"),
 }
 
 

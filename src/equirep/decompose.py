@@ -31,11 +31,8 @@ the products s_b r_a^dag / sqrt(d_k) are an orthonormal basis of Hom(R, S)
 under the adjoint, so non-unitary representations are rejected.
 
 The Schur-Weyl check compares spans, never dense projectors.  Its Haar
-samples are drawn in one batch; with r the dimension of the permutation
-commutant, an SVD of the first r and one of the first r + 3 samples show
-when the per-sample rule (add samples until three in a row leave the rank
-unchanged) stops at r + 3, and only otherwise are the prefixes walked one
-by one.  The distance ||P1 - P2||_F of two projectors comes from
+samples are one draw of r + 3, with r the dimension of the permutation
+commutant.  The distance ||P1 - P2||_F of two projectors comes from
 orthonormal bases u1, u2 of their ranges as the root of
 ||u1 - u2 u2^dag u1||^2 + ||u2 - u1 u1^dag u2||^2.
 """
@@ -277,10 +274,11 @@ def _attempt_decomposition(rep: Representation, rng: np.random.Generator,
     rows = [slice(a, b) for a, b in zip(starts, starts[1:])]  # eigh sorts ascending
     imgs = rep.generator_images
     k = linalg.dagger(va) @ np.tensordot(rng.standard_normal(len(imgs)), imgs, 1) @ va
-    # Squared Frobenius norm of every cluster block K_cc', by one one-hot product.
+    # Squared Frobenius norm of every cluster block K_cc', by one one-hot product;
+    # the norms, not their squares, meet the threshold, which may be near overflow.
     onehot = np.eye(len(sizes))[labels]
     weight = onehot.T @ (np.abs(k) ** 2) @ onehot
-    joined = weight > tol.threshold(linalg.frob(k)) ** 2
+    joined = np.sqrt(weight) > tol.threshold(linalg.frob(k))
 
     # Each connected component is one isotypic block; Z_c carries the copy
     # basis of its first cluster to cluster c along a spanning tree.  A
@@ -493,7 +491,6 @@ class SchurWeylReport:
     perm_blocks: list[tuple[int, int]]
     tensor_blocks: list[tuple[int, int]]
     pairing_ok: bool
-    haar_samples_used: int = 0
 
     @property
     def ok(self) -> bool:
@@ -502,10 +499,10 @@ class SchurWeylReport:
                 and self.projector_distance_tensor_side < 1e-8)
 
 
-def _span_basis(cols: np.ndarray, tol: Tolerance):
-    """Orthonormal basis of the column span, with the singular values it was cut from."""
+def _span_basis(cols: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal basis of the column span."""
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, :int(np.sum(s >= tol.threshold(s[0])))], s
+    return u[:, :int(np.sum(s >= tol.threshold(s[0])))]
 
 
 def _span_distance(u1: np.ndarray, u2: np.ndarray) -> float:
@@ -520,35 +517,6 @@ def _span_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     return float(np.hypot(linalg.frob(u1 - u2 @ linalg.dagger(c)), linalg.frob(u2 - u1 @ c)))
 
 
-def _saturate(cols: np.ndarray, rest, r: int, tol: Tolerance) -> tuple[int, np.ndarray]:
-    """Leading columns the per-sample stall rule takes, and their span's basis.
-
-    The rule adds one column at a time and stops after three additions that
-    leave the rank unchanged.  Adding a column raises every singular value
-    and the threshold, and the rank by at most one, so if the first r
-    columns keep rank r even under the threshold of the first r + 3, and the
-    first r + 3 have rank r even under the threshold of the first r, then
-    the j-th prefix has rank j up to r and rank r from r to r + 3: the rule
-    stops at r + 3.  ``cols`` holds those first r + 3 columns.  Otherwise
-    ``rest()`` gives the columns that follow them, and the prefixes are
-    walked one at a time.
-    """
-    s_r = np.linalg.svd(cols[:, :r], compute_uv=False)
-    basis, s = _span_basis(cols, tol)
-    if (np.sum(s_r >= tol.threshold(s[0])) == r
-            and np.sum(s >= tol.threshold(s_r[0])) == r):
-        return r + 3, basis
-    cols = np.hstack([cols, rest()])
-    rank, stall, used = 0, 0, 0
-    while used < cols.shape[1] and stall < 3:
-        used += 1
-        s = np.linalg.svd(cols[:, :used], compute_uv=False)
-        new_rank = int(np.sum(s >= tol.threshold(s[0])))
-        stall = stall + 1 if new_rank == rank else 0
-        rank = new_rank
-    return used, _span_basis(cols[:, :used], tol)[0]
-
-
 def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
                      rng_seed: int = 0) -> SchurWeylReport:
     """Verify that U(d)^(x n) and the S_n index permutations are mutual commutants.
@@ -558,27 +526,25 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
     (c) the isotypic block data of the two sides pair up transposed:
     each (d_k, m_k) on one side appears as (m_k, d_k) on the other.
 
-    For (a), Haar samples are used as far as a one-at-a-time rule would
-    take them, at most 2r + 12 (r the permutation commutant's dimension),
-    until three in a row leave the rank unchanged.  The first r + 3 come
-    from one ``haar_unitaries`` call (Gram-Schmidt in real arithmetic on one
-    Gaussian stack, no LAPACK QR), raised to tensor powers by
-    ``linalg.tensor_powers_last``, whose sample-last ``(d^2n, count)``
-    reshape holds vec(U_s^(x n)) in column s.  SVDs of the first r and
-    first r + 3 show when the rule stops at r + 3, and only otherwise are
-    the other r + 9 drawn from the same generator and the prefixes walked
-    (``_saturate``).  A split draw equals one draw of all 2r + 12.  Every
-    rank counts the singular values at or above ``tol.threshold`` of the
-    largest.  The distances of (a) and (b) compare orthonormal bases of the
-    two spans by ``_span_distance``: the samples' and the permutations' left
-    singular vectors against the commutant stacks, already orthonormal under
-    Tr[A^dag B].
+    For (a), r + 3 Haar samples (r the permutation commutant's dimension,
+    known from its certified decomposition) come from one
+    ``haar_unitaries_last`` call (Gram-Schmidt in real arithmetic on one
+    Gaussian stack, no LAPACK QR) and are raised to tensor powers by
+    ``linalg.tensor_powers_last``, whose sample-last ``(d^2n, r + 3)``
+    reshape holds vec(U_s^(x n)) in column s.  Haar samples span the r
+    dimensions with probability one; a draw that spans fewer gives
+    ``ok=False``.  Every rank counts the singular values at or above
+    ``tol.threshold`` of the largest.  The distances of (a) and (b) compare
+    orthonormal bases of the two spans by ``_span_distance``: the samples'
+    and the permutations' left singular vectors against the commutant
+    stacks, already orthonormal under Tr[A^dag B].
     """
     _require_positive_int("d", d)
     _require_positive_int("n", n)
     _require_seed("rng_seed", rng_seed)
-    if d ** n > 64:
-        raise DimensionTooLargeError("schur_weyl_check capped at d^n <= 64")
+    # The S_n cap comes first: d ** n of a huge n is a huge integer.
+    if n > 6 or d ** n > 64:
+        raise DimensionTooLargeError("schur_weyl_check capped at n <= 6 and d^n <= 64")
     perm_rep = perm_rep_tensor(n, d)
     tensor_rep = tensor_power(unitary_algebra_rep(d), n)
 
@@ -587,20 +553,15 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
     perm_comm = _block_commutant(dec_perm)
     tensor_comm = _block_commutant(dec_tensor)
 
-    # (a) saturate span{U^(x n)} with Haar samples.
+    # (a) span{U^(x n)} from r + 3 Haar samples; column s is vec(U_s^(x n)).
     r = len(perm_comm)
-    rng = np.random.default_rng([rng_seed, 101])
-
-    def columns(count):  # column s is vec(U_s^(x n))
-        us = linalg.haar_unitaries(d, count, rng).transpose(1, 2, 0)
-        return linalg.tensor_powers_last(us, n).reshape(-1, count)
-
-    used, samples = _saturate(columns(r + 3), lambda: columns(r + 9), r, tol)
+    us = linalg.haar_unitaries_last(d, r + 3, np.random.default_rng([rng_seed, 101]))
+    samples = _span_basis(linalg.tensor_powers_last(us, n).reshape(-1, r + 3), tol)
     dist_perm = _span_distance(samples, perm_comm.reshape(r, -1).T)
 
     # (b) commutant of the tensor action against the permutation span.
     perm_ops = perm_rep.representatives()  # built by dec_perm, one per permutation
-    perm_span, _ = _span_basis(perm_ops.reshape(len(perm_ops), -1).T, tol)
+    perm_span = _span_basis(perm_ops.reshape(len(perm_ops), -1).T, tol)
     dist_tensor = _span_distance(perm_span, tensor_comm.reshape(len(tensor_comm), -1).T)
 
     pairing_ok = sorted((dk, mk) for dk, mk in dec_perm.blocks) == \
@@ -608,4 +569,4 @@ def schur_weyl_check(d: int, n: int, tol: Tolerance = DEFAULT_TOL,
 
     return SchurWeylReport(
         d, n, len(perm_comm), len(tensor_comm), dist_perm, dist_tensor,
-        dec_perm.blocks, dec_tensor.blocks, pairing_ok, used)
+        dec_perm.blocks, dec_tensor.blocks, pairing_ok)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError, ValidationError
+from .errors import DimensionMismatchError, InvalidParameterError, NotHermitianError, ValidationError
 
 __all__ = [
     "I2", "X", "Y", "Z",
@@ -42,18 +42,26 @@ for _p in (I2, X, Y, Z):
     _p.setflags(write=False)
 
 
+_FLOAT_MAX = float(np.finfo(float).max)  # an int above it cannot become a float
+
+
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair used by rank and residual decisions."""
+    """Absolute/relative tolerance pair used by rank and residual decisions.
+
+    Each is a finite non-negative real number; anything else raises
+    InvalidParameterError.
+    """
 
     absolute: float = 1e-10
     relative: float = 1e-9
 
     def __post_init__(self):
-        if not (np.isfinite(self.absolute) and np.isfinite(self.relative)):
-            raise ValueError("tolerances must be finite")
-        if self.absolute < 0 or self.relative < 0:
-            raise ValueError("tolerances must be non-negative")
+        for name, value in (("absolute", self.absolute), ("relative", self.relative)):
+            real = isinstance(value, (int, float, np.integer, np.floating))
+            if isinstance(value, bool) or not real or not 0 <= value <= _FLOAT_MAX:
+                raise InvalidParameterError(
+                    f"{name} tolerance must be a finite non-negative number, got {value!r}")
 
     def threshold(self, scale: float) -> float:
         """Cutoff for treating a quantity as zero at the given scale."""

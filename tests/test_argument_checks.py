@@ -9,7 +9,7 @@ never a ``TypeError``, ``ValueError`` or ``LinAlgError``, and never passes.
 import numpy as np
 import pytest
 
-from equirep.decompose import block_diagonal_part, isotypic_decompose
+from equirep.decompose import block_diagonal_part, isotypic_decompose, schur_weyl_check
 from equirep.equivariant import check_equivariance, equivariant_generators, equivariant_measurement
 from equirep.errors import InvalidParameterError, ToolkitError, ValidationError
 from equirep.groups import make_cyclic, make_dihedral, make_symmetric, sample_lie_group_element
@@ -76,6 +76,7 @@ COUNTS = {
     "label_invariance_check(n_samples=2.5)":
         lambda: label_invariance_check(lambda rho: 0.0, DS.rep, DS, n_samples=2.5),
     "sample_lie_group_element(depth=1.5)": lambda: sample_lie_group_element(SU2.algebra, 0, 1.5),
+    "schur_weyl_check(2, 10**12)": lambda: schur_weyl_check(2, 10 ** 12),
 }
 
 TEXT_OPERATORS = {

@@ -632,22 +632,21 @@ def test_schur_weyl_d1_degenerate():
 
 
 def test_schur_weyl_dimension_cap():
-    with pytest.raises(DimensionTooLargeError):
-        schur_weyl_check(3, 4)
+    for d, n in [(3, 4), (2, 7), (1, 7)]:
+        with pytest.raises(DimensionTooLargeError):
+            schur_weyl_check(d, n)
 
 
-def _schur_weyl_by_samples(d, n, rng_seed=0, draws=None, tol=DEFAULT_TOL):
+def _schur_weyl_by_samples(d, n, rng_seed=0, tol=DEFAULT_TOL):
     """The per-sample Schur-Weyl check: one Haar draw, kron power and SVD per
     sample until three leave the rank unchanged, then four dense projectors."""
     dec_perm = isotypic_decompose(perm_rep_tensor(n, d), rng_seed, tol)
     dec_tensor = isotypic_decompose(tensor_power(unitary_algebra_rep(d), n), rng_seed, tol)
     perm_comm, tensor_comm = _block_commutant(dec_perm), _block_commutant(dec_tensor)
-    if draws is None:
-        rng = np.random.default_rng([rng_seed, 101])
-        draws = (haar_unitary(d, rng) for _ in itertools.count())
+    rng = np.random.default_rng([rng_seed, 101])
     vecs, rank, stall, used = [], 0, 0, 0
     while used < 2 * len(perm_comm) + 12 and stall < 3:
-        u = un = next(draws)
+        u = un = haar_unitary(d, rng)
         for _ in range(n - 1):
             un = np.kron(un, u)
         vecs.append(vectorize(un))
@@ -673,7 +672,8 @@ def _schur_weyl_by_samples(d, n, rng_seed=0, draws=None, tol=DEFAULT_TOL):
 
 
 def _assert_matches_the_sample_loop(got, want):
-    assert got.haar_samples_used == want["used"]
+    # The per-sample rule stops where the one draw of r + 3 samples ends.
+    assert want["used"] == got.perm_commutant_dim + 3
     assert got.ok == want["ok"]
     assert (got.perm_blocks, got.tensor_blocks) == want["blocks"]
     assert (got.perm_commutant_dim, got.tensor_commutant_dim) == want["dims"]
@@ -689,65 +689,59 @@ def test_schur_weyl_matches_the_per_sample_loop(d, n, seed):
     assert got.ok
 
 
-def test_schur_weyl_walks_the_prefixes_when_a_sample_repeats(monkeypatch):
-    # Sample 1 repeats sample 0, so the first r samples have rank r - 1 and
-    # the two-SVD shortcut cannot decide; the walk takes one sample more.
-    d, n = 2, 3
-    drawn = haar_unitaries(d, 64, np.random.default_rng([0, 101]))
-    forced = np.concatenate([drawn[:1], drawn[:-1]])
-    served = [0]
+def test_schur_weyl_draws_r_plus_3_haar_samples_once(monkeypatch):
+    counts = []
+    draw = linalg.haar_unitaries_last
 
-    def draw(d_, count, rng):  # successive calls read on along the forced stream
-        served[0] += count
-        return forced[served[0] - count:served[0]]
+    def counted(d_, count, rng):
+        counts.append(count)
+        return draw(d_, count, rng)
 
-    monkeypatch.setattr(linalg, "haar_unitaries", draw)
-    got = schur_weyl_check(d, n)
-    assert served[0] == 2 * got.perm_commutant_dim + 12  # the walk drew the rest
-    _assert_matches_the_sample_loop(got, _schur_weyl_by_samples(d, n, draws=iter(forced)))
-    assert got.haar_samples_used == got.perm_commutant_dim + 4
+    monkeypatch.setattr(linalg, "haar_unitaries_last", counted)
+    got = schur_weyl_check(2, 3)
+    assert counts == [got.perm_commutant_dim + 3]
     assert got.ok
-    served[0] = 0
-    assert got == _schur_weyl_in_one_draw(d, n)
+
+
+def test_schur_weyl_fails_on_a_draw_that_spans_too_little(monkeypatch):
+    # Samples 1-4 repeat sample 0, so the r + 3 samples span r - 1 dimensions
+    # and the sample projector misses one direction of the commutant's.
+    draw = linalg.haar_unitaries_last
+
+    def repeating(d_, count, rng):
+        us = draw(d_, count, rng)
+        us[..., 1:5] = us[..., :1]
+        return us
+
+    monkeypatch.setattr(linalg, "haar_unitaries_last", repeating)
+    got = schur_weyl_check(2, 3)
+    assert not got.ok
+    assert got.projector_distance_perm_side == pytest.approx(1.0, abs=1e-9)
+    assert got.pairing_ok and got.projector_distance_tensor_side < 1e-8
 
 
 def _schur_weyl_in_one_draw(d, n, rng_seed=0, tol=DEFAULT_TOL):
-    """The single-draw Schur-Weyl check: all 2r + 12 Haar samples from one
-    ``haar_unitaries`` call, each raised to its power by a ``kron_all`` chain,
-    then the stall rule on them."""
+    """The Schur-Weyl check from r + 3 Haar samples of one ``haar_unitaries``
+    call, each raised to its power by a ``kron_all`` chain."""
     dec_perm = isotypic_decompose(perm_rep_tensor(n, d), rng_seed, tol)
     dec_tensor = isotypic_decompose(tensor_power(unitary_algebra_rep(d), n), rng_seed, tol)
     perm_comm, tensor_comm = _block_commutant(dec_perm), _block_commutant(dec_tensor)
     r = len(perm_comm)
-    cap = 2 * r + 12
-    us = linalg.haar_unitaries(d, cap, np.random.default_rng([rng_seed, 101]))
+    us = haar_unitaries(d, r + 3, np.random.default_rng([rng_seed, 101]))
     powers = np.stack([linalg.kron_all(*[u] * n) for u in us])
-    cols = powers.reshape(cap, -1).T
-    s_r = np.linalg.svd(cols[:, :r], compute_uv=False)
-    samples, s = _span_basis(cols[:, :r + 3], tol)
-    used = r + 3
-    if not (np.sum(s_r >= tol.threshold(s[0])) == r
-            and np.sum(s >= tol.threshold(s_r[0])) == r):
-        rank, stall, used = 0, 0, 0
-        while used < cap and stall < 3:
-            used += 1
-            s = np.linalg.svd(cols[:, :used], compute_uv=False)
-            new_rank = int(np.sum(s >= tol.threshold(s[0])))
-            stall = stall + 1 if new_rank == rank else 0
-            rank = new_rank
-        samples = _span_basis(cols[:, :used], tol)[0]
+    samples = _span_basis(powers.reshape(r + 3, -1).T, tol)
     perm_ops = np.array([perm_matrix_on_tensor(p, d) for p in itertools.permutations(range(n))])
-    perm_span, _ = _span_basis(perm_ops.reshape(len(perm_ops), -1).T, tol)
+    perm_span = _span_basis(perm_ops.reshape(len(perm_ops), -1).T, tol)
     dist_perm = _span_distance(samples, perm_comm.reshape(r, -1).T)
     dist_tensor = _span_distance(perm_span, tensor_comm.reshape(len(tensor_comm), -1).T)
     return SchurWeylReport(
         d, n, r, len(tensor_comm), dist_perm, dist_tensor, dec_perm.blocks, dec_tensor.blocks,
-        sorted(dec_perm.blocks) == sorted((m, k) for k, m in dec_tensor.blocks), used)
+        sorted(dec_perm.blocks) == sorted((m, k) for k, m in dec_tensor.blocks))
 
 
 @pytest.mark.parametrize("d, n", [(2, 4), (3, 3), (4, 2)])
 def test_schur_weyl_report_equals_the_single_draw_check(d, n):
-    # Drawing the first r + 3 samples, and the rest only for the walk, keeps every bit.
+    # The sample-last draw and tensor powers keep every bit of the kron chains.
     assert schur_weyl_check(d, n) == _schur_weyl_in_one_draw(d, n)
 
 

@@ -4,7 +4,8 @@ The drawn file is read as a group, a representation (verify, decompose,
 commutant, equivariant) and an operator (twirl, symtest).
 
 Trees are drawn freely and also as valid specs with one field replaced, so
-that the draws reach past the first type checks of each loader.
+that the draws reach past the first type checks of each loader.  The
+tolerance flags are drawn too, as any finite non-negative floats.
 """
 
 import contextlib
@@ -54,8 +55,23 @@ def test_loaders_exit_cleanly_on_any_json(tmp_path_factory, doc):
                  ["commutant", "--rep", str(path)],
                  ["equivariant", "--rep", str(path)],
                  ["symtest", "--h", str(path), "--rep", str(PRESETS / "swap-adjoint.json")]):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.run(argv)
-        assert code in (0, 1, 2), argv
-        assert "Traceback" not in err.getvalue()
+        _assert_exits_cleanly(argv)
+
+
+TOLERANCES = st.floats(min_value=0.0, max_value=1e308, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tol_abs=TOLERANCES, tol_rel=TOLERANCES)
+def test_tolerance_flags_exit_cleanly(tol_abs, tol_rel):
+    for cmd in ("decompose", "commutant", "equivariant"):
+        _assert_exits_cleanly(["--tol-abs", repr(tol_abs), "--tol-rel", repr(tol_rel),
+                               cmd, "--rep", str(PRESETS / "su2-tensor2.json")])
+
+
+def _assert_exits_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()

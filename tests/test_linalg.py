@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equirep import linalg
-from equirep.errors import DimensionMismatchError, NotHermitianError
+from equirep.errors import DimensionMismatchError, InvalidParameterError, NotHermitianError
 from equirep.linalg import (
     DEFAULT_TOL,
     I2,
@@ -273,10 +273,11 @@ def test_predicates():
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(-1.0, 0.0)
-    with pytest.raises(ValueError):
-        Tolerance(np.inf, 0.0)
+    for bad in (-1.0, np.nan, np.inf, 10 ** 400, "abc", None, 1j, True):
+        with pytest.raises(InvalidParameterError):
+            Tolerance(bad, 0.0)
+        with pytest.raises(InvalidParameterError):
+            Tolerance(0.0, bad)
     assert DEFAULT_TOL.threshold(100.0) == pytest.approx(1e-7)
 
 

@@ -55,27 +55,8 @@ class FiniteGroup:
     name: str = "group"
     made: tuple[str, int] | None = field(default=None, repr=False, compare=False)
 
-    def multiply(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inverses[a])
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.multiply(x, a)
-            k += 1
-        return k
-
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
-
-    def power(self, a: int, k: int) -> int:
-        x = self.identity
-        for _ in range(k):
-            x = self.multiply(x, a)
-        return x
 
     def element_tree(self) -> list[tuple[int, int, int]]:
         """Breadth-first spanning tree of the Cayley graph from the identity.
@@ -110,10 +91,6 @@ class FiniteGroup:
         for f, e, gi in self.element_tree():
             words[f] = words[e] + [gi]
         return words
-
-    def conjugate(self, g: int, h: int) -> int:
-        """g * h * g^-1."""
-        return self.multiply(self.multiply(g, h), self.inverse(g))
 
 
 @dataclass
@@ -150,7 +127,8 @@ def _find_inverses(mul: np.ndarray, identity: int) -> np.ndarray:
 def group_from_table(mul, generators=None, element_labels=None, name="group") -> FiniteGroup:
     """Build a group from an explicit table, deriving identity and inverses.
 
-    The table is trusted to be associative here; run
+    ``element_labels``, if given, is a list of ``order`` strings.  The table
+    is trusted to be associative here; run
     :func:`verify_group_axioms` for the exhaustive check (order <= 512).
     """
     try:
@@ -178,6 +156,9 @@ def group_from_table(mul, generators=None, element_labels=None, name="group") ->
         raise InvalidParameterError(f"generators must lie in 0..{n - 1}, got {generators}")
     if element_labels is None:
         element_labels = [f"g{i}" for i in range(n)]
+    if (not isinstance(element_labels, (list, tuple)) or len(element_labels) != n
+            or not all(isinstance(x, str) for x in element_labels)):
+        raise InvalidParameterError(f"element labels must be {n} strings, one per element")
     group = FiniteGroup(n, mul, identity, inverses, generators, list(element_labels), name)
     group.element_tree()  # raises unless the generators reach every element
     return group
@@ -448,10 +429,6 @@ class LieAlgebraBasis:
         sol, *_ = np.linalg.lstsq(linalg.hvec(self.generators).T, targets.T, rcond=None)
         self._structure = sol.T.reshape(n, n, n)
         return self._structure
-
-    def closure_residual(self) -> float:
-        """Max Frobenius distance of i[X_i, X_j] from the real span of the basis."""
-        return _bracket_residual(self.structure_constants(), self.generators)
 
 
 def _brackets(x: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ Conventions fixed here and relied on everywhere else:
 * Matrices are numpy ``complex128`` arrays; nothing is wrapped.
 * The Hilbert-Schmidt inner product is ``<A, B> = Tr[A^dag B]`` with no
   dimension-dependent normalization.
-* ``vectorize`` stacks rows (C order), so ``vec(A X B) = (A kron B^T) vec(X)``
-  and the conjugation superoperator of ``u`` is ``u kron conj(u)``.
+* Operators are vectorized row-major (C order, ``a.reshape(-1)``), so
+  ``vec(A X B) = (A ⊗ Bᵀ) vec(X)`` and conjugation by ``u`` acts on
+  ``vec(A)`` as ``u ⊗ conj(u)``.
 * Matrix exponentials of Hermitian generators go through the
   eigendecomposition, never scaling-and-squaring.
 * Tensor-factor ordering is big-endian: qubit 1 is the leftmost factor.
@@ -23,11 +24,8 @@ from .errors import DimensionMismatchError, InvalidParameterError, NotHermitianE
 __all__ = [
     "I2", "X", "Y", "Z",
     "Tolerance", "DEFAULT_TOL", "require_operator", "orthonormal_projection",
-    "dagger", "comm", "frob", "kron", "kron_all",
-    "is_hermitian", "is_unitary", "is_psd", "is_trace_one",
-    "herm_eig", "exp_unitary", "partial_trace", "hs_inner",
-    "vectorize", "devectorize", "conjugation_superoperator",
-    "commutator_superoperator", "conjugation_sum", "random_hermitian",
+    "dagger", "frob", "kron_all", "is_hermitian", "is_unitary", "is_psd",
+    "herm_eig", "exp_unitary", "partial_trace", "conjugation_sum", "random_hermitian",
     "haar_unitary", "haar_unitaries", "haar_unitaries_last", "kron_rows",
     "tensor_powers", "tensor_powers_last", "hvec",
     "orthonormalize_hermitian",
@@ -128,17 +126,8 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def kron_all(*ops: np.ndarray) -> np.ndarray:
@@ -163,10 +152,6 @@ def is_psd(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
         return False
     w = np.linalg.eigvalsh(a)
     return bool(w.min() >= -tol.threshold(max(abs(w).max(), 1.0)))
-
-
-def is_trace_one(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return abs(np.trace(a) - 1.0) <= tol.threshold(1.0)
 
 
 def herm_eig(h: np.ndarray, tol: Tolerance = DEFAULT_TOL):
@@ -224,42 +209,6 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
         t = np.trace(t, axis1=idx, axis2=idx + m)
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
     return t.reshape(d_keep, d_keep)
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product ``Tr[a^dag b]`` (no 1/2 factor)."""
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
-def vectorize(op: np.ndarray) -> np.ndarray:
-    """Row-major stacking of a matrix into a vector."""
-    return np.asarray(op, dtype=complex).reshape(-1)
-
-
-def devectorize(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vectorize`; square by default."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
-    if dim * dim != v.size:
-        raise DimensionMismatchError(f"length {v.size} is not a square")
-    return v.reshape(dim, dim)
-
-
-def conjugation_superoperator(u: np.ndarray) -> np.ndarray:
-    """Matrix acting on vectorized operators as ``vec(A) -> vec(u A u^dag)``."""
-    u = require_operator(u)
-    return np.kron(u, u.conj())
-
-
-def commutator_superoperator(h: np.ndarray) -> np.ndarray:
-    """Matrix acting on vectorized operators as ``vec(B) -> vec([h, B])``."""
-    h = require_operator(h)
-    n = h.shape[0]
-    eye = np.eye(n)
-    return np.kron(h, eye) - np.kron(eye, h.T)
 
 
 def conjugation_sum(stack: np.ndarray, o: np.ndarray) -> np.ndarray:

@@ -363,8 +363,8 @@ def dual(r: Representation) -> Representation:
 def adjoint_action(r: Representation) -> Representation:
     """Conjugation A -> R(g) A R(g)^-1 on row-major vectorized operators: r x dual(r).
 
-    For unitary r its images are ``linalg.conjugation_superoperator`` (finite)
-    or ``linalg.commutator_superoperator`` (lie) of r's generator images.
+    For unitary r, a finite generator image u becomes u ⊗ conj(u) and a lie
+    generator image h becomes h ⊗ 1 − 1 ⊗ hᵀ.
     """
     out = tensor_product(r, dual(r))
     out.name = f"ad[{r.name}]"

@@ -89,6 +89,14 @@ def _list(spec, key: str, required: bool = True):
     return value
 
 
+def _name(spec, default: str) -> str:
+    """A spec's optional display name, which must be a JSON string."""
+    name = _object(spec).get("name", default)
+    if not isinstance(name, str):
+        raise ValidationError(f"spec field 'name' must be a JSON string, got {type(name).__name__}")
+    return name
+
+
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -427,9 +435,7 @@ def _build_group(spec: dict) -> FiniteGroup:
         n = _field(spec, "n")
         if isinstance(n, float) and n.is_integer():
             n = int(n)  # an integer as JSON Schema counts them: 1e9 is one, 2.5 is not
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValidationError(f"group order n must be an integer, got {n!r}")
-        return GROUP_MAKERS[kind](int(n))
+        return GROUP_MAKERS[kind](n)
     if kind == "table":
         trusted = spec.get("trusted", False)
         if not isinstance(trusted, bool):
@@ -437,7 +443,7 @@ def _build_group(spec: dict) -> FiniteGroup:
         g = group_from_table(_field(spec, "mul"),
                              spec.get("generators"),
                              _list(spec, "labels", required=False),
-                             spec.get("name", "group"))
+                             _name(spec, "group"))
         # the cubic associativity scan is off the table above order 512
         if g.order > 512 and not trusted:
             raise ValidationError(
@@ -456,14 +462,7 @@ def _lie_spec(alg: LieAlgebraBasis, mat) -> dict:
 
 def lie_from_spec(spec: dict) -> LieAlgebraBasis:
     gens = [mat_from_json(m) for m in _list(spec, "generators")]
-    return LieAlgebraBasis(gens, name=spec.get("name", "lie-algebra"))
-
-
-def source_from_spec(spec: dict):
-    """Load either symmetry source: a finite group or a Lie algebra basis."""
-    if _object(spec).get("kind") == "lie":
-        return lie_from_spec(spec)
-    return group_from_spec(spec)
+    return LieAlgebraBasis(gens, name=_name(spec, "lie-algebra"))
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +516,14 @@ def _load_rep(spec: dict) -> tuple[Representation, float]:
     if flavor == "finite":
         group = group_from_spec(_field(spec, "group"))
         images = [mat_from_json(m) for m in _list(spec, "matrices")]
-        rep = finite_rep_from_images(group, images, spec.get("name", "rep"))
+        rep = finite_rep_from_images(group, images, _name(spec, "rep"))
     elif flavor == "lie":
         alg = lie_from_spec(_field(spec, "algebra"))
         images = [mat_from_json(m) for m in _list(spec, "generator_images")]
         if not images:
             raise ValidationError("lie spec has no generator images")
         rep = Representation(alg, "lie", images[0].shape[0],
-                             spec.get("name", "rep"), generator_images=images)
+                             _name(spec, "rep"), generator_images=images)
     else:
         raise InvalidParameterError(f"unknown representation flavor {flavor!r}")
     residual = verify_homomorphism(rep)

@@ -64,7 +64,7 @@ __all__ = [
     "accuracy", "label_invariance_check",
     "SymmetryReport", "symmetry_test",
     "EigenspaceReport", "eigenspace_invariance_check",
-    "pauli_on", "sum_pauli", "heisenberg_xxx",
+    "pauli_on", "heisenberg_xxx",
     "ry", "plus_state", "bloch_state", "bloch_vector",
 ]
 
@@ -99,11 +99,6 @@ def pauli_on(p: np.ndarray, site: int, n: int) -> np.ndarray:
     ops = [linalg.I2] * n
     ops[site] = p
     return linalg.kron_all(*ops)
-
-
-def sum_pauli(p: np.ndarray, n: int) -> np.ndarray:
-    """Total-magnetization style operator sum_j p_j."""
-    return sum(pauli_on(p, j, n) for j in range(n))
 
 
 def heisenberg_xxx(n: int, periodic: bool = True, coupling: float = 1.0) -> np.ndarray:
@@ -147,10 +142,6 @@ class Dataset:
 
     def labels(self) -> np.ndarray:
         return np.array([s.label for s in self.states])
-
-    def relabel(self, rho: np.ndarray) -> float:
-        """Recompute the label from the declared invariant functional."""
-        return TASKS[self.name][1](rho, self.params)
 
 
 def _label_bitflip1d(rho, params):
@@ -316,10 +307,6 @@ class QmlModel:
     measurement: EquivariantMeasurement
     readout: tuple[float, float] = (1.0, 0.0)   # (scale, offset)
     threshold: float = 0.5
-
-    def lifted_input(self, rho: np.ndarray) -> np.ndarray:
-        """rho^(x k) for one single-copy operator."""
-        return _lifted_states(self, [rho])[0]
 
 
 def _lifted_states(model: QmlModel, rhos) -> np.ndarray:
@@ -506,25 +493,6 @@ def train(model: QmlModel, dataset: Dataset, cfg: TrainConfig):
                        (float(params[-2]), float(params[-1])),
                        model.threshold)
     return trained, trace
-
-
-def output_gradient_fd(model: QmlModel, rho: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Central finite differences of the raw output in the circuit angles.
-
-    The trainer does not use this route: it is the reference against which
-    closed-form and adjoint gradients are validated.
-    """
-    thetas = model.circuit.parameters
-    grad = np.zeros_like(thetas)
-    for i in range(thetas.size):
-        bump = np.zeros_like(thetas)
-        bump[i] = h
-        up = QmlModel(model.copies, model.circuit.with_parameters(thetas + bump),
-                      model.measurement, model.readout)
-        dn = QmlModel(model.copies, model.circuit.with_parameters(thetas - bump),
-                      model.measurement, model.readout)
-        grad[i] = (model_eval(up, rho) - model_eval(dn, rho)) / (2 * h)
-    return grad
 
 
 def accuracy(model: QmlModel, dataset: Dataset) -> float:

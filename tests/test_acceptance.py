@@ -29,7 +29,6 @@ from equirep.linalg import (
     X,
     Y,
     Z,
-    comm,
     dagger,
     exp_unitary,
     frob,
@@ -58,12 +57,13 @@ from equirep.tasks import (
     label_invariance_check,
     make_dataset,
     model_eval,
-    output_gradient_fd,
-    sum_pauli,
+    pauli_on,
     symmetry_test,
     train,
 )
+from equirep.tasks import _lifted_states
 from equirep.twirl import twirl_context, twirl_operator
+from oracles import output_gradient_fd
 
 
 def report(num, name, runtime, detail=""):
@@ -176,7 +176,7 @@ def test_criterion_04_commutant_dimensions_vs_brute_force():
     ]
     for rep, expected in cases:
         assert commutant_basis(rep).dim == expected
-        assert brute_force_commutant_dim(rep.generator_representatives()) == expected
+        assert brute_force_commutant_dim(rep.generator_images) == expected
     dt = time.perf_counter() - t0
     assert dt < 10.0
     report(4, "commutant dims vs brute force", dt, "1 / 2 / 10 / 20")
@@ -217,10 +217,10 @@ def test_criterion_06_equivariance_end_to_end(name, k):
     gens = model.circuit.gens
     rep_k = gens.rep
     w = model.circuit.unitary()
-    residual = max(frob(comm(w, op)) for op in rep_k.generator_representatives())
+    residual = max(frob(w @ op - op @ w) for op in rep_k.generator_images)
     if rep_k.flavor == "lie":
         for u in rep_k.sample_elements(7, 20):
-            residual = max(residual, frob(comm(w, u)))
+            residual = max(residual, frob(w @ u - u @ w))
     assert residual < 1e-9
 
     cfg = TrainConfig(learning_rate=0.5, epochs=200, seed=7)
@@ -268,13 +268,14 @@ def test_criterion_07_k_design_vs_monte_carlo():
 def test_criterion_08_symmetry_detection():
     t0 = time.perf_counter()
     h = heisenberg_xxx(3)
-    imgs = [sum_pauli(p, 3) for p in (X, Y, Z)]
+    imgs = [sum(pauli_on(p, j, 3) for j in range(3)) for p in (X, Y, Z)]
     alg = LieAlgebraBasis([m.copy() for m in imgs])
     rep = Representation(alg, "lie", 8, "su2-local-3", generator_images=imgs)
     sym = symmetry_test(h, rep)
     assert sym.commutes and sym.max_residual < 1e-10
     for (a, b) in ((0, 1), (0, 2), (1, 2)):
-        assert frob(comm(h, swap_matrix(3, a, b))) < 1e-10
+        s = swap_matrix(3, a, b)
+        assert frob(h @ s - s @ h) < 1e-10
 
     eig = eigenspace_invariance_check(h, tensor_power(su2_fundamental(), 3))
     assert eig.invariant
@@ -307,7 +308,7 @@ def test_criterion_09_left_regular_block_diagonalization():
 def closed_form_gradient(model, rho):
     gens = model.circuit.gens
     layers = model.circuit.layers
-    lifted = model.lifted_input(rho)
+    lifted = _lifted_states(model, [rho])[0]
     m = model.measurement.m
     mats = [exp_unitary(gens.generators[i], t) for i, t in layers]
     grad = np.zeros(len(layers))
@@ -321,7 +322,7 @@ def closed_form_gradient(model, rho):
         h = gens.generators[idx]
         sigma = mats[l] @ b @ lifted @ dagger(b) @ dagger(mats[l])
         m_eff = dagger(a) @ m @ a
-        grad[l] = np.trace(sigma @ (1j * comm(h, m_eff))).real
+        grad[l] = np.trace(sigma @ (1j * (h @ m_eff - m_eff @ h))).real
     return grad
 
 

@@ -32,7 +32,7 @@ from equirep.tasks import (
     model_eval,
     train,
 )
-from equirep.tasks import _loss_slopes
+from equirep.tasks import _lifted_states, _loss_slopes
 
 AGREE = 1e-12
 
@@ -294,7 +294,7 @@ def test_lifted_input_matches_kron_loop():
         ds = make_dataset("purity", 4, 5)
         model = default_task_model(ds, copies=copies)
         for rho in list(ds.rhos()) + [random_hermitian(2, rng)]:
-            assert frob(model.lifted_input(rho) - kron_lift(rho, copies)) <= 1e-14
+            assert frob(_lifted_states(model, [rho])[0] - kron_lift(rho, copies)) <= 1e-14
 
 
 # -- the trace ----------------------------------------------------------------

@@ -161,6 +161,7 @@ def test_task_run_seed_after_subcommand(tmp_path, capsys):
 
 def test_task_dump_data_round_trip(tmp_path, capsys):
     from equirep.serialize import dataset_from_spec
+    from equirep.tasks import TASKS
     dump = tmp_path / "data.json"
     code, _ = run_cli(capsys, "task", "run", "--name", "ferro",
                       "--epochs", "0", "--samples", "6",
@@ -170,7 +171,7 @@ def test_task_dump_data_round_trip(tmp_path, capsys):
     assert back.name == "ferro"
     assert len(back.states) == 6
     for s in back.states:
-        assert back.relabel(s.rho) == s.label
+        assert TASKS[back.name][1](s.rho, back.params) == s.label
 
 
 @pytest.mark.parametrize("argv, make", [
@@ -357,7 +358,9 @@ def _malformed_files(tmp_path):
     two images are 2x2 and 3x3; then (j) specs whose matrices, images,
     algebra generators or labels are a number, and cyclic and dihedral
     groups of order 1e9; then su2 (x) su2 (x) su2, whose 8 dims do not fit
-    the 4-dim swap preset."""
+    the 4-dim swap preset; then (k) table groups with one label for two
+    elements, with labels that are not strings or with a number for a name,
+    and a rep spec whose name is a list."""
     from equirep.representations import dihedral_rep_s3, perm_rep_qubits, su2_fundamental
     from equirep.serialize import rep_to_spec
     spec = rep_to_spec(perm_rep_qubits(3))
@@ -392,6 +395,10 @@ def _malformed_files(tmp_path):
     (tmp_path / "j4.json").write_text(json.dumps(dict(z2_table, labels=5)))
     (tmp_path / "j5.json").write_text(json.dumps({"kind": "cyclic", "n": 1e9}))
     (tmp_path / "j6.json").write_text(json.dumps({"kind": "dihedral", "n": 1e9}))
+    for name, change in (("k1", {"labels": ["a"]}), ("k2", {"labels": [1, {"x": 2}]}),
+                         ("k3", {"name": 5})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(z2_table, **change)))
+    (tmp_path / "k4.json").write_text(json.dumps(dict(z2, name=["x"])))
     (tmp_path / "dir.json").mkdir()
     (tmp_path / "latin1.json").write_bytes('{"name": "\u00e9"}'.encode("latin-1"))
     return tmp_path
@@ -445,6 +452,12 @@ def _malformed_files(tmp_path):
     (("rep", "make", "--kind", "su2-tensor", "--k", "0"), "k must be an integer >= 1, got 0"),
     (("rep", "make", "--kind", "su2-tensor", "--k", "-3"), "k must be an integer >= 1, got -3"),
     (("rep", "make", "--kind", "trivial", "--n", "0"), "n must be an integer >= 1, got 0"),
+    (("group", "verify", "--in", "k1.json"), "element labels must be 2 strings"),
+    (("rep", "make", "--kind", "left-regular", "--group", "k2.json"),
+     "element labels must be 2 strings"),
+    (("rep", "make", "--kind", "left-regular", "--group", "k3.json"),
+     "'name' must be a JSON string"),
+    (("rep", "verify", "--in", "k4.json"), "'name' must be a JSON string"),
 ])
 def test_malformed_input_exits_one(tmp_path, capsys, argv, reason):
     work = _malformed_files(tmp_path)
@@ -481,10 +494,10 @@ def _z600_table(trusted) -> dict:
 
 
 @pytest.mark.parametrize("group,reason", [
-    ({"kind": "cyclic", "n": 2.5}, "group order n must be an integer, got 2.5"),
-    ({"kind": "cyclic", "n": True}, "group order n must be an integer, got True"),
-    ({"kind": "cyclic", "n": "12"}, "group order n must be an integer, got '12'"),
-    ({"kind": "dihedral", "n": 4.5}, "group order n must be an integer, got 4.5"),
+    ({"kind": "cyclic", "n": 2.5}, "n must be an integer >= 1, got 2.5"),
+    ({"kind": "cyclic", "n": True}, "n must be an integer >= 1, got True"),
+    ({"kind": "cyclic", "n": "12"}, "n must be an integer >= 1, got '12'"),
+    ({"kind": "dihedral", "n": 4.5}, "n must be an integer >= 3, got 4.5"),
     ({"kind": "table", "mul": [[0, 1], [1, 0]], "trusted": "false"},
      "\"trusted\" must be a JSON boolean, got 'false'"),
     ({"kind": "table", "mul": [[0, 1], [1, 0]], "trusted": 1},

@@ -43,15 +43,10 @@ from equirep.linalg import (
     X,
     Y,
     Z,
-    comm,
-    commutator_superoperator,
     dagger,
     frob,
     haar_unitaries,
     haar_unitary,
-    hs_inner,
-    kron,
-    vectorize,
 )
 from equirep.groups import make_dihedral
 from equirep.representations import (
@@ -73,6 +68,7 @@ from equirep.representations import (
     unitary_algebra_rep,
 )
 from kernel_oracle import eigenspace_kernel, null_space
+from oracles import commutator_superoperator
 
 SIGMA_MINUS = (X + 1j * Y) / 2
 SIGMA_PLUS = (X - 1j * Y) / 2
@@ -116,7 +112,7 @@ def test_commutant_su2_tensor2():
     # span contains 1 and SWAP
     from equirep.representations import swap_matrix
     for target in (np.eye(4, dtype=complex), swap_matrix()):
-        proj = sum(b * hs_inner(b, target) for b in comm_basis.basis)
+        proj = sum(b * np.vdot(b, target) for b in comm_basis.basis)
         assert frob(proj - target) < 1e-9
 
 
@@ -129,7 +125,7 @@ def test_commutant_su2_tensor2():
 def test_commutant_dims_match_brute_force(rep, expected):
     comm_basis = commutant_basis(rep)
     assert comm_basis.dim == expected
-    oracle = brute_force_commutant_dim(rep.generator_representatives())
+    oracle = brute_force_commutant_dim(rep.generator_images)
     assert oracle == expected
 
 
@@ -137,12 +133,12 @@ def test_commutant_basis_properties():
     for rep in (swap_rep(), perm_rep_qubits(3), dihedral_rep_s3(),
                 tensor_power(su2_fundamental(), 2)):
         cb = commutant_basis(rep)
-        gram = np.array([[hs_inner(a, b) for b in cb.basis] for a in cb.basis])
+        gram = np.array([[np.vdot(a, b) for b in cb.basis] for a in cb.basis])
         assert frob(gram - np.eye(cb.dim)) < 1e-10
         for b in cb.basis:
             assert frob(b - dagger(b)) < 1e-10
-            for k in rep.generator_representatives():
-                assert frob(comm(b, k)) < 1e-9
+            for k in rep.generator_images:
+                assert frob(b @ k - k @ b) < 1e-9
 
 
 def test_commutant_projection_of_random_operator_commutes():
@@ -151,9 +147,9 @@ def test_commutant_projection_of_random_operator_commutes():
         cb = commutant_basis(rep)
         a = rng.standard_normal((rep.dim, rep.dim)) \
             + 1j * rng.standard_normal((rep.dim, rep.dim))
-        proj = sum(b * hs_inner(b, a) for b in cb.basis)
-        for k in rep.generator_representatives():
-            assert frob(comm(proj, k)) < 1e-9
+        proj = sum(b * np.vdot(b, a) for b in cb.basis)
+        for k in rep.generator_images:
+            assert frob(proj @ k - k @ proj) < 1e-9
 
 
 def test_commutant_of_trivial_rep_is_everything():
@@ -169,7 +165,7 @@ def test_adjoint_action_of_swap_has_136_dim_superoperator_commutant():
 
 def conjugated(rep, u):
     """The same representation in the basis given by the unitary u."""
-    mats = [u @ k @ dagger(u) for k in rep.generator_representatives()]
+    mats = [u @ k @ dagger(u) for k in rep.generator_images]
     if rep.flavor == "finite":
         return finite_rep_from_images(rep.group, mats, rep.name + "~u")
     return Representation(rep.source, "lie", rep.dim, rep.name + "~u",
@@ -179,11 +175,10 @@ def conjugated(rep, u):
 def superoperator_kernel(r, s):
     """The stacked d^2 x d^2 kernel the eigenspace solver replaced (d <= 16)."""
     if r is s:
-        blocks = [commutator_superoperator(k) for k in r.generator_representatives()]
+        blocks = [commutator_superoperator(k) for k in r.generator_images]
     else:
         blocks = [np.kron(np.eye(s.dim), kr.T) - np.kron(ks, np.eye(r.dim))
-                  for kr, ks in zip(r.generator_representatives(),
-                                    s.generator_representatives())]
+                  for kr, ks in zip(r.generator_images, s.generator_images)]
     return null_space(np.vstack(blocks))
 
 
@@ -447,7 +442,7 @@ def test_intertwiner_adjoint_vs_tensor_equivalent():
     it = find_intertwiner(ad, t2)
     assert it.verdict == "equivalent"
     # phi maps the ad carrier into the tensor carrier: phi R(g) = S(g) phi
-    for kr, ks in zip(ad.generator_representatives(), t2.generator_representatives()):
+    for kr, ks in zip(ad.generator_images, t2.generator_images):
         assert frob(it.phi @ kr - ks @ it.phi) < 1e-8
 
 
@@ -461,7 +456,7 @@ def test_intertwiner_explicit_ladder_map_on_symmetric_part():
     sym = [np.array([1, 0, 0, 0], dtype=complex),                 # |00>
            np.array([0, 1, 1, 0], dtype=complex),                 # |10>+|01>
            np.array([0, 0, 0, 1], dtype=complex)]                 # |11>
-    targets = [vectorize(SIGMA_MINUS), -vectorize(Z), -vectorize(SIGMA_PLUS)]
+    targets = [SIGMA_MINUS.reshape(-1), -Z.reshape(-1), -SIGMA_PLUS.reshape(-1)]
     phi = np.zeros((4, 4), dtype=complex)
     coeff = np.linalg.pinv(np.column_stack(sym))
     for t, row in zip(targets, coeff):
@@ -649,7 +644,7 @@ def _schur_weyl_by_samples(d, n, rng_seed=0, tol=DEFAULT_TOL):
         u = un = haar_unitary(d, rng)
         for _ in range(n - 1):
             un = np.kron(un, u)
-        vecs.append(vectorize(un))
+        vecs.append(un.reshape(-1))
         used += 1
         s = np.linalg.svd(np.column_stack(vecs), compute_uv=False)
         new_rank = int(np.sum(s >= tol.threshold(s[0])))

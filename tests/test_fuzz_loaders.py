@@ -1,7 +1,8 @@
 """Arbitrary JSON through every CLI loader: each run ends in a clean exit code.
 
-The drawn file is read as a group, a representation (verify, decompose,
-commutant, equivariant) and an operator (twirl, symtest).
+The drawn file is read as a group (verify, identify, and the group of a
+left-regular ``rep make``), a representation (verify, decompose, commutant,
+equivariant) and an operator (twirl, symtest).
 
 Trees are drawn freely and also as valid specs with one field replaced, so
 that the draws reach past the first type checks of each loader.  The
@@ -50,6 +51,7 @@ def test_loaders_exit_cleanly_on_any_json(tmp_path_factory, doc):
     for argv in (["rep", "verify", "--in", str(path)],
                  ["group", "verify", "--in", str(path)],
                  ["group", "identify", "--in", str(path)],
+                 ["rep", "make", "--kind", "left-regular", "--group", str(path)],
                  ["twirl", "--rep", str(PRESETS / "swap-adjoint.json"), "--op", str(path)],
                  ["decompose", "--rep", str(path)],
                  ["commutant", "--rep", str(path)],

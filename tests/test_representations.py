@@ -7,8 +7,7 @@ import pytest
 from equirep import linalg, representations, serialize
 from equirep.errors import DimensionMismatchError, SourceMismatchError, ValidationError
 from equirep.groups import make_cyclic, make_dihedral, make_symmetric
-from equirep.linalg import I2, X, Y, Z, comm, dagger, frob, haar_unitary, hs_inner, kron, \
-    vectorize
+from equirep.linalg import I2, X, Y, Z, dagger, frob, haar_unitary
 from equirep.representations import (
     adjoint_action,
     bitflip_rep,
@@ -28,6 +27,7 @@ from equirep.representations import (
     unitary_algebra_rep,
     verify_homomorphism,
 )
+from oracles import commutator_superoperator, conjugation_superoperator
 
 SIGMA_MINUS = (X + 1j * Y) / 2   # |0><1|
 SIGMA_PLUS = (X - 1j * Y) / 2    # |1><0|
@@ -77,7 +77,7 @@ def test_perm_rep_identity_and_homomorphism():
     assert np.allclose(rep.representative(rep.group.identity), np.eye(8))
     elems = list(itertools.permutations(range(3)))
     t12, t23 = elems.index((1, 0, 2)), elems.index((0, 2, 1))
-    prod = rep.group.multiply(t12, t23)
+    prod = rep.group.mul[t12, t23]
     assert frob(rep.representative(t12) @ rep.representative(t23)
                 - rep.representative(prod)) < 1e-12
     assert verify_homomorphism(rep) < 1e-10
@@ -87,7 +87,7 @@ def test_bitflip_rep_examples():
     r1 = bitflip_rep(1)
     assert frob(r1.representative(1) - X) < 1e-14
     r2 = bitflip_rep(2)
-    assert frob(r2.representative(1) - kron(X, X)) < 1e-14
+    assert frob(r2.representative(1) - np.kron(X, X)) < 1e-14
     assert frob(r2.representative(1) @ r2.representative(1) - np.eye(4)) < 1e-12
 
 
@@ -141,7 +141,7 @@ def test_exp_of_zero_combination():
 
 def test_tensor_power_lie_images():
     t2 = tensor_power(su2_fundamental(), 2)
-    expected = kron(Z / 2, I2) + kron(I2, Z / 2)
+    expected = np.kron(Z / 2, I2) + np.kron(I2, Z / 2)
     assert frob(t2.generator_images[2] - expected) < 1e-13
     assert verify_homomorphism(t2) < 1e-10
 
@@ -175,7 +175,7 @@ def test_tensor_power_k1_is_same_rep():
 
 def test_tensor_power_finite_kronecker_square():
     r2 = tensor_power(bitflip_rep(1), 2)
-    assert frob(r2.representative(1) - kron(X, X)) < 1e-13
+    assert frob(r2.representative(1) - np.kron(X, X)) < 1e-13
 
 
 def test_tensor_power_leibniz_on_vectors():
@@ -196,7 +196,7 @@ def test_tensor_power_su2_commutes_with_swap():
     t2 = tensor_power(su2_fundamental(), 2)
     s = swap_matrix()
     for u in t2.sample_elements(11, 20):
-        assert frob(comm(u, s)) < 1e-9
+        assert frob(u @ s - s @ u) < 1e-9
 
 
 def test_direct_sum_block_structure():
@@ -245,7 +245,7 @@ def _haar_conjugated_perm3():
 def test_dual_images_are_the_inverse_word_products_transposed(make):
     rep = make()
     g = rep.group
-    want = np.array([rep.representative(g.inverse(gi)).T for gi in g.generators])
+    want = np.array([rep.representative(g.inverses[gi]).T for gi in g.generators])
     assert np.abs(dual(rep).generator_images - want).max() <= 1e-15
 
 
@@ -263,10 +263,10 @@ def test_adjoint_action_z_generator_ladder_eigenvalue():
     # image of the Z generator acting on vec(sigma-): [Z/2, sigma-] = +sigma-
     ad = adjoint_action(su2_fundamental())
     img_z = ad.generator_images[2]
-    v = vectorize(SIGMA_MINUS)
+    v = SIGMA_MINUS.reshape(-1)
     assert np.linalg.norm(img_z @ v - v) < 1e-12
     # and [Z/2, sigma+] = -sigma+
-    w = vectorize(SIGMA_PLUS)
+    w = SIGMA_PLUS.reshape(-1)
     assert np.linalg.norm(img_z @ w + w) < 1e-12
 
 
@@ -277,7 +277,7 @@ def test_adjoint_action_matches_conjugation():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert np.linalg.norm(
-        ad.representative(1) @ vectorize(a) - vectorize(s @ a @ dagger(s))) < 1e-12
+        ad.representative(1) @ a.reshape(-1) - (s @ a @ dagger(s)).reshape(-1)) < 1e-12
 
 
 def test_adjoint_action_preserves_hs_inner():
@@ -286,8 +286,8 @@ def test_adjoint_action_preserves_hs_inner():
     for u in rep.sample_elements(5, 5):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        lhs = hs_inner(u @ a @ dagger(u), u @ b @ dagger(u))
-        assert abs(lhs - hs_inner(a, b)) < 1e-9
+        lhs = np.vdot(u @ a @ dagger(u), u @ b @ dagger(u))
+        assert abs(lhs - np.vdot(a, b)) < 1e-9
 
 
 def test_tensor_product_lie_leibniz_on_vectors():
@@ -327,8 +327,7 @@ def test_tensor_product_source_mismatch(r, s):
 def test_adjoint_action_images_equal_the_superoperators(rep):
     # tensor_product(r, dual(r)) against the superoperators it replaced; the
     # signs of some zeros differ, so values are compared, not bytes
-    lift = (linalg.conjugation_superoperator if rep.flavor == "finite"
-            else linalg.commutator_superoperator)
+    lift = conjugation_superoperator if rep.flavor == "finite" else commutator_superoperator
     ad = adjoint_action(rep)
     assert ad.name == f"ad[{rep.name}]"
     assert np.array_equal(ad.generator_images,
@@ -364,7 +363,7 @@ def test_translation_rep_commutes_with_ring_hamiltonian():
     rep = translation_rep(4)
     h = heisenberg_xxx(4, periodic=True)
     for m in rep.representatives():
-        assert frob(comm(h, m)) < 1e-10
+        assert frob(h @ m - m @ h) < 1e-10
     assert verify_homomorphism(rep) < 1e-12
 
 
@@ -485,7 +484,7 @@ def _homomorphism_by_pairs(r):
     g, mats, res = r.group, r.representatives(), 0.0
     for a in g.generators:
         for b in range(g.order):
-            res = max(res, frob(mats[g.multiply(a, b)] - mats[a] @ mats[b]))
+            res = max(res, frob(mats[g.mul[a, b]] - mats[a] @ mats[b]))
     for gi, img in zip(g.generators, r.generator_images):
         res = max(res, frob(mats[gi] - img))
     return res
@@ -523,7 +522,7 @@ def loop_left_regular_images(group):
     def l_matrix(h):
         m = np.zeros((group.order, group.order), dtype=complex)
         for g in range(group.order):
-            m[group.multiply(h, g), g] = 1.0
+            m[group.mul[h, g], g] = 1.0
         return m
 
     return np.array([l_matrix(h) for h in group.generators])
